@@ -29,7 +29,7 @@ class CuspData:
 
     __slots__ = ("index", "corners", "triangles", "sides", "side_faces",
                  "n_manifold_faces", "link_h1", "basis", "periph_face",
-                 "periph_kernel", "periph_class")
+                 "periph_class")
 
     def __init__(self, index, corners, triangles, sides, side_faces,
                  n_manifold_faces, link_h1, basis):
@@ -42,7 +42,6 @@ class CuspData:
         self.link_h1 = link_h1
         self.basis = basis
         self.periph_face = None
-        self.periph_kernel = None
         self.periph_class = None
 
 
@@ -152,7 +151,6 @@ def vertex_links(ts, coor, cycles, h1):
                         len(table.faces), link_h1, basis)
         pf = tuple(cross_section_to_faces(cusp, z) for z in basis)
         cusp.periph_face = pf
-        cusp.periph_kernel = tuple(h1.cycle_kernel_coords(v) for v in pf)
         cusp.periph_class = tuple(h1.cycle_class_full(v) for v in pf)
         cusps.append(cusp)
     assert sum(len(c.corners) for c in cusps) == 4 * table.n_tet

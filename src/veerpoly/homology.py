@@ -15,23 +15,28 @@ def int_identity(n):
 
 
 def int_matmul(A, B):
-    """Product of two list-of-rows integer matrices."""
+    """Product of two list-of-rows integer matrices.
+
+    Zero entries are skipped: each row of B is reduced once to the
+    columns of its nonzero entries, and each nonzero entry of A
+    accumulates over just those columns.  Zero terms add nothing to a sum,
+    so the result is the same exact integer matrix as the dense triple
+    loop, at the cost of one pass over B plus the nonzero products.
+    """
     if not A:
         return []
     inner = len(A[0])
     ncols = len(B[0]) if B else 0
     assert inner == len(B)
+    B_support = [[j for j, b in enumerate(row) if b] for row in B]
     out = []
     for row in A:
-        out_row = []
-        for j in range(ncols):
-            s = 0
-            for k in range(inner):
-                a = row[k]
-                if a:
-                    s += a * B[k][j]
-            out_row.append(s)
-        out.append(out_row)
+        acc = [0] * ncols
+        for a, B_row, support in zip(row, B, B_support):
+            if a:
+                for j in support:
+                    acc[j] += a * B_row[j]
+        out.append(acc)
     return out
 
 
@@ -66,7 +71,15 @@ def smith_normal_form(A, ncols=None):
 
     A is a list of rows; ncols disambiguates the width when A has no rows.
     Pivoting is deterministic: the smallest nonzero entry in absolute
-    value, ties broken by position.
+    value, ties broken by row-major position.  The pivot rule is part of
+    the output contract, not only D: the transforms U, V fix the basis of
+    each cusp link, and so the slope coordinates of ``fill`` records.
+
+    Two early exits keep the transforms identical to a full scan.  The
+    pivot search stops at the first entry with |x| = 1, since no entry
+    is smaller and a later one of equal size never displaces it.  The
+    divisibility-chain scan is skipped for a pivot of +-1, which divides
+    every integer, so the scan could find no offending row.
     """
     m = len(A)
     n = len(A[0]) if m else (0 if ncols is None else ncols)
@@ -141,6 +154,10 @@ def smith_normal_form(A, ncols=None):
                 if x and (best is None or abs(x) < best):
                     best = abs(x)
                     piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         swap_rows(k, piv[0])
@@ -170,6 +187,8 @@ def smith_normal_form(A, ncols=None):
                 continue
             # enforce the divisibility chain: pull any offending row up
             piv_val = D[k][k]
+            if piv_val in (1, -1):
+                break
             bad = None
             for i in range(k + 1, m):
                 row = D[i]
@@ -283,9 +302,6 @@ class H1Data:
         if any(u[i] for i in range(rho)):
             raise ValueError("vector is not a cycle")
         return u[rho:]
-
-    def cycle_w(self, z):
-        return self.quot.full_coords(self.cycle_kernel_coords(z))
 
     def cycle_class_full(self, z):
         return self.quot.class_coords(self.cycle_kernel_coords(z))

@@ -61,6 +61,92 @@ def rational_rank(matrix):
     return rank
 
 
+def naive_int_matmul(A, B):
+    """Product of list-of-rows integer matrices by the dense triple loop.
+
+    Width follows the package's convention: len(B[0]), or 0 when B has
+    no rows.
+    """
+    ncols = len(B[0]) if B else 0
+    return [[sum(row[k] * B[k][j] for k in range(len(B)))
+             for j in range(ncols)] for row in A]
+
+
+def full_scan_snf(A, ncols=None):
+    """(diag, U, Uinv, V, Vinv) of the reference Smith normal form.
+
+    The pivot is the smallest nonzero |entry| of the trailing submatrix,
+    first in row-major order, found by scanning every entry; the
+    divisibility-chain scan runs after every pivot.  The package must
+    pick the same pivots, since its transforms define the cusp-link
+    bases of the filling code.
+    """
+    m = len(A)
+    n = len(A[0]) if m else (ncols or 0)
+    D = [list(row) for row in A]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    Uinv = [row[:] for row in U]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vinv = [row[:] for row in V]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+        for row in Uinv:
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        for row in D + V:
+            row[i], row[j] = row[j], row[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def add_row(i, j, c):
+        D[i] = [a + c * b for a, b in zip(D[i], D[j])]
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for row in Uinv:
+            row[j] -= c * row[i]
+
+    def add_col(j, i, c):
+        for row in D + V:
+            row[j] += c * row[i]
+        Vinv[i] = [a - c * b for a, b in zip(Vinv[i], Vinv[j])]
+
+    for k in range(min(m, n)):
+        nonzero = [(abs(D[i][j]), i, j) for i in range(k, m)
+                   for j in range(k, n) if D[i][j]]
+        if not nonzero:
+            break
+        _, pi, pj = min(nonzero)
+        swap_rows(k, pi)
+        swap_cols(k, pj)
+        while True:
+            i = next((i for i in range(k + 1, m) if D[i][k]), None)
+            if i is not None:
+                add_row(i, k, -(D[i][k] // D[k][k]))
+                if D[i][k]:
+                    swap_rows(k, i)
+                continue
+            j = next((j for j in range(k + 1, n) if D[k][j]), None)
+            if j is not None:
+                add_col(j, k, -(D[k][j] // D[k][k]))
+                if D[k][j]:
+                    swap_cols(k, j)
+                continue
+            bad = next((i for i in range(k + 1, m)
+                        if any(D[i][j] % D[k][k] for j in range(k + 1, n))),
+                       None)
+            if bad is None:
+                break
+            add_row(k, bad, 1)
+        if D[k][k] < 0:
+            D[k] = [-x for x in D[k]]
+            U[k] = [-x for x in U[k]]
+            for row in Uinv:
+                row[k] = -row[k]
+    diag = [D[i][i] for i in range(min(m, n))]
+    return diag, U, Uinv, V, Vinv
+
+
 def abelian_group_from_relations(n_gens, relations):
     """(rank, sorted torsion divisors > 1) of Z^n / <relation rows>.
 

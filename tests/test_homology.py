@@ -1,9 +1,15 @@
 import random
 
+from veerpoly import homology
+from veerpoly.census_io import parse_taut_sig
+from veerpoly.filling import vertex_links
 from veerpoly.homology import (AbelianQuotient, H1Data, dual_spanning_tree,
                                face_cocycle, int_identity, int_matmul,
                                smith_normal_form)
-from oracles import abelian_group_from_relations, rational_rank
+from veerpoly.invariants import Analysis
+from bundles import bundle_sig
+from oracles import (abelian_group_from_relations, full_scan_snf,
+                     naive_int_matmul, rational_rank)
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9, density=0.8):
@@ -13,10 +19,19 @@ def random_matrix(rng, m, n, lo=-9, hi=9, density=0.8):
 
 # -- Smith normal form -------------------------------------------------------
 
+def same_as_full_scan(res, A, ncols=None):
+    return (res.diag, res.U, res.Uinv, res.V, res.Vinv) == \
+        full_scan_snf(A, ncols=ncols)
+
+
 def test_snf_textbook():
     res = smith_normal_form([[2, 0], [0, 3]])
     assert res.diag == [1, 6]
     assert res.rank == 2
+    # coprime diagonals take the divisibility-chain repair
+    for a, b in ((2, 3), (4, 6), (-9, 6), (6, 4)):
+        for A in ([[a, 0], [0, b]], [[a, 0, 0], [0, b, 0]]):
+            assert same_as_full_scan(smith_normal_form(A), A)
 
 
 def test_snf_zero_matrix():
@@ -40,6 +55,8 @@ def test_snf_random_properties():
         n = rng.randint(1, 5)
         A = random_matrix(rng, m, n)
         res = smith_normal_form(A)
+        # same pivots, hence the same transforms, as the full-scan reference
+        assert same_as_full_scan(res, A)
         # U*A*V is the diagonal matrix described by diag
         D = int_matmul(int_matmul(res.U, A), res.V)
         for i in range(m):
@@ -55,6 +72,53 @@ def test_snf_random_properties():
         assert all(d >= 0 for d in res.diag)
         for i in range(res.rank - 1):
             assert res.diag[i + 1] % res.diag[i] == 0
+
+
+def test_int_matmul_matches_naive_product():
+    rng = random.Random(211)
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12))
+               for _ in range(60)]
+    for m, inner, n in shapes:
+        density = rng.choice((0.02, 0.1, 0.3, 0.8))
+        big = 2 ** rng.choice((3, 70))
+        A = random_matrix(rng, m, inner, -big, big, density)
+        B = random_matrix(rng, inner, n, -big, big, density)
+        assert int_matmul(A, B) == naive_int_matmul(A, B)
+
+
+def test_snf_transforms_match_full_scan_on_sparse_incidence():
+    # +-1 entries, at most three per column, like the chain-complex
+    # boundaries the cusp links feed to SNF
+    rng = random.Random(223)
+    for m, n in ((5, 8), (20, 30), (60, 90), (128, 192)):
+        cols = []
+        for _ in range(n):
+            col = [0] * m
+            for i in rng.sample(range(m), rng.randint(0, 3)):
+                col[i] = rng.choice((1, -1))
+            cols.append(col)
+        A = [[c[i] for c in cols] for i in range(m)]
+        assert same_as_full_scan(smith_normal_form(A), A)
+
+
+def test_snf_transforms_match_full_scan_on_bundle_links(monkeypatch):
+    # every SNF of the manifold and cusp-link homology of a 20-tet bundle,
+    # including the 80 x 120 link d1
+    inputs = []
+
+    def recording_snf(A, ncols=None):
+        inputs.append(([list(r) for r in A], ncols))
+        return smith_normal_form(A, ncols=ncols)
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording_snf)
+    ts = parse_taut_sig(bundle_sig("RRLRLLRLRRLLRLRLLRRL", -1))
+    a = Analysis(ts)
+    vertex_links(ts, a.coor, a.cycles, a.h1)
+    monkeypatch.undo()
+    assert any(len(A) == 80 and ncols == 120 for A, ncols in inputs)
+    for A, ncols in inputs:
+        assert same_as_full_scan(smith_normal_form(A, ncols=ncols), A, ncols)
 
 
 # -- abelian quotients -------------------------------------------------------
