@@ -181,14 +181,6 @@ class GluingTable:
         return self.gluings[t][f]
 
 
-def _read_size(vals):
-    n = vals[0]
-    if n == 63:
-        raise CensusError("signatures for 63 or more tetrahedra "
-                          "are not supported")
-    return n, 1
-
-
 def decode_isosig(sig):
     """Decode a signature string into an all-odd-permutation GluingTable.
 
@@ -202,7 +194,10 @@ def decode_isosig(sig):
         vals = [_CHAR_VAL[ch] for ch in sig]
     except KeyError as exc:
         raise CensusError("invalid signature character %r" % exc.args[0])
-    n, pos = _read_size(vals)
+    n, pos = vals[0], 1
+    if n == 63:
+        raise CensusError("signatures for 63 or more tetrahedra "
+                          "are not supported")
     if n == 0:
         raise CensusError("empty triangulation")
 
@@ -375,16 +370,3 @@ def parse_taut_sig(line):
     if len(table.edges) != table.n_tet:
         raise CensusError("edge count does not match tetrahedron count")
     return TautStructure(token, table, digits)
-
-
-def load_census(path):
-    """Parse a census file: one taut signature per line, '#' comments
-    and blank lines skipped."""
-    entries = []
-    with open(path) as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            entries.append(parse_taut_sig(stripped))
-    return entries

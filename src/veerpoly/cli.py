@@ -14,12 +14,9 @@ import time
 
 from .census_io import CensusError, parse_taut_sig
 from .filling import (filled_homology, parse_slopes, predict_filled_alexander,
-                      specialise_under_filling, vertex_links,
-                      _vertex_classes)
-from .invariants import (Analysis, build_alexander_matrix, build_taut_matrix,
-                         compute_polynomials, fitting_gcd, verify_identities)
+                      specialise_under_filling, vertex_links)
+from .invariants import Analysis, verify_identities
 from .laurent import poly_to_json
-from .taut import build_double_cover
 
 
 def _poly_or_null(p):
@@ -36,7 +33,7 @@ def entry_record(sig, with_polynomials=True):
         "sig": sig,
         "b1": analysis.h1.rank,
         "torsion": list(analysis.h1.torsion),
-        "cusps": len(_vertex_classes(ts.table)),
+        "cusps": len(ts.table.vertices),
         "edge_orientable": eo.edge_orientable,
         "theta": None,
         "delta": None,
@@ -45,15 +42,12 @@ def entry_record(sig, with_polynomials=True):
         "verify": None,
     }
     if not eo.edge_orientable:
-        cover, connected = build_double_cover(ts, analysis.coor, eo.beta)
-        assert connected
-        record["cover_cusps"] = len(_vertex_classes(cover.table))
+        record["cover_cusps"] = len(analysis.cover.table.vertices)
     if with_polynomials:
-        report = compute_polynomials(ts)
-        record["theta"] = poly_to_json(report.theta)
-        record["delta"] = poly_to_json(report.delta)
-        record["delta_hat"] = _poly_or_null(report.delta_hat)
-        record["verify"] = verify_identities(report)
+        record["theta"] = poly_to_json(analysis.theta)
+        record["delta"] = poly_to_json(analysis.delta)
+        record["delta_hat"] = _poly_or_null(analysis.delta_hat)
+        record["verify"] = verify_identities(analysis)
     return record
 
 
@@ -89,8 +83,6 @@ def cmd_fill(args):
     fh = filled_homology(analysis.h1, cusps, spec, eo=analysis.eo)
     if fh.s == 0:
         raise CensusError("filling kills all free homology (b_1(N) = 0)")
-    theta = fitting_gcd(build_taut_matrix(analysis))
-    delta = fitting_gcd(build_alexander_matrix(analysis))
     record = {
         "sig": args.sig,
         "slopes": {("c%d" % j): "%d/%d" % xy
@@ -101,8 +93,8 @@ def cmd_fill(args):
         "boundary_empty": fh.boundary_empty,
         "i_star": fh.i_star,
         "sigma_N": list(fh.sigma_N) if fh.sigma_N is not None else None,
-        "i_theta": poly_to_json(specialise_under_filling(theta, fh)),
-        "i_delta": poly_to_json(specialise_under_filling(delta, fh)),
+        "i_theta": poly_to_json(specialise_under_filling(analysis.theta, fh)),
+        "i_delta": poly_to_json(specialise_under_filling(analysis.delta, fh)),
         "cores": {("c%d" % j): {"ell_free": list(c["ell_free"]),
                                 "nontrivial": c["nontrivial"]}
                   for j, c in fh.cores.items()},
@@ -117,7 +109,7 @@ def cmd_fill(args):
         "trivial_cores": [("c%d" % j) for j in trivial],
     }
     if fh.sigma_N is not None and not trivial:
-        pred = predict_filled_alexander(theta, fh)
+        pred = predict_filled_alexander(analysis.theta, fh)
         record["case"] = pred.case
         record["division_ok"] = pred.division_ok
         record["equality_expected"] = pred.equality_expected
@@ -133,6 +125,8 @@ def _batch_worker(job):
         return entry_record(sig, with_polynomials=verify)
     except CensusError as exc:
         return {"sig": sig, "error": str(exc)}
+    except AssertionError as exc:
+        return {"sig": sig, "internal_error": str(exc)}
 
 
 def cmd_batch(args):
@@ -142,22 +136,31 @@ def cmd_batch(args):
     jobs = args.jobs or int(os.environ.get("VEERPOLY_JOBS", "1"))
     work = [(sig, args.verify) for sig in sigs]
     t0 = time.perf_counter()
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            records = pool.map(_batch_worker, work, chunksize=16)
-    else:
-        records = [_batch_worker(job) for job in work]
+    # records are written as they arrive, in input order, so one failing
+    # entry cannot lose the output of the others
+    records = []
     out = open(args.out, "w") if args.out else sys.stdout
+    pool = None
     try:
-        for rec in records:
+        if jobs > 1:
+            pool = multiprocessing.Pool(jobs)
+            results = pool.imap(_batch_worker, work, chunksize=16)
+        else:
+            results = map(_batch_worker, work)
+        for rec in results:
             json.dump(rec, out, sort_keys=True)
             out.write("\n")
+            out.flush()
+            records.append(rec)
     finally:
+        if pool:
+            pool.terminate()
         if args.out:
             out.close()
     summary = {
         "total": len(records),
         "errors": sum(1 for r in records if "error" in r),
+        "internal_errors": sum(1 for r in records if "internal_error" in r),
         "edge_orientable": sum(1 for r in records
                                if r.get("edge_orientable") is True),
         "not_edge_orientable": sum(1 for r in records
@@ -176,12 +179,13 @@ def cmd_batch(args):
             1 for r in records if (r.get("verify") or {}).get("passed"))
         summary["verify_failed"] = sum(
             1 for r in records
-            if "error" not in r and not (r.get("verify") or {}).get("passed"))
+            if "error" not in r and "internal_error" not in r
+            and not (r.get("verify") or {}).get("passed"))
     stream = sys.stderr if not args.out else sys.stdout
     print("batch: %s in %.1fs" % (
         json.dumps(summary, sort_keys=True),
         time.perf_counter() - t0), file=stream)
-    return 0
+    return 2 if summary["internal_errors"] else 0
 
 
 def build_parser():

@@ -27,21 +27,18 @@ class CuspData:
     coordinates are only meaningful relative to this artifact's basis).
     """
 
-    __slots__ = ("index", "corners", "triangles", "sides", "side_faces",
-                 "n_manifold_faces", "link_h1", "basis", "periph_face",
-                 "periph_class")
+    __slots__ = ("index", "corners", "sides", "side_faces",
+                 "n_manifold_faces", "link_h1", "basis", "periph_class")
 
-    def __init__(self, index, corners, triangles, sides, side_faces,
-                 n_manifold_faces, link_h1, basis):
+    def __init__(self, index, corners, sides, side_faces, n_manifold_faces,
+                 link_h1, basis):
         self.index = index
         self.corners = corners
-        self.triangles = triangles
         self.sides = sides
         self.side_faces = side_faces
         self.n_manifold_faces = n_manifold_faces
         self.link_h1 = link_h1
         self.basis = basis
-        self.periph_face = None
         self.periph_class = None
 
 
@@ -49,34 +46,6 @@ def _side_partner(table, key):
     t, v, fs = key
     t2, p = table.gluings[t][fs]
     return (t2, p[v], p[fs])
-
-
-def _vertex_classes(table):
-    """Ideal-vertex classes of tetrahedron corners, sorted for a
-    deterministic cusp order."""
-    seen = set()
-    classes = []
-    for t in range(table.n_tet):
-        for v in range(4):
-            if (t, v) in seen:
-                continue
-            comp = []
-            queue = [(t, v)]
-            seen.add((t, v))
-            while queue:
-                ct, cv = queue.pop(0)
-                comp.append((ct, cv))
-                for fs in range(4):
-                    if fs == cv:
-                        continue
-                    t2, p = table.gluings[ct][fs]
-                    c2 = (t2, p[cv])
-                    if c2 not in seen:
-                        seen.add(c2)
-                        queue.append(c2)
-            classes.append(sorted(comp))
-    classes.sort()
-    return classes
 
 
 def cross_section_to_faces(cusp, z):
@@ -95,7 +64,7 @@ def vertex_links(ts, coor, cycles, h1):
     """One CuspData per ideal vertex.  Asserts each link is a torus."""
     table = ts.table
     cusps = []
-    for index, corners in enumerate(_vertex_classes(table)):
+    for index, corners in enumerate(table.vertices):
         tri_index = {c: i for i, c in enumerate(corners)}
         side_keys = set()
         for (t, v) in corners:
@@ -147,11 +116,11 @@ def vertex_links(ts, coor, cycles, h1):
             fidx = table.face_index[(t, fs)]
             side_faces.append(
                 (fidx, 1 if coor.below[fidx] == (t, fs) else -1))
-        cusp = CuspData(index, corners, list(corners), sides, side_faces,
-                        len(table.faces), link_h1, basis)
-        pf = tuple(cross_section_to_faces(cusp, z) for z in basis)
-        cusp.periph_face = pf
-        cusp.periph_class = tuple(h1.cycle_class_full(v) for v in pf)
+        cusp = CuspData(index, corners, sides, side_faces, len(table.faces),
+                        link_h1, basis)
+        cusp.periph_class = tuple(
+            h1.cycle_class_full(cross_section_to_faces(cusp, z))
+            for z in basis)
         cusps.append(cusp)
     assert sum(len(c.corners) for c in cusps) == 4 * table.n_tet
     return cusps
@@ -212,31 +181,16 @@ def _egcd(a, b):
     return old_r, old_u, old_v
 
 
-def _omega_kernel_vec(h1, beta, v):
-    """Edge-orientation value (0/1) of the H_1 class with kernel-basis
-    coordinates v."""
-    rho = h1.snf1.rank
-    V = h1.snf1.V
-    tot = 0
-    for f in range(h1.n_faces):
-        zf = sum(V[f][rho + i] * v[i] for i in range(h1.q))
-        tot += beta[f] * zf
-    return tot % 2
-
-
 class FilledHomology:
     """Homology of the Dehn filling N, the induced map on free homology,
     and the core-curve classes."""
 
-    __slots__ = ("h1", "cusps", "spec", "filled", "k", "boundary_empty",
-                 "n_quot", "s", "i_star", "slope_face_vec", "cores",
-                 "sigma_N")
+    __slots__ = ("h1", "filled", "k", "boundary_empty", "n_quot", "s",
+                 "i_star", "slope_face_vec", "cores", "sigma_N")
 
-    def __init__(self, h1, cusps, spec, filled, boundary_empty, n_quot,
-                 i_star, slope_face_vec, cores):
+    def __init__(self, h1, filled, boundary_empty, n_quot, i_star,
+                 slope_face_vec, cores):
         self.h1 = h1
-        self.cusps = cusps
-        self.spec = spec
         self.filled = filled
         self.k = len(filled)
         self.boundary_empty = boundary_empty
@@ -300,9 +254,8 @@ def filled_homology(h1, cusps, spec, eo=None):
         ell_free = n_quot.class_free(h1.cycle_kernel_coords(vec))
         cores[j] = {"delta": delta, "ell_free": tuple(ell_free),
                     "nontrivial": any(e != 0 for e in ell_free)}
-    fh = FilledHomology(h1, cusps, spec, filled,
-                        len(filled) == len(cusps), n_quot, i_star,
-                        slope_face_vec, cores)
+    fh = FilledHomology(h1, filled, len(filled) == len(cusps), n_quot,
+                        i_star, slope_face_vec, cores)
     if eo is not None:
         fh.sigma_N = vN_edge_orientable(eo, fh)
     return fh
@@ -320,13 +273,14 @@ def vN_edge_orientable(eo, fh):
     for j in fh.filled:
         if eo.omega_of_cycle_vec(fh.slope_face_vec[j]) != 0:
             return None
-    for p in fh.n_quot.torsion_positions:
-        if _omega_kernel_vec(fh.h1, eo.beta, fh.n_quot.generator_lift(p)):
-            return None
-    return tuple(
-        -1 if _omega_kernel_vec(fh.h1, eo.beta, fh.n_quot.generator_lift(p))
-        else 1
-        for p in fh.n_quot.free_positions)
+
+    def omega(p):
+        return eo.omega_of_cycle_vec(
+            fh.h1.kernel_to_cycle(fh.n_quot.generator_lift(p)))
+
+    if any(omega(p) for p in fh.n_quot.torsion_positions):
+        return None
+    return tuple(-1 if omega(p) else 1 for p in fh.n_quot.free_positions)
 
 
 def specialise_under_filling(poly, fh):

@@ -309,13 +309,16 @@ class H1Data:
     def cycle_class_free(self, z):
         return self.quot.class_free(self.cycle_kernel_coords(z))
 
-    def w_position_representative(self, position):
-        """A face-space cycle whose class is the given diagonal generator."""
-        y = self.quot.generator_lift(position)
+    def kernel_to_cycle(self, y):
+        """The face-space cycle with kernel-basis coordinates y."""
         rho = self.snf1.rank
         V = self.snf1.V
         return [sum(V[f][rho + i] * y[i] for i in range(self.q))
                 for f in range(self.n_faces)]
+
+    def w_position_representative(self, position):
+        """A face-space cycle whose class is the given diagonal generator."""
+        return self.kernel_to_cycle(self.quot.generator_lift(position))
 
 
 def dual_spanning_tree(n_tets, face_ends, face_priority=None):

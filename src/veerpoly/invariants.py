@@ -1,5 +1,5 @@
 """Presentation matrices over the group ring of first homology, their
-Fitting gcds, and the polynomial report with identity verification.
+Fitting gcds, and identity verification.
 
 Lift bookkeeping.  Fix the spanning-tree cocycle c on faces (zero on
 tree faces).  Walking around an edge class from its canonical corner
@@ -10,6 +10,8 @@ the class's anchored lift.  Hence every matrix entry contributed by an
 incidence carries the monomial with exponent -u of that corner.
 """
 
+from functools import cached_property
+
 from .homology import dual_spanning_tree, face_cocycle, smith_normal_form
 from .laurent import (LaurentMatrix, LaurentPoly, exact_div, gcd_many,
                       maximal_minor_gcd_bruteforce, normalize_unit,
@@ -18,9 +20,15 @@ from . import taut
 
 
 class Analysis:
-    """Everything derived from one taut structure that the matrix
-    builders need.  The keyword knobs select alternative presentation
-    choices (used to test presentation independence)."""
+    """Everything derived from one taut structure: the homology and
+    edge-orientation data are computed on construction, the invariants
+    on first use and then kept.
+
+    Lazy members: ``theta`` and ``delta`` (the taut and Alexander
+    polynomials), ``cover`` (the edge-orientation double cover) and
+    ``delta_hat`` (the double-cover polynomial, None when sigma
+    exists).  The keyword knobs select alternative presentation choices
+    (used to test presentation independence)."""
 
     def __init__(self, ts, flip_coorientation=False, corner_rank=0,
                  face_priority=None):
@@ -48,6 +56,33 @@ class Analysis:
         for cyc in self.cycles:
             for corner, dirpair in zip(cyc.corners, cyc.dirs):
                 self.ref_dir[corner] = dirpair
+
+    @cached_property
+    def theta(self):
+        return fitting_gcd(build_taut_matrix(self))
+
+    @cached_property
+    def delta(self):
+        return fitting_gcd(build_alexander_matrix(self))
+
+    @cached_property
+    def cover(self):
+        cover, connected = taut.build_double_cover(self.ts, self.coor,
+                                                   self.eo.beta)
+        assert connected, "cover of a non-edge-orientable structure " \
+                          "must be connected"
+        return cover
+
+    @cached_property
+    def delta_hat(self):
+        if self.eo.sigma_exists:
+            return None
+        cover_analysis = Analysis(self.cover)
+        A = cover_pushforward(self, cover_analysis)
+        cover_alex = build_alexander_matrix(cover_analysis)
+        pushed = LaurentMatrix(self.h1.rank, [
+            [specialize(p, A) for p in row] for row in cover_alex.entries])
+        return fitting_gcd(pushed)
 
 
 def corner_labels(cycles, cocycle, rank):
@@ -180,26 +215,6 @@ def fitting_gcd(mat):
     return normalize_unit(content * rest)
 
 
-class PolyReport:
-    """The computed invariants of one census entry."""
-
-    __slots__ = ("sig", "rank", "torsion", "edge_orientable",
-                 "edge_orientable_fab", "sigma", "theta", "delta",
-                 "delta_hat")
-
-    def __init__(self, sig, rank, torsion, edge_orientable,
-                 edge_orientable_fab, sigma, theta, delta, delta_hat):
-        self.sig = sig
-        self.rank = rank
-        self.torsion = torsion
-        self.edge_orientable = edge_orientable
-        self.edge_orientable_fab = edge_orientable_fab
-        self.sigma = sigma
-        self.theta = theta
-        self.delta = delta
-        self.delta_hat = delta_hat
-
-
 def cover_pushforward(analysis, cover_analysis):
     """Matrix of the projection from the double cover's free first
     homology onto the base's: project each cover generator's dual cycle
@@ -228,61 +243,38 @@ def cover_pushforward(analysis, cover_analysis):
     return A
 
 
-def compute_polynomials(ts):
-    analysis = Analysis(ts)
-    theta = fitting_gcd(build_taut_matrix(analysis))
-    delta = fitting_gcd(build_alexander_matrix(analysis))
-    eo = analysis.eo
-    delta_hat = None
-    if not eo.sigma_exists:
-        cover, connected = taut.build_double_cover(ts, analysis.coor,
-                                                   eo.beta)
-        assert connected, "cover of a non-edge-orientable structure " \
-                          "must be connected"
-        cover_analysis = Analysis(cover)
-        A = cover_pushforward(analysis, cover_analysis)
-        cover_alex = build_alexander_matrix(cover_analysis)
-        pushed = LaurentMatrix(analysis.h1.rank, [
-            [specialize(p, A) for p in row] for row in cover_alex.entries])
-        delta_hat = fitting_gcd(pushed)
-    return PolyReport(
-        sig=ts.sig, rank=analysis.h1.rank, torsion=list(analysis.h1.torsion),
-        edge_orientable=eo.edge_orientable,
-        edge_orientable_fab=eo.sigma_exists, sigma=eo.sigma,
-        theta=theta, delta=delta, delta_hat=delta_hat)
-
-
-def verify_identities(report):
-    """Check the sign-twist / cover-product identities on a report.
+def verify_identities(analysis):
+    """Check the sign-twist / cover-product identities on an analysis.
     Failures are recorded, not raised."""
     record = {}
-    theta_n = normalize_unit(report.theta)
-    if report.edge_orientable_fab:
+    theta, delta, eo = analysis.theta, analysis.delta, analysis.eo
+    theta_n = normalize_unit(theta)
+    if eo.sigma_exists:
         record["identity"] = "sign_twist"
-        twisted = normalize_unit(sign_twist(report.delta, report.sigma))
+        twisted = normalize_unit(sign_twist(delta, eo.sigma))
         record["passed"] = theta_n == twisted
-        record["delta_hat_absent"] = report.delta_hat is None
+        record["delta_hat_absent"] = analysis.delta_hat is None
         record["passed"] = record["passed"] and record["delta_hat_absent"]
     else:
         record["identity"] = "cover_product"
-        ok = report.delta_hat is not None and \
-            normalize_unit(report.delta_hat) == \
-            normalize_unit(report.delta * report.theta)
+        delta_hat = analysis.delta_hat
+        ok = delta_hat is not None and \
+            normalize_unit(delta_hat) == normalize_unit(delta * theta)
         record["passed"] = ok
     # parity consequence: when no plain sign change of variables turns
     # delta into theta, the torsion of H1 must have even order
-    r = report.rank
+    r = analysis.h1.rank
     matched = False
     if r <= 12:
         for mask in range(1 << r):
             chi = tuple(-1 if (mask >> i) & 1 else 1 for i in range(r))
-            if theta_n == normalize_unit(sign_twist(report.delta, chi)):
+            if theta_n == normalize_unit(sign_twist(delta, chi)):
                 matched = True
                 break
         record["sign_change_match"] = matched
         if not matched:
             order = 1
-            for d in report.torsion:
+            for d in analysis.h1.torsion:
                 order *= d
             record["even_torsion"] = (order % 2 == 0)
     return record

@@ -417,11 +417,11 @@ def gcd_many(polys):
 # ---------------------------------------------------------------------------
 
 class LaurentMatrix:
-    """A labelled matrix of Laurent polynomials (rows: edges, cols: faces)."""
+    """A matrix of Laurent polynomials (rows: edges, cols: faces)."""
 
-    __slots__ = ("nvars", "rows", "cols", "entries", "row_labels", "col_labels")
+    __slots__ = ("nvars", "rows", "cols", "entries")
 
-    def __init__(self, nvars, entries, row_labels=None, col_labels=None):
+    def __init__(self, nvars, entries):
         self.nvars = nvars
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
@@ -432,21 +432,11 @@ class LaurentMatrix:
             for e in row:
                 if e.nvars != nvars:
                     raise ValueError("entry variable count mismatch")
-        self.row_labels = list(row_labels) if row_labels is not None \
-            else list(range(self.rows))
-        self.col_labels = list(col_labels) if col_labels is not None \
-            else list(range(self.cols))
 
     def submatrix(self, row_idx, col_idx):
         return LaurentMatrix(
             self.nvars,
-            [[self.entries[i][j] for j in col_idx] for i in row_idx],
-            [self.row_labels[i] for i in row_idx],
-            [self.col_labels[j] for j in col_idx])
-
-    def copy(self):
-        return LaurentMatrix(self.nvars, [row[:] for row in self.entries],
-                             self.row_labels, self.col_labels)
+            [[self.entries[i][j] for j in col_idx] for i in row_idx])
 
     def __repr__(self):
         return "LaurentMatrix(%dx%d over %d vars)" % (
@@ -516,14 +506,13 @@ def maximal_minor_gcd_bruteforce(mat):
 # Specialisation along a homomorphism of free abelian groups
 # ---------------------------------------------------------------------------
 
-def specialize(p, exp_map, sign_source=None, sign_target=None):
-    """Push p through the monomial map x^v -> y^(A v), with optional sign
-    twists.
+def specialize(p, exp_map, sign_source=None):
+    """Push p through the monomial map x^v -> y^(A v), with an optional
+    sign twist.
 
     ``exp_map`` is an s x r integer matrix A (list of s rows).  A sign
     character (+-1 per variable) may be supplied on the source (applied as
-    prod(chi_i^v_i)) or on the target (applied as prod(chi_j^(Av)_j)).
-    The result lives in s variables.
+    prod(chi_i^v_i)).  The result lives in s variables.
     """
     rows = [tuple(r) for r in exp_map]
     s = len(rows)
@@ -537,10 +526,6 @@ def specialize(p, exp_map, sign_source=None, sign_target=None):
         c = coef
         if sign_source is not None:
             for chi, e in zip(sign_source, exp):
-                if chi == -1 and e % 2:
-                    c = -c
-        if sign_target is not None:
-            for chi, e in zip(sign_target, img):
                 if chi == -1 and e % 2:
                     c = -c
         val = out.get(img, 0) + c

@@ -252,12 +252,10 @@ def tet_edge_orientations(ts, coor, colours):
         # cross-check with the upper face opposite y ({uv, xu, xv})
         col_xu = colours[table.edge_index[(t, _slot(x, u))]]
         if col_xu == top_col:
-            forced = (x, u, v)      # large x->u, apex v: x->v, v->u
+            # large x->u, apex v: x->v, v->u
             assert orient[top] == (v, u)
         else:
-            forced = (x, v, u)
             assert orient[top] == (u, v)
-        del forced
         assert len(orient) == 6
         orientations.append(orient)
     return orientations
@@ -296,8 +294,12 @@ class EdgeOrientationData:
     __slots__ = ("beta", "omega_positions", "edge_orientable",
                  "sigma_exists", "sigma")
 
-    def __init__(self, beta, omega_positions, quot):
+    def __init__(self, beta, h1):
         self.beta = beta
+        quot = h1.quot
+        omega_positions = [
+            self.omega_of_cycle_vec(h1.w_position_representative(i))
+            for i in range(h1.q)]
         self.omega_positions = omega_positions
         self.edge_orientable = all(o == 0 for o in omega_positions)
         self.sigma_exists = all(omega_positions[i] == 0
@@ -308,29 +310,24 @@ class EdgeOrientationData:
         else:
             self.sigma = None
 
-    def omega_of_cycle_vec(self, beta_arg_z):
-        return sum(self.beta[f] * zf
-                   for f, zf in enumerate(beta_arg_z)) % 2
+    def omega_of_cycle_vec(self, z):
+        """beta paired with a face vector z, mod 2."""
+        return sum(self.beta[f] * zf for f, zf in enumerate(z)) % 2
 
 
 def edge_orientation_data(ts, coor, colours, cycles, h1):
     orientations = tet_edge_orientations(ts, coor, colours)
-    beta = face_disagreement(ts, coor, orientations)
+    eo = EdgeOrientationData(face_disagreement(ts, coor, orientations), h1)
     # beta must be a cocycle: it vanishes on the boundary of every edge
     _, d2 = build_chain_complex(ts, coor, cycles)
     for e in range(len(ts.table.edges)):
-        total = sum(beta[f] * d2[f][e] for f in range(len(beta)))
-        assert total % 2 == 0, "edge-orientation cochain is not a cocycle"
-    omega_positions = []
-    for i in range(h1.q):
-        z = h1.w_position_representative(i)
-        omega_positions.append(sum(beta[f] * z[f]
-                                   for f in range(len(beta))) % 2)
+        assert eo.omega_of_cycle_vec([row[e] for row in d2]) == 0, \
+            "edge-orientation cochain is not a cocycle"
     # trivial generators are boundaries, where a cocycle must vanish
     for i, order in enumerate(h1.quot.orders):
         if order == 1:
-            assert omega_positions[i] == 0
-    return EdgeOrientationData(beta, omega_positions, h1.quot)
+            assert eo.omega_positions[i] == 0
+    return eo
 
 
 def build_double_cover(ts, coor, beta):

@@ -247,3 +247,31 @@ def fox_alexander_polynomial(generators, relators):
             if entries and len(entries) == len(entries[0]):
                 acc = gcd(acc, cofactor_determinant(entries))
     return normalize_unit(acc)
+
+
+def vertex_classes_bfs(table):
+    """Ideal-vertex classes of tetrahedron corners by breadth-first search
+    across the face gluings, each class sorted and the classes sorted."""
+    seen = set()
+    classes = []
+    for t in range(table.n_tet):
+        for v in range(4):
+            if (t, v) in seen:
+                continue
+            comp = []
+            queue = [(t, v)]
+            seen.add((t, v))
+            while queue:
+                ct, cv = queue.pop(0)
+                comp.append((ct, cv))
+                for fs in range(4):
+                    if fs == cv:
+                        continue
+                    t2, p = table.gluings[ct][fs]
+                    c2 = (t2, p[cv])
+                    if c2 not in seen:
+                        seen.add(c2)
+                        queue.append(c2)
+            classes.append(sorted(comp))
+    classes.sort()
+    return classes

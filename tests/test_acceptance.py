@@ -22,8 +22,8 @@ from veerpoly.census_io import parse_taut_sig
 from veerpoly.taut import is_edge_orientable
 from veerpoly.homology import int_matmul, smith_normal_form
 from veerpoly.invariants import (Analysis, build_alexander_matrix,
-                                 build_taut_matrix, compute_polynomials,
-                                 fitting_gcd, verify_identities)
+                                 build_taut_matrix, fitting_gcd,
+                                 verify_identities)
 from veerpoly.filling import (FillingSpec, filled_homology,
                               predict_filled_alexander,
                               specialise_under_filling, vertex_links)
@@ -76,7 +76,7 @@ def unimodular_matches(poly, ref, bound=3):
 def test_criterion_1_fourteen_tet_reference_regression():
     # 14-tet entry: computed polynomials match the printed 18-term
     # reference pair up to unit and a bounded unimodular basis change
-    report = compute_polynomials(parse_taut_sig(FOURTEEN))
+    report = Analysis(parse_taut_sig(FOURTEEN))
     assert len(report.theta.terms) == 18
     assert len(report.delta.terms) == 18
     theta_maps = unimodular_matches(report.theta, REF_THETA)
@@ -110,7 +110,7 @@ def test_criterion_3_identity_suite_on_sample():
     assert len(sigs) >= 200
     failures = []
     for sig in sigs:
-        report = compute_polynomials(parse_taut_sig(sig))
+        report = Analysis(parse_taut_sig(sig))
         record = verify_identities(report)
         if not record["passed"]:
             failures.append((sig, record))
@@ -207,7 +207,7 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_figure_eight_cross_check():
-    report = compute_polynomials(parse_taut_sig(M004))
+    report = Analysis(parse_taut_sig(M004))
     # independent Fox-calculus route to the Alexander polynomial of the
     # once-punctured-torus bundle group
     gens = {"x": 0, "y": 0, "t": 1}
@@ -220,11 +220,11 @@ def test_criterion_6_figure_eight_cross_check():
     assert oracle == normalize_unit(t * t - 3 * t + one)
     assert normalize_unit(report.delta) == oracle
     # the sign-twist identity with the computed sigma
-    assert report.sigma is not None
+    assert report.eo.sigma is not None
     assert normalize_unit(report.theta) == \
-        normalize_unit(sign_twist(report.delta, report.sigma))
+        normalize_unit(sign_twist(report.delta, report.eo.sigma))
     # largest real root of the identity-specialised taut polynomial
-    twisted = sign_twist(report.theta, report.sigma)
+    twisted = sign_twist(report.theta, report.eo.sigma)
     exps = sorted(e[0] for e in twisted.terms)
     lo, hi = exps[0], exps[-1]
     coeffs = [twisted.terms.get((e,), 0) for e in range(hi, lo - 1, -1)]

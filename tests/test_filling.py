@@ -13,7 +13,7 @@ import pytest
 
 from bundles import (bundle_sig, bundle_homology, bundle_filled_trace,
                      both_letter_words)
-from oracles import abelian_group_from_relations
+from oracles import abelian_group_from_relations, vertex_classes_bfs
 from veerpoly.census_io import CensusError, parse_taut_sig
 from veerpoly.taut import build_double_cover
 from veerpoly.invariants import (Analysis, build_taut_matrix,
@@ -73,7 +73,7 @@ def test_two_tet_cusp_cross_section():
     c = cusps[0]
     assert c.index == 0
     # one triangle per (tet, vertex) corner: 4 * 2 tets
-    assert len(c.triangles) == 8
+    assert len(c.corners) == 8
     assert len(c.sides) == 12
     assert c.n_manifold_faces == 4
     # torus: two basis curves, each classified in H1 as (free, torsion)
@@ -89,9 +89,25 @@ def test_cusp_counts_and_triangle_total_across_sample():
         a, cusps = analyse(sig)
         n_tet = a.ts.table.n_tet
         # every tetrahedron corner contributes one link triangle
-        assert sum(len(c.triangles) for c in cusps) == 4 * n_tet
+        assert sum(len(c.corners) for c in cusps) == 4 * n_tet
         for c in cusps:
             assert len(c.basis) == 2
+
+
+def test_vertex_classes_match_bfs_oracle():
+    # the cusps are the gluing table's union-find vertex classes; a BFS
+    # over the gluings must find the same classes in the same order, on
+    # every sample entry and on each non-edge-orientable entry's cover
+    covers = 0
+    for sig in sample_sigs():
+        ts = parse_taut_sig(sig)
+        assert ts.table.vertices == vertex_classes_bfs(ts.table), sig
+        a = Analysis(ts)
+        if not a.eo.edge_orientable:
+            cover = a.cover.table
+            assert cover.vertices == vertex_classes_bfs(cover), sig
+            covers += 1
+    assert covers > 0
 
 
 def test_fourteen_tet_has_two_cusps():
@@ -319,7 +335,7 @@ def synthetic_filling(r, s, filled, boundary_empty, sigma_n, ell_frees):
     i_star = [[1 if i == j else 0 for j in range(r)] for i in range(s)]
     cores = {j: {"delta": None, "ell_free": ell, "nontrivial": any(ell)}
              for j, ell in zip(filled, ell_frees)}
-    fh = FilledHomology(_StubH1(r), [], None, list(filled), boundary_empty,
+    fh = FilledHomology(_StubH1(r), list(filled), boundary_empty,
                         _StubQuot(s), i_star, {}, cores)
     fh.sigma_N = sigma_n
     return fh

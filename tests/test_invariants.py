@@ -2,9 +2,8 @@ import random
 
 from veerpoly.census_io import GluingTable, TautStructure, parse_taut_sig
 from veerpoly.invariants import (Analysis, build_alexander_matrix,
-                                 build_taut_matrix, compute_polynomials,
-                                 fitting_gcd, unit_pivot_reduce,
-                                 verify_identities)
+                                 build_taut_matrix, fitting_gcd,
+                                 unit_pivot_reduce, verify_identities)
 from veerpoly.laurent import LaurentMatrix, LaurentPoly, normalize_unit
 from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
@@ -91,7 +90,7 @@ def test_fitting_gcd_random_matrices():
         rows = rng.randint(1, 3)
         cols = rng.randint(rows, rows + 3)
         mat = random_laurent_matrix(rng, rows, cols, nvars)
-        assert fitting_gcd(mat.copy()) == exhaustive_fitting_gcd(mat)
+        assert fitting_gcd(mat) == exhaustive_fitting_gcd(mat)
 
 
 def test_unit_pivot_reduce_keeps_minor_gcd():
@@ -102,7 +101,7 @@ def test_unit_pivot_reduce_keeps_minor_gcd():
         cols = rng.randint(rows, rows + 2)
         mat = random_laurent_matrix(rng, rows, cols, nvars)
         want = exhaustive_fitting_gcd(mat)
-        residual, saw_zero_row = unit_pivot_reduce(mat.copy())
+        residual, saw_zero_row = unit_pivot_reduce(mat)
         if saw_zero_row:
             assert want.is_zero() or want == normalize_unit(
                 LaurentPoly.zero(nvars))
@@ -120,14 +119,14 @@ def test_unit_pivot_reduce_keeps_minor_gcd():
 def test_two_tet_polynomials():
     t = LaurentPoly.variable(1, 0)
     one = LaurentPoly.one(1)
-    rep = compute_polynomials(parse_taut_sig("cPcbbbdxm_10"))
+    rep = Analysis(parse_taut_sig("cPcbbbdxm_10"))
     assert normalize_unit(rep.theta) == t * t - 3 * t + one
     assert normalize_unit(rep.delta) == t * t + 3 * t + one
-    assert rep.delta_hat is None and rep.sigma == (-1,)
-    rep = compute_polynomials(parse_taut_sig("cPcbbbiht_12"))
+    assert rep.delta_hat is None and rep.eo.sigma == (-1,)
+    rep = Analysis(parse_taut_sig("cPcbbbiht_12"))
     assert normalize_unit(rep.theta) == t * t - 3 * t + one
     assert normalize_unit(rep.delta) == t * t - 3 * t + one
-    assert rep.sigma == (1,)
+    assert rep.eo.sigma == (1,)
 
 
 def test_fox_calculus_oracle_matches_pipeline():
@@ -140,14 +139,14 @@ def test_fox_calculus_oracle_matches_pipeline():
         [("t", 1), ("x", 1), ("t", -1), ("y", -1), ("x", -1)],
         [("t", 1), ("y", 1), ("t", -1), ("y", -1), ("x", -1), ("y", -1)],
     ])
-    rep = compute_polynomials(parse_taut_sig("cPcbbbiht_12"))
+    rep = Analysis(parse_taut_sig("cPcbbbiht_12"))
     assert fig8 == normalize_unit(rep.delta)
     # same monodromy composed with the elliptic involution
     sister = fox_alexander_polynomial(gens, [
         [("t", 1), ("x", 1), ("t", -1), ("x", 1), ("y", 1)],
         [("t", 1), ("y", 1), ("t", -1), ("y", 1), ("x", 1), ("y", 1)],
     ])
-    rep = compute_polynomials(parse_taut_sig("cPcbbbdxm_10"))
+    rep = Analysis(parse_taut_sig("cPcbbbdxm_10"))
     assert sister == normalize_unit(rep.delta)
 
 
@@ -156,7 +155,7 @@ def test_bundle_delta_at_one_is_torsion_order():
     # absolute value the torsion order
     for word, eps in (("RL", 1), ("RL", -1), ("RRL", 1), ("RLL", -1),
                       ("RRLRL", 1), ("RLLLR", -1)):
-        rep = compute_polynomials(parse_taut_sig(bundle_sig(word, eps)))
+        rep = Analysis(parse_taut_sig(bundle_sig(word, eps)))
         _, torsion = bundle_homology(word, eps)
         order = 1
         for d in torsion:
@@ -170,7 +169,7 @@ def test_bundle_delta_is_monodromy_characteristic_polynomial():
     t = LaurentPoly.variable(1, 0)
     one = LaurentPoly.one(1)
     for word, eps in (("RRLL", 1), ("RLRL", -1), ("RRRL", 1), ("LLRLR", -1)):
-        rep = compute_polynomials(parse_taut_sig(bundle_sig(word, eps)))
+        rep = Analysis(parse_taut_sig(bundle_sig(word, eps)))
         tr = bundle_filled_trace(word, eps)
         want = t * t - tr * t + one
         assert same_up_to_unit_and_inversion(rep.delta, want)
@@ -182,7 +181,7 @@ def test_identities_on_small_bundles():
     for length in (2, 3, 4):
         for word in both_letter_words(length):
             eps = -1 if word.count("L") % 2 else 1
-            rep = compute_polynomials(parse_taut_sig(bundle_sig(word, eps)))
+            rep = Analysis(parse_taut_sig(bundle_sig(word, eps)))
             v = verify_identities(rep)
             assert v["passed"], (word, eps, v)
             assert v["identity"] == "sign_twist"
@@ -191,14 +190,14 @@ def test_identities_on_small_bundles():
 def test_fourteen_tet_cover_identity():
     # rank two, two cusps, no consistent sign choice: the double-cover
     # polynomial exists and factors as the product of the pushforwards
-    rep = compute_polynomials(parse_taut_sig(FOURTEEN))
-    assert rep.sigma is None and rep.delta_hat is not None
+    rep = Analysis(parse_taut_sig(FOURTEEN))
+    assert rep.eo.sigma is None and rep.delta_hat is not None
     v = verify_identities(rep)
     assert v["identity"] == "cover_product" and v["passed"]
     # no unit makes the sign-twist hold, so the torsion must contain an
     # even divisor; this entry has torsion [4]
     assert v["sign_change_match"] is False and v["even_torsion"] is True
-    assert rep.torsion == [4]
+    assert rep.h1.torsion == [4]
 
 
 # -- presentation invariance --------------------------------------------------
@@ -229,15 +228,14 @@ def test_polynomials_invariant_under_relabelling():
                          if p[i] > p[j]) % 2 == 0]
     for word, eps in (("RL", -1), ("RRL", 1), ("RLLR", -1), ("RLRLL", 1)):
         ts = parse_taut_sig(bundle_sig(word, eps))
-        base = compute_polynomials(ts)
+        base = Analysis(ts)
         n = ts.table.n_tet
         for _ in range(3):
             perm = list(range(n))
             rng.shuffle(perm)
             relabels = [even_perms[rng.randrange(len(even_perms))]
                         for _ in range(n)]
-            moved = compute_polynomials(permuted_structure(ts, perm,
-                                                           relabels))
+            moved = Analysis(permuted_structure(ts, perm, relabels))
             assert same_up_to_unit_and_inversion(base.theta, moved.theta)
             assert same_up_to_unit_and_inversion(base.delta, moved.delta)
 

@@ -1,0 +1,78 @@
+"""One Analysis per entry: records replayed against the benchmark's
+reference outputs, and counts of the expensive stages an entry runs."""
+
+import json
+import os
+import sys
+
+import pytest
+
+from veerpoly import taut
+from veerpoly.cli import entry_record, main
+from veerpoly.invariants import Analysis
+
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "reference")
+M003 = "cPcbbbdxm_10"
+TWO_TET_EO = "cPcbbbiht_12"
+
+
+def reference_lines(name):
+    with open(os.path.join(REFERENCE, name + ".jsonl")) as fh:
+        return fh.read().splitlines()
+
+
+@pytest.mark.parametrize("name, with_polynomials",
+                         [("census_scan", False), ("census_verify", True)])
+def test_batch_records_match_reference(name, with_polynomials):
+    lines = reference_lines(name)
+    assert lines
+    for line in lines:
+        sig = json.loads(line)["sig"]
+        got = json.dumps(entry_record(sig, with_polynomials=with_polynomials),
+                         sort_keys=True)
+        assert got == line, sig
+
+
+def test_fill_records_match_reference(capsys):
+    lines = reference_lines("fill_bundles")
+    assert lines
+    for line in lines:
+        rec = json.loads(line)
+        slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
+        assert main(["fill", rec["sig"], "--slopes", slopes]) == 0
+        assert capsys.readouterr().out == line + "\n", rec["sig"]
+
+
+def count_calls(monkeypatch, target):
+    """Wrap target at every veerpoly module that binds it; the returned
+    list collects the first argument of each call."""
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[0])
+        return target(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("veerpoly."):
+            for var, value in list(vars(mod).items()):
+                if value is target:
+                    monkeypatch.setattr(mod, var, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("sig, covers", [(TWO_TET_EO, 0), (M003, 1)])
+def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
+    built = []
+    init = Analysis.__init__
+
+    def counting_init(self, ts, *args, **kwargs):
+        built.append(ts.sig)
+        init(self, ts, *args, **kwargs)
+
+    monkeypatch.setattr(Analysis, "__init__", counting_init)
+    cover_calls = count_calls(monkeypatch, taut.build_double_cover)
+    rec = entry_record(sig, with_polynomials=True)
+    assert rec["verify"]["passed"]
+    assert built.count(sig) == 1
+    assert len(cover_calls) == covers
