@@ -129,6 +129,25 @@ def _batch_worker(job):
         return {"sig": sig, "internal_error": str(exc)}
 
 
+def _count_record(summary, rec, verify):
+    """Add one batch record to the summary counts."""
+    summary["total"] += 1
+    failed = "error" in rec or "internal_error" in rec
+    summary["errors"] += "error" in rec
+    summary["internal_errors"] += "internal_error" in rec
+    eo = rec.get("edge_orientable")
+    summary["edge_orientable"] += eo is True
+    if eo is False:
+        summary["not_edge_orientable"] += 1
+        cover_cusps, cusps = rec.get("cover_cusps"), rec.get("cusps")
+        summary["cover_same_cusps"] += cover_cusps == cusps
+        summary["cover_double_cusps"] += cover_cusps == 2 * cusps
+    if verify:
+        passed = bool((rec.get("verify") or {}).get("passed"))
+        summary["verify_passed"] += passed
+        summary["verify_failed"] += not failed and not passed
+
+
 def cmd_batch(args):
     with open(args.census) as fh:
         sigs = [line.strip() for line in fh
@@ -137,8 +156,14 @@ def cmd_batch(args):
     work = [(sig, args.verify) for sig in sigs]
     t0 = time.perf_counter()
     # records are written as they arrive, in input order, so one failing
-    # entry cannot lose the output of the others
-    records = []
+    # entry cannot lose the output of the others; the summary is counted
+    # as they go by
+    summary = dict.fromkeys(
+        ("total", "errors", "internal_errors", "edge_orientable",
+         "not_edge_orientable", "cover_same_cusps", "cover_double_cusps"),
+        0)
+    if args.verify:
+        summary.update(verify_passed=0, verify_failed=0)
     out = open(args.out, "w") if args.out else sys.stdout
     pool = None
     try:
@@ -151,36 +176,12 @@ def cmd_batch(args):
             json.dump(rec, out, sort_keys=True)
             out.write("\n")
             out.flush()
-            records.append(rec)
+            _count_record(summary, rec, args.verify)
     finally:
         if pool:
             pool.terminate()
         if args.out:
             out.close()
-    summary = {
-        "total": len(records),
-        "errors": sum(1 for r in records if "error" in r),
-        "internal_errors": sum(1 for r in records if "internal_error" in r),
-        "edge_orientable": sum(1 for r in records
-                               if r.get("edge_orientable") is True),
-        "not_edge_orientable": sum(1 for r in records
-                                   if r.get("edge_orientable") is False),
-        "cover_same_cusps": sum(
-            1 for r in records
-            if r.get("edge_orientable") is False
-            and r.get("cover_cusps") == r.get("cusps")),
-        "cover_double_cusps": sum(
-            1 for r in records
-            if r.get("edge_orientable") is False
-            and r.get("cover_cusps") == 2 * r.get("cusps")),
-    }
-    if args.verify:
-        summary["verify_passed"] = sum(
-            1 for r in records if (r.get("verify") or {}).get("passed"))
-        summary["verify_failed"] = sum(
-            1 for r in records
-            if "error" not in r and "internal_error" not in r
-            and not (r.get("verify") or {}).get("passed"))
     stream = sys.stderr if not args.out else sys.stdout
     print("batch: %s in %.1fs" % (
         json.dumps(summary, sort_keys=True),

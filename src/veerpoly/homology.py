@@ -110,30 +110,30 @@ def smith_normal_form(A, ncols=None):
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_row(i, j, c):
-        # row_i += c * row_j
+        # row_i += c * row_j, over the nonzero entries of the source only
         if c == 0:
             return
-        Di, Dj = D[i], D[j]
-        for k in range(n):
-            Di[k] += c * Dj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(m):
-            Ui[k] += c * Uj[k]
+        for M in (D, U):
+            Mi = M[i]
+            for k, x in enumerate(M[j]):
+                if x:
+                    Mi[k] += c * x
         for row in Uinv:
-            row[j] -= c * row[i]
+            if row[i]:
+                row[j] -= c * row[i]
 
     def add_col(j, i, c):
-        # col_j += c * col_i
+        # col_j += c * col_i, over the nonzero entries of the source only
         if c == 0:
             return
-        for row in D:
-            row[j] += c * row[i]
-        for row in V:
-            row[j] += c * row[i]
+        for M in (D, V):
+            for row in M:
+                if row[i]:
+                    row[j] += c * row[i]
         Vi = Vinv[i]
-        Vj = Vinv[j]
-        for k in range(n):
-            Vi[k] -= c * Vj[k]
+        for k, x in enumerate(Vinv[j]):
+            if x:
+                Vi[k] -= c * x
 
     def negate_row(i):
         D[i] = [-x for x in D[i]]

@@ -13,7 +13,7 @@ incidence carries the monomial with exponent -u of that corner.
 from functools import cached_property
 
 from .homology import dual_spanning_tree, face_cocycle, smith_normal_form
-from .laurent import (LaurentMatrix, LaurentPoly, exact_div, gcd_many,
+from .laurent import (LaurentMatrix, LaurentPoly,
                       maximal_minor_gcd_bruteforce, normalize_unit,
                       sign_twist, specialize)
 from . import taut
@@ -150,69 +150,45 @@ def build_alexander_matrix(analysis):
 
 def unit_pivot_reduce(mat):
     """Shrink a presentation matrix by pivoting on unit (+-monomial)
-    entries: clear the pivot row by column operations, then drop the
-    pivot row and column.  Preserves the gcd of maximal minors up to a
-    unit.  Returns (residual row list, saw_zero_row)."""
+    entries, the first in row-major order each time.  A pivot step keeps
+    the Schur complement: drop the pivot row and column, and subtract
+    c * inv * (pivot row) from each row whose pivot-column entry c is
+    nonzero.  That equals clearing the pivot row by column operations,
+    so the gcd of maximal minors is kept up to a unit.  Returns
+    (residual row list, saw_zero_row)."""
     entries = [list(row) for row in mat.entries]
-    while True:
-        for row in entries:
-            if all(p.is_zero() for p in row):
-                return entries, True
-        pivot = None
-        for i, row in enumerate(entries):
-            for j, p in enumerate(row):
-                if p.is_unit():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+    while entries:
+        if any(all(p.is_zero() for p in row) for row in entries):
+            return entries, True
+        pivot = next(((i, j) for i, row in enumerate(entries)
+                      for j, p in enumerate(row) if p.is_unit()), None)
         if pivot is None:
-            return entries, False
+            break
         i, j = pivot
-        piv = entries[i][j]
-        inv = piv.unit_inverse()
-        ncols = len(entries[0])
-        for k in range(ncols):
-            if k == j or entries[i][k].is_zero():
-                continue
-            factor = entries[i][k] * inv
-            for row in entries:
-                row[k] = row[k] - factor * row[j]
-        entries.pop(i)
+        prow = entries.pop(i)
+        inv = prow[j].unit_inverse()
+        support = [k for k, p in enumerate(prow)
+                   if k != j and not p.is_zero()]
         for row in entries:
+            if not row[j].is_zero():
+                c = row[j] * inv
+                for k in support:
+                    row[k] = row[k] - c * prow[k]
             row.pop(j)
-        if not entries:
-            return entries, False
+    return entries, False
 
 
 def fitting_gcd(mat):
     """gcd of all maximal (row-count) minors of a Laurent matrix with
-    rows <= columns: unit-pivot reduction, then row-content extraction,
-    then a gcd over the residual minors in deterministic column order."""
-    nrows = len(mat.entries)
-    ncols = len(mat.entries[0]) if nrows else 0
-    if nrows > ncols:
+    rows <= columns, unit-normalised: unit-pivot reduction, then a gcd
+    over the residual's minors in deterministic column order (1 for an
+    empty residual, 0 when a zero row turns up)."""
+    if mat.rows > mat.cols:
         raise ValueError("presentation matrix needs rows <= columns")
-    if nrows == 0:
-        return LaurentPoly.one(mat.nvars)
     residual, saw_zero_row = unit_pivot_reduce(mat)
     if saw_zero_row:
         return LaurentPoly.zero(mat.nvars)
-    if not residual:
-        return LaurentPoly.one(mat.nvars)
-    # every maximal minor uses every row, so a common row factor divides
-    # all of them and can be pulled out
-    content = LaurentPoly.one(mat.nvars)
-    reduced = []
-    for row in residual:
-        g = gcd_many(row)
-        if not g.is_one():
-            row = [exact_div(p, g) for p in row]
-            assert all(p is not None for p in row)
-        content = content * g
-        reduced.append(row)
-    rest = maximal_minor_gcd_bruteforce(LaurentMatrix(mat.nvars, reduced))
-    return normalize_unit(content * rest)
+    return maximal_minor_gcd_bruteforce(LaurentMatrix(mat.nvars, residual))
 
 
 def cover_pushforward(analysis, cover_analysis):

@@ -400,18 +400,6 @@ def _subresultant_gcd(a, b):
     return _join_last(pp, nvars)
 
 
-def gcd_many(polys):
-    """Running gcd of an iterable, with early exit once it reaches a unit."""
-    acc = None
-    for p in polys:
-        acc = normalize_unit(p) if acc is None else gcd(acc, p)
-        if acc is not None and acc.is_one():
-            return acc
-    if acc is None:
-        raise ValueError("gcd of an empty collection")
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -444,21 +432,13 @@ class LaurentMatrix:
 
 
 def determinant(mat):
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Accepts a LaurentMatrix or a plain list of lists of LaurentPoly.  The
-    empty (0 x 0) matrix has determinant 1.
+    """Exact determinant of a square LaurentMatrix by fraction-free
+    (Bareiss) elimination.  The empty (0 x 0) matrix has determinant 1.
     """
-    if isinstance(mat, LaurentMatrix):
-        if mat.rows != mat.cols:
-            raise ValueError("determinant of a non-square matrix")
-        entries = [row[:] for row in mat.entries]
-        nvars = mat.nvars
-    else:
-        entries = [list(row) for row in mat]
-        if entries and len(entries) != len(entries[0]):
-            raise ValueError("determinant of a non-square matrix")
-        nvars = entries[0][0].nvars if entries else 0
+    if mat.rows != mat.cols:
+        raise ValueError("determinant of a non-square matrix")
+    entries = [row[:] for row in mat.entries]
+    nvars = mat.nvars
     n = len(entries)
     if n == 0:
         return LaurentPoly.one(nvars)

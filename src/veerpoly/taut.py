@@ -360,12 +360,3 @@ def build_double_cover(ts, coor, beta):
                 queue.append(t2)
     return cover, len(seen) == 2 * n
 
-
-def is_edge_orientable(ts):
-    """Convenience wrapper running the full local pipeline."""
-    coor = derive_coorientation(ts)
-    colours = derive_colouring(ts)
-    cycles = edge_corner_cycles(ts, coor)
-    h1 = compute_h1(ts, coor, cycles)
-    eo = edge_orientation_data(ts, coor, colours, cycles, h1)
-    return eo.edge_orientable

@@ -41,6 +41,41 @@ def exhaustive_fitting_gcd(mat):
     return normalize_unit(acc)
 
 
+def dense_unit_pivot_reduce(mat):
+    """The earlier unit-pivot reduction, kept as an oracle: for each
+    unit pivot (first in row-major order) clear the pivot row by column
+    operations over every row, then drop the pivot row and column.
+    Returns (residual row list, saw_zero_row)."""
+    entries = [list(row) for row in mat.entries]
+    while True:
+        for row in entries:
+            if all(p.is_zero() for p in row):
+                return entries, True
+        pivot = None
+        for i, row in enumerate(entries):
+            for j, p in enumerate(row):
+                if p.is_unit():
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            return entries, False
+        i, j = pivot
+        inv = entries[i][j].unit_inverse()
+        for k in range(len(entries[0])):
+            if k == j or entries[i][k].is_zero():
+                continue
+            factor = entries[i][k] * inv
+            for row in entries:
+                row[k] = row[k] - factor * row[j]
+        entries.pop(i)
+        for row in entries:
+            row.pop(j)
+        if not entries:
+            return entries, False
+
+
 def rational_rank(matrix):
     """Rank of an integer matrix by exact Gaussian elimination over Q."""
     rows = [[Fraction(x) for x in row] for row in matrix]

@@ -19,7 +19,6 @@ from oracles import (cofactor_determinant, exhaustive_fitting_gcd,
                      fox_alexander_polynomial)
 from test_invariants import permuted_structure, random_laurent_matrix
 from veerpoly.census_io import parse_taut_sig
-from veerpoly.taut import is_edge_orientable
 from veerpoly.homology import int_matmul, smith_normal_form
 from veerpoly.invariants import (Analysis, build_alexander_matrix,
                                  build_taut_matrix, fitting_gcd,
@@ -90,8 +89,8 @@ def test_criterion_1_fourteen_tet_reference_regression():
 def test_criterion_2_edge_orientability_regression():
     from bundles import encode_isosig
     ts = parse_taut_sig(M003)
-    assert not is_edge_orientable(ts)
     analysis = Analysis(ts)
+    assert not analysis.eo.edge_orientable
     from veerpoly.taut import build_double_cover
     cover, connected = build_double_cover(ts, analysis.coor,
                                           analysis.eo.beta)
@@ -102,15 +101,16 @@ def test_criterion_2_edge_orientability_regression():
     cover_sig = encode_isosig(cover.table.gluings, cover.digits)
     reparsed = parse_taut_sig(cover_sig)
     assert reparsed.table.n_tet == 4
-    assert is_edge_orientable(reparsed)
+    assert Analysis(reparsed).eo.edge_orientable
 
 
-def test_criterion_3_identity_suite_on_sample():
+def test_criterion_3_identity_suite_on_sample(fourteen_tet):
     sigs = sample_sigs()
-    assert len(sigs) >= 200
+    assert len(sigs) >= 200 and FOURTEEN in sigs
     failures = []
     for sig in sigs:
-        report = Analysis(parse_taut_sig(sig))
+        report = fourteen_tet if sig == FOURTEEN else \
+            Analysis(parse_taut_sig(sig))
         record = verify_identities(report)
         if not record["passed"]:
             failures.append((sig, record))

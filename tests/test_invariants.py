@@ -1,3 +1,4 @@
+import os
 import random
 
 from veerpoly.census_io import GluingTable, TautStructure, parse_taut_sig
@@ -7,9 +8,11 @@ from veerpoly.invariants import (Analysis, build_alexander_matrix,
 from veerpoly.laurent import LaurentMatrix, LaurentPoly, normalize_unit
 from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
-from oracles import exhaustive_fitting_gcd, fox_alexander_polynomial
+from oracles import (dense_unit_pivot_reduce, exhaustive_fitting_gcd,
+                     fox_alexander_polynomial)
 
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
+DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 
 
 def random_laurent_matrix(rng, rows, cols, nvars, density=0.7):
@@ -83,14 +86,53 @@ def test_fitting_gcd_on_production_matrices():
             assert fitting_gcd(mat) == exhaustive_fitting_gcd(mat)
 
 
+def scale_rows(rng, mat):
+    """mat with some of its rows (at least one) multiplied by non-unit
+    factors, so that those rows have a non-unit common factor."""
+    one = LaurentPoly.one(mat.nvars)
+    x = [LaurentPoly.variable(mat.nvars, i) for i in range(mat.nvars)]
+    factors = [2 * one, x[0] + one, x[0] - 2 * one, x[-1] * x[-1] + x[0],
+               3 * x[0] + x[-1] * x[0]]
+    picked = [i for i in range(mat.rows) if rng.random() < 0.5] or \
+        [rng.randrange(mat.rows)]
+    return LaurentMatrix(mat.nvars, [
+        [rng.choice(factors) * p for p in row] if i in picked else row
+        for i, row in enumerate(mat.entries)])
+
+
 def test_fitting_gcd_random_matrices():
     rng = random.Random(211)
+    factor_rng = random.Random(212)
     for _ in range(40):
         nvars = rng.randint(1, 2)
         rows = rng.randint(1, 3)
         cols = rng.randint(rows, rows + 3)
         mat = random_laurent_matrix(rng, rows, cols, nvars)
         assert fitting_gcd(mat) == exhaustive_fitting_gcd(mat)
+        scaled = scale_rows(factor_rng, mat)
+        assert fitting_gcd(scaled) == exhaustive_fitting_gcd(scaled)
+
+
+def test_unit_pivot_reduce_matches_dense_oracle():
+    # the Schur-complement step gives the residual of the earlier dense
+    # column sweep, entry for entry
+    rng = random.Random(227)
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        rows = rng.randint(0, 5)
+        cols = rng.randint(max(rows, 1), rows + 3)
+        mat = random_laurent_matrix(rng, rows, cols, nvars,
+                                    density=rng.uniform(0.2, 0.9))
+        assert unit_pivot_reduce(mat) == dense_unit_pivot_reduce(mat)
+    with open(DATA) as fh:
+        sigs = [ln.strip() for ln in fh
+                if ln.strip() and not ln.startswith("#")]
+    for sig in sigs:
+        analysis = Analysis(parse_taut_sig(sig))
+        for build in (build_taut_matrix, build_alexander_matrix):
+            mat = build(analysis)
+            assert unit_pivot_reduce(mat) == dense_unit_pivot_reduce(mat), \
+                (sig, build.__name__)
 
 
 def test_unit_pivot_reduce_keeps_minor_gcd():
@@ -187,10 +229,10 @@ def test_identities_on_small_bundles():
             assert v["identity"] == "sign_twist"
 
 
-def test_fourteen_tet_cover_identity():
+def test_fourteen_tet_cover_identity(fourteen_tet):
     # rank two, two cusps, no consistent sign choice: the double-cover
     # polynomial exists and factors as the product of the pushforwards
-    rep = Analysis(parse_taut_sig(FOURTEEN))
+    rep = fourteen_tet
     assert rep.eo.sigma is None and rep.delta_hat is not None
     v = verify_identities(rep)
     assert v["identity"] == "cover_product" and v["passed"]

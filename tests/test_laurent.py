@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from veerpoly.laurent import (LaurentMatrix, LaurentPoly, determinant,
-                              exact_div, gcd, gcd_many,
+                              exact_div, gcd,
                               maximal_minor_gcd_bruteforce, normalize_unit,
                               poly_from_json, poly_to_json, sign_twist,
                               specialize)
@@ -164,14 +164,6 @@ def test_gcd_matches_sympy(seed):
     terms = {tuple(int(e) for e in mono): int(c)
              for mono, c in zip(theirs_poly.monoms(), theirs_poly.coeffs())}
     assert ours == normalize_unit(LaurentPoly(nv, terms))
-
-
-def test_gcd_many_early_exit():
-    one = LaurentPoly.one(1)
-    x = LaurentPoly.variable(1, 0)
-    assert gcd_many([x, one, x]).is_one()
-    with pytest.raises(ValueError):
-        gcd_many([])
 
 
 # -- determinant -------------------------------------------------------------

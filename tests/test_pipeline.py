@@ -1,5 +1,6 @@
 """One Analysis per entry: records replayed against the benchmark's
-reference outputs, and counts of the expensive stages an entry runs."""
+reference outputs, counts of the expensive stages an entry runs, and a
+check that every function the benchmark traces is still called."""
 
 import json
 import os
@@ -11,8 +12,8 @@ from veerpoly import taut
 from veerpoly.cli import entry_record, main
 from veerpoly.invariants import Analysis
 
-REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                         "reference")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+REFERENCE = os.path.join(PERFBENCH, "reference")
 M003 = "cPcbbbdxm_10"
 TWO_TET_EO = "cPcbbbiht_12"
 
@@ -76,3 +77,27 @@ def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
     assert rec["verify"]["passed"]
     assert built.count(sig) == 1
     assert len(cover_calls) == covers
+
+
+def test_every_traced_function_is_called(monkeypatch, tmp_path, capsys):
+    # the benchmark traces these functions by name: a refactor that
+    # renames one or stops calling it must fail here, not in the benchmark
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+    from veerpoly import cli
+    census = tmp_path / "census.txt"
+    census.write_text("\n".join([M003, TWO_TET_EO, "cPcbbbphe_12",
+                                 "dLQbcccxxfo_100"]) + "\n")
+    rec = json.loads(reference_lines("fill_bundles")[0])
+    slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["batch", str(census), "--verify", "--jobs", "1"]) \
+            == 0
+        assert cli.main(["fill", rec["sig"], "--slopes", slopes]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    called = {span[1] for span in tracer.spans}
+    assert sorted(set(spans.TRACED) - called) == []

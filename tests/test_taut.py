@@ -10,8 +10,9 @@ from veerpoly.taut import (Coorientation, build_chain_complex,
                            build_double_cover, derive_colouring,
                            derive_coorientation, edge_corner_cycles,
                            edge_orientation_data, compute_h1,
-                           face_disagreement, is_edge_orientable,
-                           tet_edge_orientations, track_slots, FACE_SLOTS)
+                           face_disagreement, tet_edge_orientations,
+                           track_slots, FACE_SLOTS)
+from veerpoly.invariants import Analysis
 from bundles import bundle_sig, both_letter_words
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
@@ -203,12 +204,12 @@ def test_cover_connected_iff_not_edge_orientable():
             cover_ts = TautStructure(cover.sig, GluingTable(
                 [[tuple(g) for g in row] for row in cover.table.gluings]),
                 cover.digits)
-            assert is_edge_orientable(cover_ts)
+            assert Analysis(cover_ts).eo.edge_orientable
 
 
 def test_known_edge_orientability():
-    assert not is_edge_orientable(parse_taut_sig("cPcbbbdxm_10"))
-    assert is_edge_orientable(parse_taut_sig("cPcbbbiht_12"))
+    assert not Analysis(parse_taut_sig("cPcbbbdxm_10")).eo.edge_orientable
+    assert Analysis(parse_taut_sig("cPcbbbiht_12")).eo.edge_orientable
 
 
 def test_sigma_signs_on_known_entries():
