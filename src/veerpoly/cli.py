@@ -148,11 +148,30 @@ def _count_record(summary, rec, verify):
         summary["verify_failed"] += not failed and not passed
 
 
+def _batch_jobs(args):
+    """Worker count: --jobs, else $VEERPOLY_JOBS, else 1.  A negative
+    --jobs or a $VEERPOLY_JOBS that is not a positive integer is an input
+    error."""
+    if args.jobs < 0:
+        raise CensusError("--jobs must not be negative, got %d" % args.jobs)
+    if args.jobs:
+        return args.jobs
+    text = os.environ.get("VEERPOLY_JOBS", "1")
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise CensusError(
+            "VEERPOLY_JOBS must be a positive integer, got %r" % text)
+    return jobs
+
+
 def cmd_batch(args):
+    jobs = _batch_jobs(args)
     with open(args.census) as fh:
         sigs = [line.strip() for line in fh
                 if line.strip() and not line.startswith("#")]
-    jobs = args.jobs or int(os.environ.get("VEERPOLY_JOBS", "1"))
     work = [(sig, args.verify) for sig in sigs]
     t0 = time.perf_counter()
     # records are written as they arrive, in input order, so one failing

@@ -14,7 +14,6 @@ coefficient.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 
 class LaurentPoly:
@@ -33,6 +32,17 @@ class LaurentPoly:
                 if coef:
                     clean[tuple(exp)] = coef
         self.terms = clean
+
+    @classmethod
+    def _wrap(cls, nvars, terms):
+        """Wrap a dict that is already clean, without copying or checking
+        it: every key a tuple of length ``nvars``, every value nonzero.
+        For the arithmetic below, whose results are clean by construction;
+        ``LaurentPoly(nvars, terms)`` checks and copies outside input."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -63,9 +73,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def is_unit(self):
         """True iff the polynomial is a unit of the Laurent ring: +-x^v."""
         if len(self.terms) != 1:
@@ -94,20 +101,29 @@ class LaurentPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._wrap(self.nvars, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for exp, coef in other.terms.items():
+            s = out.get(exp, 0) - coef
+            if s:
+                out[exp] = s
+            else:
+                out.pop(exp, None)
+        return LaurentPoly._wrap(self.nvars, out)
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._wrap(self.nvars,
+                                 {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero(self.nvars)
-            return LaurentPoly(self.nvars,
-                               {e: c * other for e, c in self.terms.items()})
+            return LaurentPoly._wrap(
+                self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -118,7 +134,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._wrap(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -155,9 +171,12 @@ class LaurentPoly:
 
     def shift(self, vec):
         """Multiply by the monomial x^vec."""
-        return LaurentPoly(self.nvars,
-                           {tuple(a + b for a, b in zip(e, vec)): c
-                            for e, c in self.terms.items()})
+        if len(vec) != self.nvars:
+            raise ValueError("shift %r has length %d, expected %d"
+                             % (vec, len(vec), self.nvars))
+        return LaurentPoly._wrap(self.nvars,
+                                 {tuple(a + b for a, b in zip(e, vec)): c
+                                  for e, c in self.terms.items()})
 
     def leading_term(self):
         """(exponent, coefficient) of the graded-lex greatest term."""
@@ -434,6 +453,9 @@ class LaurentMatrix:
 def determinant(mat):
     """Exact determinant of a square LaurentMatrix by fraction-free
     (Bareiss) elimination.  The empty (0 x 0) matrix has determinant 1.
+
+    Step k divides by the previous pivot, which at step 0 is 1, so that
+    step divides nothing.
     """
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -443,7 +465,6 @@ def determinant(mat):
     if n == 0:
         return LaurentPoly.one(nvars)
     sign = 1
-    prev = LaurentPoly.one(nvars)
     a = entries
     for k in range(n - 1):
         pivot = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
@@ -455,18 +476,50 @@ def determinant(mat):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = _require(exact_div(num, prev))
+                a[i][j] = num if k == 0 else _require(exact_div(num, prev))
             a[i][k] = LaurentPoly.zero(nvars)
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
 
 
+def _transversal_column_sets(mat):
+    """The row-size column sets on which every row can take a nonzero
+    entry in a column of its own, in the lexicographic order of
+    ``combinations``.
+
+    Every other column set has a zero minor: each term of its Leibniz
+    expansion has a zero factor.  A depth-first walk gives rows 0, 1, ...
+    distinct nonzero columns; the sets it reaches are sorted.
+    """
+    support = [[j for j, p in enumerate(row) if not p.is_zero()]
+               for row in mat.entries]
+    found = set()
+    used = []
+
+    def walk(i):
+        if i == len(support):
+            found.add(tuple(sorted(used)))
+            return
+        for j in support[i]:
+            if j not in used:
+                used.append(j)
+                walk(i + 1)
+                used.pop()
+
+    walk(0)
+    return sorted(found)
+
+
 def maximal_minor_gcd_bruteforce(mat):
     """gcd over all row-size minors, by direct enumeration.
 
-    Exponential in the column count; used as an oracle and as the terminal
-    stage of the Fitting-invariant pipeline once matrices are small.
+    Exponential in the column count; the terminal stage of the
+    Fitting-invariant pipeline once matrices are small.  Only the minors
+    that can be nonzero are taken (``_transversal_column_sets``), in the
+    order of ``combinations``.  A zero minor, or one that the gcd so far
+    divides, leaves the gcd as it is, so ``gcd`` runs only on the others.
+    The walk stops once the gcd is 1.
     """
     if mat.rows > mat.cols:
         raise ValueError("need rows <= cols for maximal (row-size) minors")
@@ -474,8 +527,11 @@ def maximal_minor_gcd_bruteforce(mat):
         return LaurentPoly.one(mat.nvars)
     acc = LaurentPoly.zero(mat.nvars)
     all_rows = range(mat.rows)
-    for cols in combinations(range(mat.cols), mat.rows):
+    for cols in _transversal_column_sets(mat):
         minor = determinant(mat.submatrix(all_rows, cols))
+        if minor.is_zero() or (not acc.is_zero()
+                               and exact_div(minor, acc) is not None):
+            continue
         acc = gcd(acc, minor)
         if acc.is_one():
             break

@@ -7,9 +7,9 @@ package's production pipeline.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
-from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
+from veerpoly.laurent import LaurentPoly, determinant, gcd, normalize_unit
 
 
 def cofactor_determinant(entries):
@@ -39,6 +39,31 @@ def exhaustive_fitting_gcd(mat):
         entries = [[mat.entries[i][j] for j in cols] for i in range(mat.rows)]
         acc = gcd(acc, cofactor_determinant(entries))
     return normalize_unit(acc)
+
+
+def all_minors_gcd(mat):
+    """The earlier terminal stage of the Fitting gcd, kept as an oracle:
+    a Bareiss determinant and a gcd for every row-size column set."""
+    if mat.rows > mat.cols:
+        raise ValueError("need rows <= cols for maximal (row-size) minors")
+    if mat.rows == 0:
+        return LaurentPoly.one(mat.nvars)
+    acc = LaurentPoly.zero(mat.nvars)
+    all_rows = range(mat.rows)
+    for cols in combinations(range(mat.cols), mat.rows):
+        minor = determinant(mat.submatrix(all_rows, cols))
+        acc = gcd(acc, minor)
+        if acc.is_one():
+            break
+    return normalize_unit(acc)
+
+
+def has_transversal(entries):
+    """True when some permutation meets a nonzero entry in every row of
+    the square matrix ``entries``, i.e. some Leibniz term can be nonzero."""
+    n = len(entries)
+    return any(all(not entries[i][p[i]].is_zero() for i in range(n))
+               for p in permutations(range(n)))
 
 
 def dense_unit_pivot_reduce(mat):

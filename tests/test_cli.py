@@ -217,6 +217,26 @@ def test_batch_keeps_other_records_after_internal_error(capsys, tmp_path,
     assert summary["errors"] == 0
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--jobs", "-1"], None),
+    ([], "x"),
+    ([], "-2"),
+    ([], "0"),
+])
+def test_batch_bad_worker_count_exits_one(capsys, tmp_path, monkeypatch,
+                                          argv, env):
+    census = tmp_path / "census.txt"
+    write_census(census, [M003])
+    if env is None:
+        monkeypatch.delenv("VEERPOLY_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("VEERPOLY_JOBS", env)
+    rc, out, err = run_cli(capsys, "batch", str(census), *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_batch_missing_file_exits_one(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "batch", str(tmp_path / "absent.txt"))
     assert rc == 1

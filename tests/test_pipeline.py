@@ -1,6 +1,7 @@
 """One Analysis per entry: records replayed against the benchmark's
-reference outputs, counts of the expensive stages an entry runs, and a
-check that every function the benchmark traces is still called."""
+reference outputs, counts of the expensive stages an entry runs, no
+determinant of a minor that must be zero, and a check that every
+function the benchmark traces is still called."""
 
 import json
 import os
@@ -8,11 +9,15 @@ import sys
 
 import pytest
 
-from veerpoly import taut
+from veerpoly import laurent, taut
+from veerpoly.census_io import parse_taut_sig
 from veerpoly.cli import entry_record, main
-from veerpoly.invariants import Analysis
+from veerpoly.invariants import (Analysis, build_alexander_matrix,
+                                 build_taut_matrix, fitting_gcd)
+from oracles import has_transversal
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 REFERENCE = os.path.join(PERFBENCH, "reference")
 M003 = "cPcbbbdxm_10"
 TWO_TET_EO = "cPcbbbiht_12"
@@ -77,6 +82,21 @@ def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
     assert rec["verify"]["passed"]
     assert built.count(sig) == 1
     assert len(cover_calls) == covers
+
+
+def test_fitting_gcd_takes_no_minor_that_must_be_zero(monkeypatch):
+    # a column set on which no permutation meets only nonzero entries has
+    # a zero minor, so its determinant is wasted work
+    taken = count_calls(monkeypatch, laurent.determinant)
+    with open(DATA) as fh:
+        sigs = [ln.strip() for ln in fh
+                if ln.strip() and not ln.startswith("#")]
+    for sig in sigs:
+        analysis = Analysis(parse_taut_sig(sig))
+        for build in (build_taut_matrix, build_alexander_matrix):
+            fitting_gcd(build(analysis))
+    assert taken
+    assert all(has_transversal(sub.entries) for sub in taken)
 
 
 def test_every_traced_function_is_called(monkeypatch, tmp_path, capsys):
