@@ -41,7 +41,10 @@ def int_matmul(A, B):
 
 
 def int_matvec(A, v):
-    return [sum(a * x for a, x in zip(row, v) if a) for row in A]
+    """A * v, summed over the nonzero entries of v only: the vectors
+    passed in (fundamental cycles, cycle coordinates) are sparse."""
+    support = [(k, x) for k, x in enumerate(v) if x]
+    return [sum(row[k] * x for k, x in support) for row in A]
 
 
 class SNFResult:
@@ -312,9 +315,8 @@ class H1Data:
     def kernel_to_cycle(self, y):
         """The face-space cycle with kernel-basis coordinates y."""
         rho = self.snf1.rank
-        V = self.snf1.V
-        return [sum(V[f][rho + i] * y[i] for i in range(self.q))
-                for f in range(self.n_faces)]
+        support = [(rho + i, x) for i, x in enumerate(y) if x]
+        return [sum(row[k] * x for k, x in support) for row in self.snf1.V]
 
     def w_position_representative(self, position):
         """A face-space cycle whose class is the given diagonal generator."""

@@ -8,10 +8,26 @@ u; the corner's edge in the universal free-abelian cover, seen from the
 base lift of the corner's tetrahedron, is the deck translate by -u of
 the class's anchored lift.  Hence every matrix entry contributed by an
 incidence carries the monomial with exponent -u of that corner.
+
+Tetrahedron relations.  A face column is the base lift of the face as
+an upper face of the tetrahedron below it.  Seen from the base lift of
+the tetrahedron t above it, the same face is the translate by -c(f),
+and its entries pick up the factor x^(-c(f)).  In each matrix the four
+face columns of t, the top faces as they are and the bottom faces
+times x^(-c(f)), sum with signs to zero (``build_taut_matrix`` and
+``build_alexander_matrix`` give the signs and assert the relation).
+The coefficient of a face is a unit, and a tree face is never glued to
+one tetrahedron on both sides, so peeling leaves off the dual spanning
+tree writes every tree column as a combination of non-tree columns.
+The non-tree columns therefore span the same module, and by
+Cauchy-Binet their maximal minors generate the same ideal: the Fitting
+gcd is taken over the T + 1 non-tree faces only.
 """
 
 from functools import cached_property
+from operator import add
 
+from .census_io import VERTEX_PAIRS
 from .homology import dual_spanning_tree, face_cocycle, smith_normal_form
 from .laurent import (LaurentMatrix, LaurentPoly,
                       maximal_minor_gcd_bruteforce, normalize_unit,
@@ -27,8 +43,13 @@ class Analysis:
     Lazy members: ``theta`` and ``delta`` (the taut and Alexander
     polynomials), ``cover`` (the edge-orientation double cover) and
     ``delta_hat`` (the double-cover polynomial, None when sigma
-    exists).  The keyword knobs select alternative presentation choices
-    (used to test presentation independence)."""
+    exists).  Each is the Fitting gcd of an edges x faces presentation
+    with the columns of the dual spanning tree ``tree`` dropped
+    (``tree_reduced``), so the gcd runs on T x (T + 1) matrices; for
+    ``delta_hat`` the cover's own tree is dropped before the cover's
+    matrix is pushed down to the base.  The keyword knobs select
+    alternative presentation choices (used to test presentation
+    independence)."""
 
     def __init__(self, ts, flip_coorientation=False, corner_rank=0,
                  face_priority=None):
@@ -57,13 +78,20 @@ class Analysis:
             for corner, dirpair in zip(cyc.corners, cyc.dirs):
                 self.ref_dir[corner] = dirpair
 
+    def tree_reduced(self, mat):
+        """mat without the columns of the tree faces: the same Fitting
+        gcd, by the tetrahedron relations (module docstring)."""
+        keep = [f for f in range(mat.cols) if f not in self.tree]
+        return LaurentMatrix(mat.nvars, [[row[f] for f in keep]
+                                         for row in mat.entries])
+
     @cached_property
     def theta(self):
-        return fitting_gcd(build_taut_matrix(self))
+        return fitting_gcd(self.tree_reduced(build_taut_matrix(self)))
 
     @cached_property
     def delta(self):
-        return fitting_gcd(build_alexander_matrix(self))
+        return fitting_gcd(self.tree_reduced(build_alexander_matrix(self)))
 
     @cached_property
     def cover(self):
@@ -79,7 +107,8 @@ class Analysis:
             return None
         cover_analysis = Analysis(self.cover)
         A = cover_pushforward(self, cover_analysis)
-        cover_alex = build_alexander_matrix(cover_analysis)
+        cover_alex = cover_analysis.tree_reduced(
+            build_alexander_matrix(cover_analysis))
         pushed = LaurentMatrix(self.h1.rank, [
             [specialize(p, A) for p in row] for row in cover_alex.entries])
         return fitting_gcd(pushed)
@@ -98,26 +127,98 @@ def corner_labels(cycles, cocycle, rank):
     return labels
 
 
-def _entry_monomial(analysis, t, es, coef):
-    exp = tuple(-x for x in analysis.labels[(t, es)])
-    return LaurentPoly.monomial(analysis.h1.rank, exp, coef)
+def _presentation_matrix(analysis, incidences):
+    """Edges x faces matrix from per-face (edge, corner label,
+    coefficient) incidences: each adds the coefficient times the
+    monomial with exponent -label, coincident rows summed."""
+    table = analysis.ts.table
+    r = analysis.h1.rank
+    zero = LaurentPoly.zero(r)
+    rows = [[zero] * len(table.faces) for _ in table.edges]
+    for idx, entries in enumerate(incidences):
+        cells = {}
+        for e, u, coef in entries:
+            terms = cells.setdefault(e, {})
+            exp = tuple(-x for x in u)
+            terms[exp] = terms.get(exp, 0) + coef
+        for e, terms in cells.items():
+            rows[e][idx] = LaurentPoly(r, terms)
+    return LaurentMatrix(r, rows)
+
+
+def _tetrahedron_relations_hold(analysis, incidences, signs):
+    """Whether, for every tetrahedron t, its four face columns sum to
+    zero: +-1 times each top face (t below it), +-x^(-c(f)) times each
+    bottom face (t above it).  signs[f] = (sign of f as a top face of the
+    tetrahedron below, sign as a bottom face of the one above).  Summed
+    as {(t, edge, label): coefficient} on raw label tuples, where
+    x^(-c(f)) adds c(f) to the label."""
+    coor = analysis.coor
+    total = {}
+    for f, entries in enumerate(incidences):
+        s_top, s_bottom = signs[f]
+        c = analysis.cocycle[f]
+        t_top, t_bottom = coor.below[f][0], coor.above[f][0]
+        for e, u, coef in entries:
+            key = (t_top, e, u)
+            total[key] = total.get(key, 0) + s_top * coef
+            key = (t_bottom, e, tuple(map(add, u, c)))
+            total[key] = total.get(key, 0) + s_bottom * coef
+    return not any(total.values())
 
 
 def build_taut_matrix(analysis):
     """Rows = edges, columns = faces; +monomial at the face's upper-large
-    edge, -monomial at its two small edges, coincident rows summed."""
+    edge, -monomial at its two small edges, coincident rows summed.
+
+    Tetrahedron relation.  Let t have top diagonal uv and bottom
+    diagonal xy with x < y.  Veering makes opposite equatorial edges
+    share a colour and adjacent ones differ; say xu and yv have the
+    colour of uv.  The upper-large edge of a top face is its equatorial
+    edge of that colour, and of a bottom face it is xy, so in t's frame
+    the columns read [uvx] = xu - uv - xv, [uvy] = yv - uv - yu,
+    [xyu] = xy - xu - yu and [xyv] = xy - xv - yv, whence
+    [uvx] - [uvy] + [xyu] - [xyv] = 0.  The signs pair up (+, -) within
+    the top faces and within the bottom faces: a face of t has sign +1
+    exactly when its equatorial edge coloured like uv ends at x.  This is
+    the dependence among the four face relations of a tetrahedron in
+    Landry-Minsky-Taylor's taut module, on which Parlak's computation
+    (arXiv 2009.13558) also drops the faces of a dual spanning tree;
+    asserted on every build unless run with -O."""
     table = analysis.ts.table
-    r = analysis.h1.rank
-    rows = [[LaurentPoly.zero(r) for _ in table.faces] for _ in table.edges]
+    labels = analysis.labels
+    incidences = []
     for idx in range(len(table.faces)):
         t_b, fs_b = analysis.coor.below[idx]
         upper_large = analysis.tracks[idx][1]
-        for es in taut.FACE_SLOTS[fs_b]:
-            sign = 1 if es == upper_large else -1
-            e = table.edge_index[(t_b, es)]
-            rows[e][idx] = rows[e][idx] + _entry_monomial(
-                analysis, t_b, es, sign)
-    return LaurentMatrix(r, rows)
+        incidences.append([
+            (table.edge_index[(t_b, es)], labels[(t_b, es)],
+             1 if es == upper_large else -1)
+            for es in taut.FACE_SLOTS[fs_b]])
+    assert _tetrahedron_relations_hold(
+        analysis, incidences, _taut_relation_signs(analysis)), \
+        "taut tetrahedron relation fails"
+    return _presentation_matrix(analysis, incidences)
+
+
+def _taut_relation_signs(analysis):
+    """Per face, its signs in the taut relations of the tetrahedra below
+    and above it, by the rule of ``build_taut_matrix``: facet y has +1,
+    facet x -1, facet v (which holds xu) +1 exactly when xu has the
+    colour of uv, and facet u the other sign."""
+    coor, colours = analysis.coor, analysis.colours
+    edge_index = analysis.ts.table.edge_index
+    by_facet = []
+    for t, (top, bottom) in enumerate(zip(coor.top_slot, coor.bot_slot)):
+        (u, v), (x, y) = VERTEX_PAIRS[top], VERTEX_PAIRS[bottom]
+        xu = taut.SLOT_OF_PAIR[(min(x, u), max(x, u))]
+        s = 1 if colours[edge_index[(t, xu)]] == \
+            colours[edge_index[(t, top)]] else -1
+        signs = [0] * 4
+        signs[x], signs[y], signs[u], signs[v] = -1, 1, -s, s
+        by_facet.append(signs)
+    return [(by_facet[t_b][fs_b], by_facet[t_a][fs_a])
+            for (t_b, fs_b), (t_a, fs_a) in zip(coor.below, coor.above)]
 
 
 # boundary traversal of a triangle [a,b,c] (a<b<c): +ab, +bc, -ac
@@ -129,23 +230,31 @@ def build_alexander_matrix(analysis):
     boundary of the face's base lift.  The face is oriented as part of
     the boundary of the positively oriented tetrahedron below it, and
     each edge's sign compares that traversal with the class's reference
-    orientation."""
+    orientation.
+
+    Tetrahedron relation (asserted unless run with -O): the boundary of
+    the boundary of t's base lift vanishes.  Its top faces enter with
+    sign +1; its bottom faces are oriented from the tetrahedron below
+    them, against the orientation t gives them, so they enter with -1."""
     table = analysis.ts.table
-    r = analysis.h1.rank
-    rows = [[LaurentPoly.zero(r) for _ in table.faces] for _ in table.edges]
+    labels = analysis.labels
+    incidences = []
     for idx in range(len(table.faces)):
         t_b, fs_b = analysis.coor.below[idx]
         verts = [v for v in range(4) if v != fs_b]
         face_sign = -1 if fs_b % 2 else 1
+        entries = []
         for (i, j), tsign in _TRAVERSAL:
             a, b = verts[i], verts[j]
             es = taut.SLOT_OF_PAIR[(a, b)]
             agree = 1 if analysis.ref_dir[(t_b, es)] == (a, b) else -1
-            coef = face_sign * tsign * agree
-            e = table.edge_index[(t_b, es)]
-            rows[e][idx] = rows[e][idx] + _entry_monomial(
-                analysis, t_b, es, coef)
-    return LaurentMatrix(r, rows)
+            entries.append((table.edge_index[(t_b, es)], labels[(t_b, es)],
+                            face_sign * tsign * agree))
+        incidences.append(entries)
+    assert _tetrahedron_relations_hold(
+        analysis, incidences, [(1, -1)] * len(incidences)), \
+        "Alexander tetrahedron relation fails"
+    return _presentation_matrix(analysis, incidences)
 
 
 def unit_pivot_reduce(mat):
@@ -154,8 +263,9 @@ def unit_pivot_reduce(mat):
     the Schur complement: drop the pivot row and column, and subtract
     c * inv * (pivot row) from each row whose pivot-column entry c is
     nonzero.  That equals clearing the pivot row by column operations,
-    so the gcd of maximal minors is kept up to a unit.  Returns
-    (residual row list, saw_zero_row)."""
+    so the gcd of maximal minors is kept up to a unit.  The pivot's
+    inverse +-x^(-v) acts as a shift by -v, with its sign folded into
+    the pivot row once.  Returns (residual row list, saw_zero_row)."""
     entries = [list(row) for row in mat.entries]
     while entries:
         if any(all(p.is_zero() for p in row) for row in entries):
@@ -166,14 +276,15 @@ def unit_pivot_reduce(mat):
             break
         i, j = pivot
         prow = entries.pop(i)
-        inv = prow[j].unit_inverse()
-        support = [k for k, p in enumerate(prow)
-                   if k != j and not p.is_zero()]
+        ((exp, sign),) = prow[j].terms.items()
+        inv_exp = tuple(-e for e in exp)
+        scaled = [(k, p if sign == 1 else -p) for k, p in enumerate(prow)
+                  if k != j and not p.is_zero()]
         for row in entries:
             if not row[j].is_zero():
-                c = row[j] * inv
-                for k in support:
-                    row[k] = row[k] - c * prow[k]
+                c = row[j].shift(inv_exp)
+                for k, p in scaled:
+                    row[k] = row[k] - c * p
             row.pop(j)
     return entries, False
 
@@ -182,7 +293,9 @@ def fitting_gcd(mat):
     """gcd of all maximal (row-count) minors of a Laurent matrix with
     rows <= columns, unit-normalised: unit-pivot reduction, then a gcd
     over the residual's minors in deterministic column order (1 for an
-    empty residual, 0 when a zero row turns up)."""
+    empty residual, 0 when a zero row turns up).  ``Analysis`` hands it
+    tree-reduced T x (T + 1) presentations, whose residual is
+    r x (r + 1), so at most r + 1 minors remain."""
     if mat.rows > mat.cols:
         raise ValueError("presentation matrix needs rows <= columns")
     residual, saw_zero_row = unit_pivot_reduce(mat)
@@ -195,8 +308,9 @@ def cover_pushforward(analysis, cover_analysis):
     """Matrix of the projection from the double cover's free first
     homology onto the base's: project each cover generator's dual cycle
     down to the base (face by face, signs preserved) and read off its
-    class.  Surjective whenever the cover is connected, i.e. whenever
-    the map is needed."""
+    class.  The image is the kernel of omega on the free part: all of
+    it when sigma does not exist (the case ``delta_hat`` needs), and a
+    sublattice of index 2 when sigma exists."""
     base_table = analysis.ts.table
     cover_table = cover_analysis.ts.table
     n = base_table.n_tet
@@ -213,9 +327,12 @@ def cover_pushforward(analysis, cover_analysis):
         columns.append(analysis.h1.cycle_class_free(base_z))
     A = [[col[l] for col in columns] for l in range(analysis.h1.rank)]
     snf = smith_normal_form(A, ncols=len(columns))
+    index = 1
+    for d in snf.diag[:snf.rank]:
+        index *= d
     assert snf.rank == analysis.h1.rank and \
-        all(d == 1 for d in snf.diag[:snf.rank]), \
-        "cover homology does not surject onto the base"
+        index == (2 if analysis.eo.sigma_exists else 1), \
+        "cover homology does not map onto the kernel of omega"
     return A
 
 

@@ -14,6 +14,7 @@ coefficient.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 
 class LaurentPoly:
@@ -82,13 +83,6 @@ class LaurentPoly:
 
     def is_one(self):
         return self.terms == {(0,) * self.nvars: 1}
-
-    def unit_inverse(self):
-        """Inverse of a unit +-x^v, namely +-x^(-v)."""
-        if not self.is_unit():
-            raise ValueError("inverse of a non-unit")
-        ((exp, coef),) = self.terms.items()
-        return LaurentPoly(self.nvars, {tuple(-e for e in exp): coef})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -483,40 +477,12 @@ def determinant(mat):
     return det if sign == 1 else -det
 
 
-def _transversal_column_sets(mat):
-    """The row-size column sets on which every row can take a nonzero
-    entry in a column of its own, in the lexicographic order of
-    ``combinations``.
-
-    Every other column set has a zero minor: each term of its Leibniz
-    expansion has a zero factor.  A depth-first walk gives rows 0, 1, ...
-    distinct nonzero columns; the sets it reaches are sorted.
-    """
-    support = [[j for j, p in enumerate(row) if not p.is_zero()]
-               for row in mat.entries]
-    found = set()
-    used = []
-
-    def walk(i):
-        if i == len(support):
-            found.add(tuple(sorted(used)))
-            return
-        for j in support[i]:
-            if j not in used:
-                used.append(j)
-                walk(i + 1)
-                used.pop()
-
-    walk(0)
-    return sorted(found)
-
-
 def maximal_minor_gcd_bruteforce(mat):
     """gcd over all row-size minors, by direct enumeration.
 
     Exponential in the column count; the terminal stage of the
-    Fitting-invariant pipeline once matrices are small.  Only the minors
-    that can be nonzero are taken (``_transversal_column_sets``), in the
+    Fitting-invariant pipeline once matrices are small (tree-reduced
+    residuals are r x (r + 1), so r + 1 minors).  Column sets come in the
     order of ``combinations``.  A zero minor, or one that the gcd so far
     divides, leaves the gcd as it is, so ``gcd`` runs only on the others.
     The walk stops once the gcd is 1.
@@ -527,7 +493,7 @@ def maximal_minor_gcd_bruteforce(mat):
         return LaurentPoly.one(mat.nvars)
     acc = LaurentPoly.zero(mat.nvars)
     all_rows = range(mat.rows)
-    for cols in _transversal_column_sets(mat):
+    for cols in combinations(range(mat.cols), mat.rows):
         minor = determinant(mat.submatrix(all_rows, cols))
         if minor.is_zero() or (not acc.is_zero()
                                and exact_div(minor, acc) is not None):

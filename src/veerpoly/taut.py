@@ -297,9 +297,18 @@ class EdgeOrientationData:
     def __init__(self, beta, h1):
         self.beta = beta
         quot = h1.quot
-        omega_positions = [
-            self.omega_of_cycle_vec(h1.w_position_representative(i))
-            for i in range(h1.q)]
+        # The generator at position i is represented by the cycle
+        # V[:, rho:] * Uinv[:, i], so omega_i = (beta * V[:, rho:]) *
+        # Uinv[:, i] mod 2: one row bv for all positions.
+        rho = h1.snf1.rank
+        bv = [0] * h1.q
+        for b, row in zip(beta, h1.snf1.V):
+            if b:
+                for k in range(h1.q):
+                    bv[k] += row[rho + k]
+        odd = [quot.snf.Uinv[k] for k, x in enumerate(bv) if x % 2]
+        omega_positions = [sum(row[i] for row in odd) % 2
+                           for i in range(h1.q)]
         self.omega_positions = omega_positions
         self.edge_orientable = all(o == 0 for o in omega_positions)
         self.sigma_exists = all(omega_positions[i] == 0

@@ -3,13 +3,14 @@
 Everything here is deliberately naive: cofactor determinants, exhaustive
 minor enumeration, rational row reduction, and a small Fox-calculus engine
 for two-generator one-relator groups.  None of it shares code paths with the
-package's production pipeline.
+package's production pipeline, except ``all_columns_fitting_gcd``.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
-from veerpoly.laurent import LaurentPoly, determinant, gcd, normalize_unit
+from veerpoly.invariants import fitting_gcd
+from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
 
 
 def cofactor_determinant(entries):
@@ -41,29 +42,43 @@ def exhaustive_fitting_gcd(mat):
     return normalize_unit(acc)
 
 
-def all_minors_gcd(mat):
-    """The earlier terminal stage of the Fitting gcd, kept as an oracle:
-    a Bareiss determinant and a gcd for every row-size column set."""
-    if mat.rows > mat.cols:
-        raise ValueError("need rows <= cols for maximal (row-size) minors")
-    if mat.rows == 0:
-        return LaurentPoly.one(mat.nvars)
-    acc = LaurentPoly.zero(mat.nvars)
-    all_rows = range(mat.rows)
-    for cols in combinations(range(mat.cols), mat.rows):
-        minor = determinant(mat.submatrix(all_rows, cols))
-        acc = gcd(acc, minor)
-        if acc.is_one():
-            break
-    return normalize_unit(acc)
+def all_columns_fitting_gcd(mat):
+    """The Fitting gcd as taken before the tree reduction: the package's
+    ``fitting_gcd`` on the full edges x faces presentation, every face
+    column kept.  The one oracle here that reuses production code: it
+    checks the column drop, not the gcd."""
+    return normalize_unit(fitting_gcd(mat))
 
 
-def has_transversal(entries):
-    """True when some permutation meets a nonzero entry in every row of
-    the square matrix ``entries``, i.e. some Leibniz term can be nonzero."""
-    n = len(entries)
-    return any(all(not entries[i][p[i]].is_zero() for i in range(n))
-               for p in permutations(range(n)))
+def tetrahedron_relation_sums(analysis, mat, signs):
+    """Per tetrahedron t, the column vector sum over its faces of
+    signs[(t, facet)] times the face column, with x^(-c(f)) on the
+    bottom faces (t above f), in LaurentPoly arithmetic."""
+    coor = analysis.coor
+    r = mat.nvars
+    sums = [[LaurentPoly.zero(r) for _ in range(mat.rows)]
+            for _ in range(analysis.ts.table.n_tet)]
+    for f in range(mat.cols):
+        sides = ((coor.below[f], LaurentPoly.one(r)),
+                 (coor.above[f], LaurentPoly.monomial(
+                     r, tuple(-c for c in analysis.cocycle[f]))))
+        for (t, fs), mono in sides:
+            for i in range(mat.rows):
+                sums[t][i] = sums[t][i] + \
+                    signs[(t, fs)] * mono * mat.entries[i][f]
+    return sums
+
+
+def dense_int_matvec(A, v):
+    """A * v by the dense double loop."""
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def dense_kernel_to_cycle(h1, y):
+    """The face-space cycle sum_i y[i] * V[:, rho + i], summed densely."""
+    rho = h1.snf1.rank
+    return [sum(h1.snf1.V[f][rho + i] * y[i] for i in range(h1.q))
+            for f in range(h1.n_faces)]
 
 
 def dense_unit_pivot_reduce(mat):
@@ -87,7 +102,8 @@ def dense_unit_pivot_reduce(mat):
         if pivot is None:
             return entries, False
         i, j = pivot
-        inv = entries[i][j].unit_inverse()
+        ((exp, coef),) = entries[i][j].terms.items()
+        inv = LaurentPoly(mat.nvars, {tuple(-e for e in exp): coef})
         for k in range(len(entries[0])):
             if k == j or entries[i][k].is_zero():
                 continue

@@ -104,14 +104,12 @@ def test_criterion_2_edge_orientability_regression():
     assert Analysis(reparsed).eo.edge_orientable
 
 
-def test_criterion_3_identity_suite_on_sample(fourteen_tet):
+def test_criterion_3_identity_suite_on_sample():
     sigs = sample_sigs()
     assert len(sigs) >= 200 and FOURTEEN in sigs
     failures = []
     for sig in sigs:
-        report = fourteen_tet if sig == FOURTEEN else \
-            Analysis(parse_taut_sig(sig))
-        record = verify_identities(report)
+        record = verify_identities(Analysis(parse_taut_sig(sig)))
         if not record["passed"]:
             failures.append((sig, record))
     assert failures == []

@@ -5,11 +5,12 @@ from veerpoly.census_io import parse_taut_sig
 from veerpoly.filling import vertex_links
 from veerpoly.homology import (AbelianQuotient, H1Data, dual_spanning_tree,
                                face_cocycle, int_identity, int_matmul,
-                               smith_normal_form)
+                               int_matvec, smith_normal_form)
 from veerpoly.invariants import Analysis
 from bundles import bundle_sig
-from oracles import (abelian_group_from_relations, full_scan_snf,
-                     naive_int_matmul, rational_rank)
+from oracles import (abelian_group_from_relations, dense_int_matvec,
+                     dense_kernel_to_cycle, full_scan_snf, naive_int_matmul,
+                     rational_rank)
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9, density=0.8):
@@ -85,6 +86,33 @@ def test_int_matmul_matches_naive_product():
         A = random_matrix(rng, m, inner, -big, big, density)
         B = random_matrix(rng, inner, n, -big, big, density)
         assert int_matmul(A, B) == naive_int_matmul(A, B)
+
+
+def test_sparse_sums_match_dense_sums():
+    # int_matvec and kernel_to_cycle sum over the vector's nonzero
+    # entries only; the integers must be those of the dense sums
+    rng = random.Random(241)
+    assert int_matvec([], []) == dense_int_matvec([], []) == []
+    assert int_matvec([[], []], []) == dense_int_matvec([[], []], []) \
+        == [0, 0]
+    for _ in range(80):
+        m, n = rng.randint(0, 10), rng.randint(0, 10)
+        big = 2 ** rng.choice((3, 70))
+        A = random_matrix(rng, m, n, -big, big, rng.choice((0.1, 0.8)))
+        v = random_matrix(rng, 1, n, -big, big,
+                          rng.choice((0.0, 0.05, 0.2, 0.9)))[0]
+        assert int_matvec(A, v) == dense_int_matvec(A, v)
+    for sig in ("cPcbbbdxm_10", bundle_sig("RRLRL", -1),
+                "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"):
+        h1 = Analysis(parse_taut_sig(sig)).h1
+        for _ in range(20):
+            y = random_matrix(rng, 1, h1.q, -5, 5,
+                              rng.choice((0.0, 0.1, 0.5)))[0]
+            assert h1.kernel_to_cycle(y) == dense_kernel_to_cycle(h1, y)
+    # a complex whose kernel is trivial: q = 0 and the empty vector
+    h1 = H1Data(2, 1, 0, [[-1], [1]], [[]])
+    assert h1.q == 0
+    assert h1.kernel_to_cycle([]) == dense_kernel_to_cycle(h1, []) == [0]
 
 
 def test_snf_transforms_match_full_scan_on_sparse_incidence():

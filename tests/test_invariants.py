@@ -1,18 +1,28 @@
 import os
 import random
 
-from veerpoly.census_io import GluingTable, TautStructure, parse_taut_sig
+from veerpoly.census_io import (GluingTable, TautStructure, VERTEX_PAIRS,
+                                parse_taut_sig)
 from veerpoly.invariants import (Analysis, build_alexander_matrix,
-                                 build_taut_matrix, fitting_gcd,
-                                 unit_pivot_reduce, verify_identities)
-from veerpoly.laurent import LaurentMatrix, LaurentPoly, normalize_unit
+                                 build_taut_matrix, cover_pushforward,
+                                 fitting_gcd, unit_pivot_reduce,
+                                 verify_identities)
+from veerpoly.laurent import (LaurentMatrix, LaurentPoly, normalize_unit,
+                              specialize)
 from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
-from oracles import (dense_unit_pivot_reduce, exhaustive_fitting_gcd,
-                     fox_alexander_polynomial)
+from oracles import (all_columns_fitting_gcd, dense_unit_pivot_reduce,
+                     exhaustive_fitting_gcd, fox_alexander_polynomial,
+                     tetrahedron_relation_sums)
 
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
+
+
+def sample_sigs():
+    with open(DATA) as fh:
+        return [ln.strip() for ln in fh
+                if ln.strip() and not ln.startswith("#")]
 
 
 def random_laurent_matrix(rng, rows, cols, nvars, density=0.7):
@@ -124,10 +134,7 @@ def test_unit_pivot_reduce_matches_dense_oracle():
         mat = random_laurent_matrix(rng, rows, cols, nvars,
                                     density=rng.uniform(0.2, 0.9))
         assert unit_pivot_reduce(mat) == dense_unit_pivot_reduce(mat)
-    with open(DATA) as fh:
-        sigs = [ln.strip() for ln in fh
-                if ln.strip() and not ln.startswith("#")]
-    for sig in sigs:
+    for sig in sample_sigs():
         analysis = Analysis(parse_taut_sig(sig))
         for build in (build_taut_matrix, build_alexander_matrix):
             mat = build(analysis)
@@ -150,6 +157,116 @@ def test_unit_pivot_reduce_keeps_minor_gcd():
             assert want.is_zero()
         if not residual:
             assert want.is_one()
+
+
+# -- tree reduction -----------------------------------------------------------
+
+def small_analyses_and_covers():
+    """Analysis of every sample entry except the 14-tet one, followed by
+    the Analysis of each non-edge-orientable entry's Z/2 cover (built
+    by ``taut.build_double_cover`` from the entry's beta)."""
+    bases = [Analysis(parse_taut_sig(sig)) for sig in sample_sigs()
+             if sig != FOURTEEN]
+    covers = [Analysis(base.cover) for base in bases
+              if not base.eo.edge_orientable]
+    return bases, covers
+
+
+def test_tree_reduced_gcds_equal_all_columns_route():
+    bases, covers = small_analyses_and_covers()
+    assert len(covers) > 100
+    for analysis in bases + covers + [Analysis(parse_taut_sig(FOURTEEN))]:
+        assert normalize_unit(analysis.theta) == all_columns_fitting_gcd(
+            build_taut_matrix(analysis)), analysis.ts.sig
+        assert normalize_unit(analysis.delta) == all_columns_fitting_gcd(
+            build_alexander_matrix(analysis)), analysis.ts.sig
+
+
+def test_tree_reduced_cover_pushforward_equals_all_columns_route():
+    # delta_hat drops the cover's tree columns before pushing the cover's
+    # Alexander matrix down; on entries with sigma delta_hat is None, so
+    # the push-down is compared directly on their (connected) covers
+    bases, _ = small_analyses_and_covers()
+    checked = 0
+    for base in bases:
+        if base.eo.edge_orientable or base.ts.table.n_tet > 5:
+            continue
+        cover = Analysis(base.cover)
+        A = cover_pushforward(base, cover)
+
+        def pushed(mat):
+            return LaurentMatrix(base.h1.rank, [
+                [specialize(p, A) for p in row] for row in mat.entries])
+
+        full = build_alexander_matrix(cover)
+        assert normalize_unit(fitting_gcd(pushed(cover.tree_reduced(full)))) \
+            == all_columns_fitting_gcd(pushed(full)), base.ts.sig
+        checked += 1
+    assert checked >= 20
+
+
+def taut_signs_from_tracks(analysis):
+    """Signs of the taut tetrahedron relation, found from the tracks
+    rather than the colours: with t's top diagonal uv and bottom
+    diagonal xy (x < y), the top face opposite y has sign +1, the one
+    opposite x -1, and the bottom face through the upper-large edge of
+    the +1 top face has sign +1."""
+    coor, table = analysis.coor, analysis.ts.table
+    signs = {}
+    for t in range(table.n_tet):
+        (u, v), (x, y) = (VERTEX_PAIRS[coor.top_slot[t]],
+                          VERTEX_PAIRS[coor.bot_slot[t]])
+        signs[(t, y)], signs[(t, x)] = 1, -1
+        f = table.face_index[(t, y)]
+        assert coor.below[f] == (t, y)
+        large = set(VERTEX_PAIRS[analysis.tracks[f][1]])
+        assert x in large
+        apex = (large - {x}).pop()
+        other = v if apex == u else u
+        # the bottom face holding x-apex is the one opposite the other
+        # top-diagonal vertex
+        signs[(t, other)], signs[(t, apex)] = 1, -1
+    return signs
+
+
+def test_tetrahedron_relations_hold_exactly():
+    # independent of __debug__: each tetrahedron's face columns, read off
+    # the built matrices, sum to zero with the documented signs
+    bases, covers = small_analyses_and_covers()
+    analyses = bases[::4] + covers[::8] + [Analysis(parse_taut_sig(FOURTEEN))]
+    for analysis in analyses:
+        n = analysis.ts.table.n_tet
+        alexander_signs = {(t, fs): 1 if analysis.coor.below[
+            analysis.ts.table.face_index[(t, fs)]] == (t, fs) else -1
+            for t in range(n) for fs in range(4)}
+        for build, signs in ((build_taut_matrix,
+                              taut_signs_from_tracks(analysis)),
+                             (build_alexander_matrix, alexander_signs)):
+            sums = tetrahedron_relation_sums(analysis, build(analysis), signs)
+            assert all(p.is_zero() for col in sums for p in col), \
+                (analysis.ts.sig, build.__name__)
+
+
+def test_tree_reduction_sees_the_faces_of_the_tree():
+    # the reduced matrices keep exactly the T + 1 non-tree columns, in
+    # face order; different face priorities drop different trees and
+    # give the same polynomials
+    ts = parse_taut_sig(bundle_sig("RRLRL", 1))
+    n_faces = len(ts.table.faces)
+    trees, polys = set(), []
+    for priority in (None, list(reversed(range(n_faces)))):
+        analysis = Analysis(ts, face_priority=priority)
+        mat = build_taut_matrix(analysis)
+        reduced = analysis.tree_reduced(mat)
+        keep = [f for f in range(n_faces) if f not in analysis.tree]
+        assert len(keep) == ts.table.n_tet + 1
+        assert reduced.entries == [[row[f] for f in keep]
+                                   for row in mat.entries]
+        trees.add(frozenset(analysis.tree))
+        polys.append((analysis.theta, analysis.delta))
+    assert len(trees) == 2
+    for base, other in zip(*polys):
+        assert same_up_to_unit_and_inversion(base, other)
 
 
 # -- known polynomial values --------------------------------------------------
@@ -225,10 +342,10 @@ def test_identities_on_small_bundles():
             assert v["identity"] == "sign_twist"
 
 
-def test_fourteen_tet_cover_identity(fourteen_tet):
+def test_fourteen_tet_cover_identity():
     # rank two, two cusps, no consistent sign choice: the double-cover
     # polynomial exists and factors as the product of the pushforwards
-    rep = fourteen_tet
+    rep = Analysis(parse_taut_sig(FOURTEEN))
     assert rep.eo.sigma is None and rep.delta_hat is not None
     v = verify_identities(rep)
     assert v["identity"] == "cover_product" and v["passed"]

@@ -1,22 +1,18 @@
 import os
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from veerpoly import laurent
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.invariants import (Analysis, build_alexander_matrix,
                                  build_taut_matrix, unit_pivot_reduce)
-from veerpoly.laurent import (LaurentMatrix, LaurentPoly,
-                              _transversal_column_sets, determinant,
+from veerpoly.laurent import (LaurentMatrix, LaurentPoly, determinant,
                               exact_div, gcd,
                               maximal_minor_gcd_bruteforce, normalize_unit,
                               poly_from_json, poly_to_json, sign_twist,
                               specialize)
-from oracles import (all_minors_gcd, cofactor_determinant,
-                     exhaustive_fitting_gcd, has_transversal)
+from oracles import cofactor_determinant, exhaustive_fitting_gcd
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 
@@ -254,70 +250,23 @@ def test_bruteforce_minor_gcd_matches_oracle():
         assert maximal_minor_gcd_bruteforce(m) == exhaustive_fitting_gcd(m)
 
 
-def record_determinants(monkeypatch):
-    """Entries of every matrix laurent.determinant is given from now on."""
-    seen = []
-
-    def recording(mat):
-        seen.append(mat.entries)
-        return determinant(mat)
-
-    monkeypatch.setattr(laurent, "determinant", recording)
-    return seen
-
-
-def check_pruned_minor_gcd(mat, seen):
-    # the stage takes determinants only on the column sets with a
-    # transversal, in the order of combinations, and every set it skips
-    # has a zero minor; its gcd is that of all minors
-    seen.clear()
-    got = maximal_minor_gcd_bruteforce(mat)
-    assert got == all_minors_gcd(mat) == exhaustive_fitting_gcd(mat)
-    rows = range(mat.rows)
-    visited = _transversal_column_sets(mat)
-    assert visited == sorted(set(visited))
-    kept = set(visited)
-    for cols in combinations(range(mat.cols), mat.rows):
-        sub = mat.submatrix(rows, cols).entries
-        assert (cols in kept) == has_transversal(sub), cols
-        if cols not in kept:
-            assert cofactor_determinant(sub).is_zero(), cols
-    assert seen == [mat.submatrix(rows, cols).entries
-                    for cols in visited[:len(seen)]]
-
-
-def test_pruned_minor_gcd_on_sparse_matrices(monkeypatch):
-    seen = record_determinants(monkeypatch)
-    rng = random.Random(53)
-    for _ in range(100):
-        nv = rng.randint(1, 2)
-        rows = rng.randint(1, 4)
-        cols = rng.randint(rows, rows + 3)
-        density = rng.uniform(0.1, 0.9)
-        entries = [[random_poly(rng, nv, max_terms=2, exp_range=2)
-                    if rng.random() < density else LaurentPoly.zero(nv)
-                    for _ in range(cols)] for _ in range(rows)]
-        if rng.random() < 0.5:
-            # a shared non-unit factor on some rows, so the gcd is not 1
-            x = LaurentPoly.variable(nv, 0)
-            one = LaurentPoly.one(nv)
-            factor = rng.choice([2 * one, x + one, x * x - 3 * one])
-            entries = [[factor * p for p in row] if rng.random() < 0.7
-                       else row for row in entries]
-        check_pruned_minor_gcd(LaurentMatrix(nv, entries), seen)
-
-
-def test_pruned_minor_gcd_on_sample_residuals(monkeypatch):
-    seen = record_determinants(monkeypatch)
+def test_minor_gcd_on_sample_residuals():
+    # the unit-pivot residuals of the tree-reduced presentations, the
+    # shapes the stage now sees (r x (r + 1)), against every minor by
+    # cofactor expansion
     with open(DATA) as fh:
         sigs = [ln.strip() for ln in fh
                 if ln.strip() and not ln.startswith("#")]
     for sig in sigs:
         analysis = Analysis(parse_taut_sig(sig))
         for build in (build_taut_matrix, build_alexander_matrix):
-            mat = build(analysis)
-            residual, _ = unit_pivot_reduce(mat)
-            check_pruned_minor_gcd(LaurentMatrix(mat.nvars, residual), seen)
+            mat = analysis.tree_reduced(build(analysis))
+            residual, saw_zero_row = unit_pivot_reduce(mat)
+            assert not saw_zero_row
+            res = LaurentMatrix(mat.nvars, residual)
+            assert res.rows == 0 or res.cols == res.rows + 1
+            assert maximal_minor_gcd_bruteforce(res) == \
+                exhaustive_fitting_gcd(res), (sig, build.__name__)
 
 
 # -- specialize --------------------------------------------------------------

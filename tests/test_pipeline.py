@@ -1,6 +1,6 @@
 """One Analysis per entry: records replayed against the benchmark's
-reference outputs, counts of the expensive stages an entry runs, no
-determinant of a minor that must be zero, and a check that every
+reference outputs, counts of the expensive stages an entry runs, the
+shape of every matrix the Fitting gcd sees, and a check that every
 function the benchmark traces is still called."""
 
 import json
@@ -9,18 +9,16 @@ import sys
 
 import pytest
 
-from veerpoly import laurent, taut
+from veerpoly import invariants, taut
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.cli import entry_record, main
-from veerpoly.invariants import (Analysis, build_alexander_matrix,
-                                 build_taut_matrix, fitting_gcd)
-from oracles import has_transversal
+from veerpoly.invariants import Analysis, verify_identities
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 REFERENCE = os.path.join(PERFBENCH, "reference")
 M003 = "cPcbbbdxm_10"
 TWO_TET_EO = "cPcbbbiht_12"
+FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 
 
 def reference_lines(name):
@@ -84,19 +82,19 @@ def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
     assert len(cover_calls) == covers
 
 
-def test_fitting_gcd_takes_no_minor_that_must_be_zero(monkeypatch):
-    # a column set on which no permutation meets only nonzero entries has
-    # a zero minor, so its determinant is wasted work
-    taken = count_calls(monkeypatch, laurent.determinant)
-    with open(DATA) as fh:
-        sigs = [ln.strip() for ln in fh
-                if ln.strip() and not ln.startswith("#")]
-    for sig in sigs:
-        analysis = Analysis(parse_taut_sig(sig))
-        for build in (build_taut_matrix, build_alexander_matrix):
-            fitting_gcd(build(analysis))
-    assert taken
-    assert all(has_transversal(sub.entries) for sub in taken)
+@pytest.mark.parametrize("sig", [M003, FOURTEEN])
+def test_fitting_gcd_runs_on_tree_reduced_matrices(monkeypatch, sig):
+    # theta, delta and, for the entry without sigma, delta_hat each take
+    # one Fitting gcd, on T x (T + 1) matrices: the T - 1 tree columns
+    # of the base (or, for delta_hat, of the double cover) are dropped
+    taken = count_calls(monkeypatch, invariants.fitting_gcd)
+    analysis = Analysis(parse_taut_sig(sig))
+    verify_identities(analysis)
+    n = analysis.ts.table.n_tet
+    want = [(n, n + 1)] * 2
+    if analysis.delta_hat is not None:
+        want.append((2 * n, 2 * n + 1))
+    assert sorted((m.rows, m.cols) for m in taken) == want
 
 
 def test_every_traced_function_is_called(monkeypatch, tmp_path, capsys):

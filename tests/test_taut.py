@@ -236,3 +236,17 @@ def test_omega_vanishes_on_boundaries():
         for e in range(len(ts.table.edges)):
             col = [d2[f][e] for f in range(len(ts.table.faces))]
             assert eo.omega_of_cycle_vec(col) == 0
+
+
+def test_omega_positions_match_per_position_cycles():
+    # EdgeOrientationData pairs beta with V[:, rho:] once; the result
+    # must equal beta paired with each position's representative cycle
+    for sig in sample_sigs():
+        analysis = Analysis(parse_taut_sig(sig))
+        analyses = [analysis]
+        if not analysis.eo.edge_orientable:
+            analyses.append(Analysis(analysis.cover))
+        for a in analyses:
+            want = [a.eo.omega_of_cycle_vec(a.h1.w_position_representative(i))
+                    for i in range(a.h1.q)]
+            assert a.eo.omega_positions == want, a.ts.sig
