@@ -63,22 +63,55 @@ def slot_image(p, slot):
     return SLOT_OF_PAIR[(a, b) if a < b else (b, a)]
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+# Per permutation of ISOSIG_PERMS, by index: sign, inverse, the images
+# of the six edge slots, and composition.  GluingTable and
+# _orient_all_odd look these up instead of recomputing them per gluing.
+PERM_INDEX = {p: k for k, p in enumerate(ISOSIG_PERMS)}
+PERM_SIGN = tuple(perm_sign(p) for p in ISOSIG_PERMS)
+PERM_INVERSE = tuple(PERM_INDEX[invert(p)] for p in ISOSIG_PERMS)
+PERM_SLOT_IMAGES = tuple(tuple(slot_image(p, s) for s in range(6))
+                         for p in ISOSIG_PERMS)
+PERM_COMPOSE = tuple(tuple(PERM_INDEX[compose(p, q)] for q in ISOSIG_PERMS)
+                     for p in ISOSIG_PERMS)
+# The three edge slots and the three vertices on each facet.
+FACE_SLOTS = tuple(tuple(s for s in range(6)
+                         if fs not in VERTEX_PAIRS[s]) for fs in range(4))
+FACE_VERTICES = tuple(tuple(v for v in range(4) if v != fs)
+                      for fs in range(4))
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+def _classes(size, pairs, width):
+    """Classes of range(size) under the unions of the given pairs.
+
+    Returns (index, classes): classes listed by first member, each a
+    list of (x // width, x % width) in increasing x, and index mapping
+    each such pair to its class number.  The union-find forest keeps
+    each class's minimum as its root, so every parent[x] <= x, and
+    neither list depends on the order of the pairs.
+    """
+    parent = list(range(size))
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    index = {}
+    classes = []
+    number = {}
+    for x, p in enumerate(parent):
+        # p <= x was visited already, so parent[p] is its root
+        root = parent[x] = parent[p]
+        if root == x:
+            number[x] = len(classes)
+            classes.append([])
+        key = divmod(x, width)
+        index[key] = c = number[root]
+        classes[c].append(key)
+    return index, classes
 
 
 class GluingTable:
@@ -86,8 +119,17 @@ class GluingTable:
 
     gluings[t][f] = (t2, p) glues facet f of tetrahedron t (the face
     opposite vertex f) to facet p[f] of t2, matching vertex labels via
-    the permutation p.  All facets must be glued, the pairing must be
-    an involution, and all permutations must be odd.
+    the permutation p (a tuple or list).  All facets must be glued, the
+    pairing must be an involution, and all permutations must be odd.
+
+    The table is checked and built in one pass over the facets.  The
+    first facet of each glued pair, in (t, f) order, is checked in full:
+    it is glued, its permutation is an odd permutation, it is not glued
+    to itself, and its partner's gluing is its inverse.  Its partner then
+    passes every check too, so it is not checked again, and the first
+    failure raises the same CensusError as checking both sides would.
+    Each pair makes one face, numbered in order of its first facet, and
+    one union of its three edges and of its three vertices.
     """
 
     def __init__(self, gluings):
@@ -95,23 +137,28 @@ class GluingTable:
         if self.n_tet == 0:
             raise CensusError("empty triangulation")
         self.gluings = [list(row) for row in gluings]
-        self._validate()
-        self._build_faces()
-        self._build_edges()
-        self._build_vertices()
+        self._build()
 
-    def _validate(self):
+    def _build(self):
+        n = self.n_tet
+        face_index = {}
+        faces = []
+        edge_pairs = []
+        vertex_pairs = []
         for t, row in enumerate(self.gluings):
             if len(row) != 4:
                 raise CensusError("tetrahedron %d does not have 4 gluings"
                                   % t)
             for f, entry in enumerate(row):
+                if (t, f) in face_index:
+                    continue        # partner of a facet checked earlier
                 if entry is None:
                     raise CensusError("boundary faces are not supported")
                 t2, p = entry
-                if not (0 <= t2 < self.n_tet) or sorted(p) != [0, 1, 2, 3]:
+                k = PERM_INDEX.get(tuple(p)) if 0 <= t2 < n else None
+                if k is None:
                     raise CensusError("malformed gluing on (%d,%d)" % (t, f))
-                if perm_sign(p) != -1:
+                if PERM_SIGN[k] != -1:
                     raise CensusError(
                         "gluing permutation on (%d,%d) is even; table is "
                         "not coherently oriented" % (t, f))
@@ -120,62 +167,27 @@ class GluingTable:
                     raise CensusError("facet (%d,%d) glued to itself"
                                       % (t, f))
                 back_t, back_p = self.gluings[t2][f2]
-                if back_t != t or compose(back_p, p) != (0, 1, 2, 3):
-                    raise CensusError(
-                        "gluings on (%d,%d) and (%d,%d) are not inverse"
-                        % (t, f, t2, f2))
-
-    def _build_faces(self):
-        self.face_index = {}
-        self.faces = []
-        for t in range(self.n_tet):
-            for f in range(4):
-                if (t, f) in self.face_index:
+                if back_t != t or \
+                        PERM_INDEX.get(tuple(back_p)) != PERM_INVERSE[k]:
+                    if back_t != t or compose(back_p, p) != (0, 1, 2, 3):
+                        raise CensusError(
+                            "gluings on (%d,%d) and (%d,%d) are not inverse"
+                            % (t, f, t2, f2))
+                    # back_p inverts p on 0..3 but is no permutation of
+                    # them: the partner fails its own check, in turn
                     continue
-                t2, p = self.gluings[t][f]
-                idx = len(self.faces)
-                self.face_index[(t, f)] = idx
-                self.face_index[(t2, p[f])] = idx
-                self.faces.append(((t, f), (t2, p[f])))
-        assert len(self.faces) == 2 * self.n_tet
-
-    def _build_edges(self):
-        uf = _UnionFind(6 * self.n_tet)
-        for t in range(self.n_tet):
-            for f in range(4):
-                t2, p = self.gluings[t][f]
-                for slot in range(6):
-                    if f in VERTEX_PAIRS[slot]:
-                        continue        # edge not on this facet
-                    uf.union(6 * t + slot, 6 * t2 + slot_image(p, slot))
-        self.edge_index, self.edges = self._classes_from_uf(
-            uf, 6 * self.n_tet, lambda x: (x // 6, x % 6))
-
-    def _build_vertices(self):
-        uf = _UnionFind(4 * self.n_tet)
-        for t in range(self.n_tet):
-            for f in range(4):
-                t2, p = self.gluings[t][f]
-                for v in range(4):
-                    if v == f:
-                        continue        # vertex not on this facet
-                    uf.union(4 * t + v, 4 * t2 + p[v])
-        self.vertex_index, self.vertices = self._classes_from_uf(
-            uf, 4 * self.n_tet, lambda x: (x // 4, x % 4))
-
-    @staticmethod
-    def _classes_from_uf(uf, size, unpack):
-        roots = {}
-        index = {}
-        classes = []
-        for x in range(size):
-            r = uf.find(x)
-            if r not in roots:
-                roots[r] = len(classes)
-                classes.append([])
-            index[unpack(x)] = roots[r]
-            classes[roots[r]].append(unpack(x))
-        return index, classes
+                face_index[(t, f)] = face_index[(t2, f2)] = len(faces)
+                faces.append(((t, f), (t2, f2)))
+                images = PERM_SLOT_IMAGES[k]
+                edge_pairs += [(6 * t + s, 6 * t2 + images[s])
+                               for s in FACE_SLOTS[f]]
+                vertex_pairs += [(4 * t + v, 4 * t2 + p[v])
+                                 for v in FACE_VERTICES[f]]
+        assert len(faces) == 2 * n
+        self.face_index = face_index
+        self.faces = faces
+        self.edge_index, self.edges = _classes(6 * n, edge_pairs, 6)
+        self.vertex_index, self.vertices = _classes(4 * n, vertex_pairs, 4)
 
     def glue(self, t, f):
         return self.gluings[t][f]
@@ -256,21 +268,22 @@ def decode_isosig(sig):
                     raise CensusError("too many tetrahedra in signature")
                 t2 = created
                 created += 1
-                p = (0, 1, 2, 3)
+                k = 0               # the identity
             else:
                 t2 = dests[explicit]
-                p = ISOSIG_PERMS[perm_indices[explicit]]
+                k = perm_indices[explicit]
                 explicit += 1
                 if t2 >= created:
                     raise CensusError("gluing destination %d not yet seen"
                                       % t2)
+            p = ISOSIG_PERMS[k]
             f2 = p[f]
             if (t2, f2) == (t, f):
                 raise CensusError("facet glued to itself")
             if gluings[t2][f2] is not None:
                 raise CensusError("facet (%d,%d) glued twice" % (t2, f2))
             gluings[t][f] = (t2, p)
-            gluings[t2][f2] = (t, invert(p))
+            gluings[t2][f2] = (t, ISOSIG_PERMS[PERM_INVERSE[k]])
     if event != len(types) or created != n:
         raise CensusError("signature does not describe a closed gluing "
                           "of %d tetrahedra" % n)
@@ -297,26 +310,26 @@ def _orient_all_odd(gluings):
         for f in range(4):
             t2, p = gluings[t][f]
             # an odd gluing joins coherently oriented tetrahedra
-            want = -parity[t] * perm_sign(p)
+            want = -parity[t] * PERM_SIGN[PERM_INDEX[p]]
             if t2 not in parity:
                 parity[t2] = want
                 queue.append(t2)
             elif parity[t2] != want:
                 raise CensusError("triangulation is non-orientable")
-    swap23 = (0, 1, 3, 2)
+    swap23 = PERM_INDEX[(0, 1, 3, 2)]
     relabelled = [parity[t] < 0 for t in range(n)]
     if not any(relabelled):
         return relabelled
     new = [[None] * 4 for _ in range(n)]
     for t in range(n):
-        rt = swap23 if relabelled[t] else (0, 1, 2, 3)
+        rt = swap23 if relabelled[t] else 0
         for f in range(4):
             t2, p = gluings[t][f]
-            rt2 = swap23 if relabelled[t2] else (0, 1, 2, 3)
+            rt2 = swap23 if relabelled[t2] else 0
             # conjugate: relabelled source label -> original -> original
             # target -> relabelled target (swap23 is its own inverse)
-            new_p = compose(rt2, compose(p, rt))
-            new[t][rt[f]] = (t2, new_p)
+            k = PERM_COMPOSE[rt2][PERM_COMPOSE[PERM_INDEX[p]][rt]]
+            new[t][ISOSIG_PERMS[rt][f]] = (t2, ISOSIG_PERMS[k])
     for t in range(n):
         gluings[t][:] = new[t]
     return relabelled

@@ -1,7 +1,8 @@
 """Command-line interface: compute invariants of one census entry, fill
 cusps, or run a batch over a census file.
 
-Exit codes: 0 success, 1 input error, 2 internal assertion failure.
+Exit codes: 0 success, 1 input error, 2 internal assertion failure (in
+``batch``: any entry with an internal error).
 Batch output is JSONL in input order, independent of the worker count.
 """
 
@@ -120,6 +121,10 @@ def cmd_fill(args):
 
 
 def _batch_worker(job):
+    """The record of one batch entry.  Bad input gives an ``error``
+    record; a failed internal check, or any other exception from the
+    library, gives an ``internal_error`` record, so the rest of the batch
+    still runs.  ``compute`` on the signature shows the traceback."""
     sig, verify = job
     try:
         return entry_record(sig, with_polynomials=verify)
@@ -127,6 +132,9 @@ def _batch_worker(job):
         return {"sig": sig, "error": str(exc)}
     except AssertionError as exc:
         return {"sig": sig, "internal_error": str(exc)}
+    except Exception as exc:
+        return {"sig": sig,
+                "internal_error": "%s: %s" % (type(exc).__name__, exc)}
 
 
 def _count_record(summary, rec, verify):

@@ -11,7 +11,10 @@ Matrices are plain lists of rows of Python ints (arbitrary precision).
 
 
 def int_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def int_matmul(A, B):
@@ -83,6 +86,10 @@ def smith_normal_form(A, ncols=None):
     is smaller and a later one of equal size never displaces it.  The
     divisibility-chain scan is skipped for a pivot of +-1, which divides
     every integer, so the scan could find no offending row.
+
+    Under ``__debug__`` the result is checked exactly by ``_check_snf``:
+    D diagonal, U * A = D * Vinv, U * Uinv = I, V * Vinv = I and the
+    divisibility chain.
     """
     m = len(A)
     n = len(A[0]) if m else (0 if ncols is None else ncols)
@@ -211,14 +218,38 @@ def smith_normal_form(A, ncols=None):
 
     diag = [D[i][i] for i in range(limit)]
     rank = sum(1 for d in diag if d)
+    res = SNFResult(m, n, diag, rank, U, Uinv, V, Vinv)
     if __debug__:
-        UAV = int_matmul(int_matmul(U, [list(r) for r in A]), V)
-        assert UAV == D, "SNF transform mismatch"
-        assert int_matmul(U, Uinv) == int_identity(m)
-        assert int_matmul(V, Vinv) == int_identity(n)
-        for i in range(rank - 1):
-            assert diag[i + 1] % diag[i] == 0, "SNF divisibility chain broken"
-    return SNFResult(m, n, diag, rank, U, Uinv, V, Vinv)
+        _check_snf(A, D, res)
+    return res
+
+
+def _is_identity(M):
+    return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+               for i, row in enumerate(M))
+
+
+def _check_snf(A, D, res):
+    """Assert that res is a Smith normal form of A reached at D.
+
+    D must be diagonal, and U * A = D * Vinv, whose row i is diag[i]
+    times row i of Vinv (zero past the diagonal), together with
+    U * Uinv = I and V * Vinv = I.  As V * Vinv = I, U * A = D * Vinv
+    holds exactly when U * A * V = D, so this is the same check as
+    re-multiplying U * A * V, with one product fewer.
+    """
+    for i, row in enumerate(D):
+        assert not any(row[:i]) and not any(row[i + 1:]), \
+            "SNF result is not diagonal"
+    diag = res.diag
+    for i, row in enumerate(int_matmul(res.U, A)):
+        want = [diag[i] * x for x in res.Vinv[i]] if i < len(diag) \
+            else [0] * res.n
+        assert row == want, "SNF transform mismatch"
+    assert _is_identity(int_matmul(res.U, res.Uinv)), "U * Uinv != I"
+    assert _is_identity(int_matmul(res.V, res.Vinv)), "V * Vinv != I"
+    for i in range(res.rank - 1):
+        assert diag[i + 1] % diag[i] == 0, "SNF divisibility chain broken"
 
 
 class AbelianQuotient:
@@ -355,37 +386,47 @@ def dual_spanning_tree(n_tets, face_ends, face_priority=None):
     return tree_faces, parent
 
 
-def _path_to_root(t, parent, n_faces):
-    """Signed face vector of the tree walk from t to the root."""
-    vec = [0] * n_faces
-    while parent[t] is not None:
-        pt, f, sign = parent[t]
-        # parent -> t crosses with `sign`; we walk t -> parent
-        vec[f] -= sign
-        t = pt
-    return vec
-
-
 def face_cocycle(h1, face_ends, tree_faces, parent):
     """Free H1 class of the fundamental cycle of each non-tree face.
 
     Tree faces get the zero class.  For any face-space cycle z we then
     have class_free(z) = sum_f c[f] * z[f], which is what turns local
     crossing data into group-ring exponents.
+
+    The fundamental cycle of a non-tree face f with ends (b, a) is
+    z_f = e_f + p(a) - p(b), where p(t) is the signed face vector of the
+    tree walk from t to the root.  Its class is L(z_f) for the linear map
+    L(z) = ((Vinv z)[:rho], U_free (Vinv z)[rho:]): the first rho entries
+    are zero exactly when z is a cycle, and the rest are class_free(z).
+    Each column L(e_f) is taken once; the potentials phi(t) = L(p(t))
+    follow ``parent`` from the root (phi(root) = 0, and a step parent ->
+    t crossing face g with ``sign`` gives phi(t) = phi(parent) - sign *
+    L(e_g)), so c[f] = L(e_f) + phi(a) - phi(b).  By linearity these are
+    the integers class_free(z_f) gives, and a z_f that is not a cycle
+    raises the same ValueError.  ``parent`` is as ``dual_spanning_tree``
+    returns it: each tetrahedron comes after its parent.
     """
-    n_faces = h1.n_faces
-    rank = h1.rank
-    zero = (0,) * rank
+    snf1 = h1.snf1
+    rho = snf1.rank
+    quot = h1.quot
+    free_rows = [quot.snf.U[i] for i in quot.free_positions]
+    L = snf1.Vinv[:rho] + int_matmul(free_rows, snf1.Vinv[rho:])
+    columns = list(zip(*L)) or [()] * h1.n_faces
+    phi = {}
+    for t, step in parent.items():
+        if step is None:
+            phi[t] = [0] * len(L)
+        else:
+            pt, g, sign = step
+            phi[t] = [x - sign * y for x, y in zip(phi[pt], columns[g])]
+    zero = (0,) * h1.rank
     c = []
     for f, (b, a) in enumerate(face_ends):
         if f in tree_faces:
             c.append(zero)
             continue
-        z = [0] * n_faces
-        z[f] += 1
-        pa = _path_to_root(a, parent, n_faces)
-        pb = _path_to_root(b, parent, n_faces)
-        for i in range(n_faces):
-            z[i] += pa[i] - pb[i]
-        c.append(h1.cycle_class_free(z))
+        v = [x + y - z for x, y, z in zip(columns[f], phi[a], phi[b])]
+        if any(v[:rho]):
+            raise ValueError("vector is not a cycle")
+        c.append(tuple(v[rho:]))
     return c

@@ -12,14 +12,10 @@ track orients the face's three edges as source -> sink along the large
 edge with the apex as a pass-through vertex.
 """
 
-from .census_io import (CensusError, GluingTable, OPPOSITE_SLOT, PI_SLOTS,
-                        SLOT_OF_PAIR, TautStructure, VERTEX_PAIRS, invert,
-                        slot_image)
+from .census_io import (CensusError, FACE_SLOTS, GluingTable, OPPOSITE_SLOT,
+                        PI_SLOTS, SLOT_OF_PAIR, TautStructure, VERTEX_PAIRS,
+                        invert, slot_image)
 from .homology import H1Data
-
-# the three edge slots lying on each facet
-FACE_SLOTS = tuple(tuple(s for s in range(6)
-                         if fs not in VERTEX_PAIRS[s]) for fs in range(4))
 
 
 def _slot(a, b):

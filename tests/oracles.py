@@ -3,12 +3,16 @@
 Everything here is deliberately naive: cofactor determinants, exhaustive
 minor enumeration, rational row reduction, and a small Fox-calculus engine
 for two-generator one-relator groups.  None of it shares code paths with the
-package's production pipeline, except ``all_columns_fitting_gcd``.
+package's production pipeline, except ``all_columns_fitting_gcd``.  The
+earlier gluing-table builder and dense face cocycle are kept here too; they
+use the package's permutation helpers and ``H1Data.cycle_class_free``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from veerpoly.census_io import (CensusError, VERTEX_PAIRS, compose,
+                                perm_sign, slot_image)
 from veerpoly.invariants import fitting_gcd
 from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
 
@@ -351,3 +355,141 @@ def vertex_classes_bfs(table):
             classes.append(sorted(comp))
     classes.sort()
     return classes
+
+
+class TwoSidedGluingTable:
+    """The earlier GluingTable builder, kept as an oracle: every facet is
+    checked on its own, with perm_sign and compose, and every face gluing
+    is walked from both sides, one union-find union per edge and per
+    vertex on each side.  Gives the same faces, edges and vertices (and
+    the same first CensusError) as ``census_io.GluingTable``."""
+
+    def __init__(self, gluings):
+        self.n_tet = len(gluings)
+        if self.n_tet == 0:
+            raise CensusError("empty triangulation")
+        self.gluings = [list(row) for row in gluings]
+        self._validate()
+        self._build_faces()
+        self._build_edges()
+        self._build_vertices()
+
+    def _validate(self):
+        for t, row in enumerate(self.gluings):
+            if len(row) != 4:
+                raise CensusError("tetrahedron %d does not have 4 gluings"
+                                  % t)
+            for f, entry in enumerate(row):
+                if entry is None:
+                    raise CensusError("boundary faces are not supported")
+                t2, p = entry
+                if not (0 <= t2 < self.n_tet) or sorted(p) != [0, 1, 2, 3]:
+                    raise CensusError("malformed gluing on (%d,%d)" % (t, f))
+                if perm_sign(p) != -1:
+                    raise CensusError(
+                        "gluing permutation on (%d,%d) is even; table is "
+                        "not coherently oriented" % (t, f))
+                f2 = p[f]
+                if (t2, f2) == (t, f):
+                    raise CensusError("facet (%d,%d) glued to itself"
+                                      % (t, f))
+                back_t, back_p = self.gluings[t2][f2]
+                if back_t != t or compose(back_p, p) != (0, 1, 2, 3):
+                    raise CensusError(
+                        "gluings on (%d,%d) and (%d,%d) are not inverse"
+                        % (t, f, t2, f2))
+
+    def _build_faces(self):
+        self.face_index = {}
+        self.faces = []
+        for t in range(self.n_tet):
+            for f in range(4):
+                if (t, f) in self.face_index:
+                    continue
+                t2, p = self.gluings[t][f]
+                idx = len(self.faces)
+                self.face_index[(t, f)] = idx
+                self.face_index[(t2, p[f])] = idx
+                self.faces.append(((t, f), (t2, p[f])))
+
+    def _build_edges(self):
+        uf = _UnionFind(6 * self.n_tet)
+        for t in range(self.n_tet):
+            for f in range(4):
+                t2, p = self.gluings[t][f]
+                for slot in range(6):
+                    if f not in VERTEX_PAIRS[slot]:
+                        uf.union(6 * t + slot, 6 * t2 + slot_image(p, slot))
+        self.edge_index, self.edges = uf.classes(6)
+
+    def _build_vertices(self):
+        uf = _UnionFind(4 * self.n_tet)
+        for t in range(self.n_tet):
+            for f in range(4):
+                t2, p = self.gluings[t][f]
+                for v in range(4):
+                    if v != f:
+                        uf.union(4 * t + v, 4 * t2 + p[v])
+        self.vertex_index, self.vertices = uf.classes(4)
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+    def classes(self, width):
+        """(index, classes) with classes in order of first member."""
+        roots = {}
+        index = {}
+        classes = []
+        for x in range(len(self.parent)):
+            r = self.find(x)
+            if r not in roots:
+                roots[r] = len(classes)
+                classes.append([])
+            key = (x // width, x % width)
+            index[key] = roots[r]
+            classes[roots[r]].append(key)
+        return index, classes
+
+
+def _path_to_root(t, parent, n_faces):
+    """Signed face vector of the tree walk from t to the root."""
+    vec = [0] * n_faces
+    while parent[t] is not None:
+        pt, f, sign = parent[t]
+        # parent -> t crosses with `sign`; we walk t -> parent
+        vec[f] -= sign
+        t = pt
+    return vec
+
+
+def dense_face_cocycle(h1, face_ends, tree_faces, parent):
+    """The earlier face cocycle, kept as an oracle: for each non-tree
+    face, the dense fundamental cycle e_f + path(a) - path(b) and its
+    class by ``h1.cycle_class_free``."""
+    n_faces = h1.n_faces
+    zero = (0,) * h1.rank
+    c = []
+    for f, (b, a) in enumerate(face_ends):
+        if f in tree_faces:
+            c.append(zero)
+            continue
+        z = [0] * n_faces
+        z[f] += 1
+        pa = _path_to_root(a, parent, n_faces)
+        pb = _path_to_root(b, parent, n_faces)
+        for i in range(n_faces):
+            z[i] += pa[i] - pb[i]
+        c.append(h1.cycle_class_free(z))
+    return c

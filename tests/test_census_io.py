@@ -1,14 +1,20 @@
 import itertools
 import os
+import random
 
 import pytest
 
-from veerpoly.census_io import (CensusError, ISOSIG_PERMS, OPPOSITE_SLOT,
-                                PI_SLOTS, VERTEX_PAIRS, compose, decode_isosig,
-                                invert, parse_taut_sig, perm_sign, slot_image)
+from veerpoly.census_io import (CensusError, GluingTable, ISOSIG_PERMS,
+                                OPPOSITE_SLOT, PI_SLOTS, VERTEX_PAIRS, compose,
+                                decode_isosig, invert, parse_taut_sig,
+                                perm_sign, slot_image)
+from veerpoly.invariants import Analysis
+from veerpoly.taut import build_double_cover
 from bundles import bundle_sig, encode_isosig
+from oracles import TwoSidedGluingTable
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
+FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 
 
 # -- permutation helpers ------------------------------------------------------
@@ -136,3 +142,104 @@ def test_sample_census_parses():
     for line in lines:
         ts = parse_taut_sig(line)
         assert len(ts.table.edges) == ts.table.n_tet
+
+
+# -- gluing tables against the two-sided builder -------------------------------
+
+TABLE_ATTRS = ("faces", "face_index", "edges", "edge_index", "vertices",
+               "vertex_index")
+
+
+def build_outcome(builder, gluings):
+    """What a builder makes of a table: its classes, its CensusError
+    message, or the type of any other exception."""
+    try:
+        table = builder(gluings)
+    except CensusError as exc:
+        return "error", str(exc)
+    except Exception as exc:
+        return "raises", type(exc)
+    return "ok", tuple(getattr(table, attr) for attr in TABLE_ATTRS)
+
+
+def with_list_perms(gluings):
+    return [[entry if entry is None else (entry[0], list(entry[1]))
+             for entry in row] for row in gluings]
+
+
+def assert_same_table(gluings):
+    want = build_outcome(TwoSidedGluingTable, gluings)
+    assert want[0] == "ok"
+    assert build_outcome(GluingTable, gluings) == want
+    assert build_outcome(GluingTable, with_list_perms(gluings)) == want
+
+
+def bundle_words(rng, sizes):
+    for n in sizes:
+        for eps in (1, -1):
+            word = "RL" + "".join(rng.choice("RL") for _ in range(n - 2))
+            yield "".join(rng.sample(word, n)), eps
+
+
+def test_gluing_table_matches_two_sided_builder():
+    # every sample entry (the 14-tet entry among them) and its
+    # edge-orientation double cover, connected or not, and bundles of
+    # up to 32 tetrahedra with theirs
+    rng = random.Random(307)
+    with open(DATA) as fh:
+        sigs = [ln.strip() for ln in fh
+                if ln.strip() and not ln.startswith("#")]
+    assert FOURTEEN in sigs
+    sigs += [bundle_sig(word, eps)
+             for word, eps in bundle_words(rng, (4, 9, 16, 23, 32))]
+    for sig in sigs:
+        ts = parse_taut_sig(sig)
+        assert_same_table(ts.table.gluings)
+        analysis = Analysis(ts)
+        cover, _ = build_double_cover(ts, analysis.coor, analysis.eo.beta)
+        assert_same_table(cover.table.gluings)
+
+
+def single_entry_mutations(gluings):
+    """Every table that differs from gluings in one entry or one row
+    length: each destination (one out of range on each side) with each
+    of the 24 permutations, non-permutations, the inverse padded with an
+    extra label, an unglued facet, and rows one entry short or long."""
+    n = len(gluings)
+    for t in range(n):
+        for f in range(4):
+            t2, p = gluings[t][f]
+            entries = [(d, q) for d in range(-1, n + 1) for q in ISOSIG_PERMS]
+            entries += [(t2, q) for q in ((0, 1, 2, 2), (0, 1, 2),
+                                          tuple(p) + (4,), (3, 2, 1, 0, 4))]
+            entries.append(None)
+            for entry in entries:
+                table = [list(row) for row in gluings]
+                table[t][f] = entry
+                yield table
+        yield [row if s != t else row[:3] for s, row in enumerate(gluings)]
+        yield [row if s != t else row + [row[0]]
+               for s, row in enumerate(gluings)]
+
+
+@pytest.mark.parametrize("sig", ["cPcbbbdxm_10", "cPcbbbiht_12",
+                                 "dLQbcccxxfo_100"])
+def test_malformed_gluing_tables_raise_as_two_sided_builder(sig):
+    # the first failure of the one-pass check must be the one the
+    # two-sided builder reports, message for message, with tuple- or
+    # list-typed permutations
+    messages = set()
+    gluings = parse_taut_sig(sig).table.gluings
+    for table in single_entry_mutations(gluings):
+        want = build_outcome(TwoSidedGluingTable, table)
+        assert build_outcome(GluingTable, table) == want
+        assert build_outcome(GluingTable, with_list_perms(table)) == want
+        if want[0] == "error":
+            messages.add(want[1])
+    assert build_outcome(GluingTable, []) == \
+        build_outcome(TwoSidedGluingTable, []) == \
+        ("error", "empty triangulation")
+    for kind in ("does not have 4 gluings", "boundary faces",
+                 "malformed gluing", "is even", "glued to itself",
+                 "are not inverse"):
+        assert any(kind in msg for msg in messages), kind

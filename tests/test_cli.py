@@ -189,32 +189,41 @@ def test_batch_output_identical_across_worker_counts(capsys, tmp_path,
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_batch_keeps_other_records_after_internal_error(capsys, tmp_path,
                                                         monkeypatch, jobs):
+    # a failed assertion, or any other exception out of the library (the
+    # ValueError of a broken cycle check, a ZeroDivisionError in the
+    # Laurent arithmetic), loses one record, not the batch
     sigs = [M003, bundle_sig("RLL", -1), TWO_TET_EO, bundle_sig("RRL", 1)]
     census = tmp_path / "census.txt"
     write_census(census, sigs)
     good = tmp_path / "good.jsonl"
     rc, _, _ = run_cli(capsys, "batch", str(census), "--out", str(good))
     assert rc == 0
-    real = cli.entry_record
-
-    def failing(sig, with_polynomials=True):
-        if sig == TWO_TET_EO:
-            raise AssertionError("injected")
-        return real(sig, with_polynomials=with_polynomials)
-
-    monkeypatch.setattr(cli, "entry_record", failing)
-    rc, out, err = run_cli(capsys, "batch", str(census), "--jobs", jobs)
-    assert rc == 2
-    lines = out.splitlines()
-    assert [json.loads(ln)["sig"] for ln in lines] == sigs
-    assert json.loads(lines[2]) == {"sig": TWO_TET_EO,
-                                    "internal_error": "injected"}
-    # every other record is written, byte for byte as without the fault
     want = good.read_text().splitlines()
-    assert lines[:2] + lines[3:] == want[:2] + want[3:]
-    summary = parse_summary(err)
-    assert summary["total"] == 4 and summary["internal_errors"] == 1
-    assert summary["errors"] == 0
+    real = cli.entry_record
+    for exc, record in [
+            (AssertionError("injected"), "injected"),
+            (ValueError("vector is not a cycle"),
+             "ValueError: vector is not a cycle"),
+            (ZeroDivisionError("integer division or modulo by zero"),
+             "ZeroDivisionError: integer division or modulo by zero")]:
+
+        def failing(sig, with_polynomials=True):
+            if sig == TWO_TET_EO:
+                raise exc
+            return real(sig, with_polynomials=with_polynomials)
+
+        monkeypatch.setattr(cli, "entry_record", failing)
+        rc, out, err = run_cli(capsys, "batch", str(census), "--jobs", jobs)
+        assert rc == 2
+        lines = out.splitlines()
+        assert [json.loads(ln)["sig"] for ln in lines] == sigs
+        assert json.loads(lines[2]) == {"sig": TWO_TET_EO,
+                                        "internal_error": record}
+        # every other record is written, byte for byte as without the fault
+        assert lines[:2] + lines[3:] == want[:2] + want[3:]
+        summary = parse_summary(err)
+        assert summary["total"] == 4 and summary["internal_errors"] == 1
+        assert summary["errors"] == 0
 
 
 @pytest.mark.parametrize("argv, env", [

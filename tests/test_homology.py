@@ -1,16 +1,23 @@
+import os
 import random
+
+import pytest
 
 from veerpoly import homology
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.filling import vertex_links
-from veerpoly.homology import (AbelianQuotient, H1Data, dual_spanning_tree,
-                               face_cocycle, int_identity, int_matmul,
-                               int_matvec, smith_normal_form)
+from veerpoly.homology import (AbelianQuotient, H1Data, SNFResult,
+                               dual_spanning_tree, face_cocycle, int_identity,
+                               int_matmul, int_matvec, smith_normal_form)
 from veerpoly.invariants import Analysis
+from veerpoly.taut import build_double_cover
 from bundles import bundle_sig
-from oracles import (abelian_group_from_relations, dense_int_matvec,
-                     dense_kernel_to_cycle, full_scan_snf, naive_int_matmul,
-                     rational_rank)
+from oracles import (abelian_group_from_relations, dense_face_cocycle,
+                     dense_int_matvec, dense_kernel_to_cycle, full_scan_snf,
+                     naive_int_matmul, rational_rank)
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
+FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9, density=0.8):
@@ -73,6 +80,81 @@ def test_snf_random_properties():
         assert all(d >= 0 for d in res.diag)
         for i in range(res.rank - 1):
             assert res.diag[i + 1] % res.diag[i] == 0
+
+
+def snf_parts(res):
+    """Copies of (U, Uinv, V, Vinv) of an SNFResult, to corrupt."""
+    return [[list(row) for row in M] for M in (res.U, res.Uinv, res.V,
+                                               res.Vinv)]
+
+
+def with_parts(res, U, Uinv, V, Vinv):
+    return SNFResult(res.m, res.n, res.diag, res.rank, U, Uinv, V, Vinv)
+
+
+def diagonal_matrix(res):
+    return [[res.diag[i] if i == j else 0 for j in range(res.n)]
+            for i in range(res.m)]
+
+
+def test_snf_check_accepts_every_result():
+    rng = random.Random(251)
+    cases = [([], 3), ([[], []], 0), ([[0, 0], [0, 0], [0, 0]], None)]
+    cases += [(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)),
+               None) for _ in range(60)]
+    for A, ncols in cases:
+        res = smith_normal_form(A, ncols=ncols)
+        homology._check_snf(A, diagonal_matrix(res), res)
+
+
+def test_snf_check_rejects_corrupted_results():
+    # each corruption alone must fail the check: a changed entry of U,
+    # Uinv, V or Vinv; U and Uinv (or V and Vinv) changed together so
+    # that both stay inverse pairs, which only U * A = D * Vinv sees;
+    # and a nonzero off-diagonal entry of D
+    rng = random.Random(257)
+    seen = set()
+    for _ in range(40):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        A = random_matrix(rng, m, n)
+        res = smith_normal_form(A)
+        D = diagonal_matrix(res)
+        for which in range(4):
+            parts = snf_parts(res)
+            M = parts[which]
+            M[rng.randrange(len(M))][rng.randrange(len(M))] += \
+                rng.choice((1, -1, 2))
+            with pytest.raises(AssertionError) as err:
+                homology._check_snf(A, D, with_parts(res, *parts))
+            seen.add(str(err.value))
+        # row_i += c * row_j on U is undone by col_j -= c * col_i on Uinv
+        for left in (True, False):
+            U, Uinv, V, Vinv = snf_parts(res)
+            size = m if left else n
+            i, j = rng.sample(range(size), 2)
+            c = rng.choice((1, -1, 3))
+            if left:
+                U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+                for row in Uinv:
+                    row[j] -= c * row[i]
+            else:
+                for row in V:
+                    row[j] += c * row[i]
+                Vinv[i] = [a - c * b for a, b in zip(Vinv[i], Vinv[j])]
+            assert int_matmul(U, Uinv) == int_identity(m)
+            assert int_matmul(V, Vinv) == int_identity(n)
+            if int_matmul(int_matmul(U, A), V) == D:
+                continue        # the change happened to keep U * A * V
+            with pytest.raises(AssertionError, match="transform mismatch"):
+                homology._check_snf(A, D, with_parts(res, U, Uinv, V, Vinv))
+            seen.add("SNF transform mismatch")
+        i, j = rng.sample(range(min(m, n)), 2)
+        bad = [list(row) for row in D]
+        bad[i][j] = rng.choice((1, -2))
+        with pytest.raises(AssertionError, match="not diagonal"):
+            homology._check_snf(A, bad, res)
+    assert seen >= {"SNF transform mismatch", "U * Uinv != I",
+                    "V * Vinv != I"}
 
 
 def test_int_matmul_matches_naive_product():
@@ -257,6 +339,7 @@ def test_face_cocycle_reproduces_cycle_classes():
         tree, parent = dual_spanning_tree(n_tets, face_ends)
         assert len(tree) == n_tets - 1
         c = face_cocycle(h1, face_ends, tree, parent)
+        assert c == dense_face_cocycle(h1, face_ends, tree, parent)
         # sample random cycles as integer combinations of the kernel basis
         rho = h1.snf1.rank
         V = h1.snf1.V
@@ -270,3 +353,68 @@ def test_face_cocycle_reproduces_cycle_classes():
                 for i in range(h1.rank):
                     summed[i] += c[f][i] * z[f]
             assert tuple(summed) == direct
+
+
+def sample_sigs():
+    with open(DATA) as fh:
+        return [ln.strip() for ln in fh
+                if ln.strip() and not ln.startswith("#")]
+
+
+def assert_cocycle_matches_dense(analysis):
+    want = dense_face_cocycle(analysis.h1, analysis.face_ends, analysis.tree,
+                              analysis.parent)
+    assert analysis.cocycle == want
+    assert face_cocycle(analysis.h1, analysis.face_ends, analysis.tree,
+                        analysis.parent) == want
+
+
+def z2_characters(analysis):
+    """0/1 face cochains of nonzero characters H1 -> Z/2: each free
+    coordinate of the cocycle mod 2, and the edge-orientation
+    character."""
+    chars = [[c[i] % 2 for c in analysis.cocycle]
+             for i in range(analysis.h1.rank)]
+    if not analysis.eo.edge_orientable:
+        chars.append(analysis.eo.beta)
+    return chars
+
+
+def test_face_cocycle_matches_dense_route_on_sample_and_covers():
+    # every sample entry, the b1 = 2 14-tet entry among them, with the
+    # trees of two other face priorities, and each connected Z/2 cover
+    # of the entry
+    sigs = sample_sigs()
+    assert FOURTEEN in sigs
+    covers = 0
+    for sig in sigs:
+        ts = parse_taut_sig(sig)
+        analysis = Analysis(ts)
+        assert_cocycle_matches_dense(analysis)
+        n_faces = len(ts.table.faces)
+        for priority in (list(reversed(range(n_faces))),
+                         [(7 * f) % n_faces for f in range(n_faces)]):
+            assert_cocycle_matches_dense(
+                Analysis(ts, face_priority=priority))
+        for beta in z2_characters(analysis):
+            cover, connected = build_double_cover(ts, analysis.coor, beta)
+            if connected:
+                assert_cocycle_matches_dense(Analysis(cover))
+                covers += 1
+    assert covers > 300
+
+
+def test_face_cocycle_rejects_a_flipped_tree_sign():
+    # flipping the sign of one tree step breaks the fundamental cycle of
+    # every non-tree face with one end below that step
+    for sig in ("cPcbbbdxm_10", bundle_sig("RRLRL", -1), FOURTEEN):
+        a = Analysis(parse_taut_sig(sig))
+        for t, step in a.parent.items():
+            if step is None:
+                continue
+            pt, g, sign = step
+            parent = dict(a.parent)
+            parent[t] = (pt, g, -sign)
+            for route in (face_cocycle, dense_face_cocycle):
+                with pytest.raises(ValueError, match="not a cycle"):
+                    route(a.h1, a.face_ends, a.tree, parent)

@@ -2,7 +2,7 @@ import os
 import random
 
 from veerpoly.census_io import (GluingTable, TautStructure, VERTEX_PAIRS,
-                                parse_taut_sig)
+                                parse_taut_sig, perm_sign)
 from veerpoly.invariants import (Analysis, build_alexander_matrix,
                                  build_taut_matrix, cover_pushforward,
                                  fitting_gcd, unit_pivot_reduce,
@@ -11,9 +11,9 @@ from veerpoly.laurent import (LaurentMatrix, LaurentPoly, normalize_unit,
                               specialize)
 from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
-from oracles import (all_columns_fitting_gcd, dense_unit_pivot_reduce,
-                     exhaustive_fitting_gcd, fox_alexander_polynomial,
-                     tetrahedron_relation_sums)
+from oracles import (TwoSidedGluingTable, all_columns_fitting_gcd,
+                     dense_unit_pivot_reduce, exhaustive_fitting_gcd,
+                     fox_alexander_polynomial, tetrahedron_relation_sums)
 
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
@@ -393,6 +393,27 @@ def test_polynomials_invariant_under_relabelling():
             moved = Analysis(permuted_structure(ts, perm, relabels))
             assert same_up_to_unit_and_inversion(base.theta, moved.theta)
             assert same_up_to_unit_and_inversion(base.delta, moved.delta)
+
+
+def test_relabelled_tables_match_two_sided_builder():
+    # relabelled tables list their tetrahedra and vertices in another
+    # order, so their unions come in another order too
+    rng = random.Random(229)
+    perms = list(__import__("itertools").permutations(range(4)))
+    for word, eps in (("RL", -1), ("RRL", 1), ("RLLR", -1), ("RLRLL", 1),
+                      ("RRLRLLRLRRLL", -1)):
+        ts = parse_taut_sig(bundle_sig(word, eps))
+        n = ts.table.n_tet
+        for parity in (1, -1, 1, -1):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            same = [p for p in perms if perm_sign(p) == parity]
+            relabels = [rng.choice(same) for _ in range(n)]
+            table = permuted_structure(ts, perm, relabels).table
+            oracle = TwoSidedGluingTable(table.gluings)
+            for attr in ("faces", "face_index", "edges", "edge_index",
+                         "vertices", "vertex_index"):
+                assert getattr(table, attr) == getattr(oracle, attr), attr
 
 
 def test_polynomials_invariant_under_internal_choices():

@@ -1,10 +1,12 @@
 """One Analysis per entry: records replayed against the benchmark's
-reference outputs, counts of the expensive stages an entry runs, the
-shape of every matrix the Fitting gcd sees, and a check that every
-function the benchmark traces is still called."""
+reference outputs, with and without the __debug__ checks, counts of the
+expensive stages an entry runs, the shape of every matrix the Fitting
+gcd sees, and a check that every function the benchmark traces is still
+called."""
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -46,6 +48,42 @@ def test_fill_records_match_reference(capsys):
         slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
         assert main(["fill", rec["sig"], "--slopes", slopes]) == 0
         assert capsys.readouterr().out == line + "\n", rec["sig"]
+
+
+# Prints the records of the census_scan and fill_bundles references, as
+# batch and fill write them, from an interpreter whose __debug__ is off.
+OPTIMIZED_REPLAY = """
+import json, sys
+from veerpoly.cli import entry_record, main
+if __debug__:
+    sys.exit("expected python -O")
+scan, fill = sys.argv[1:]
+with open(scan) as fh:
+    for line in fh:
+        rec = entry_record(json.loads(line)["sig"], with_polynomials=False)
+        print(json.dumps(rec, sort_keys=True))
+with open(fill) as fh:
+    for line in fh:
+        rec = json.loads(line)
+        slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
+        main(["fill", rec["sig"], "--slopes", slopes])
+"""
+
+
+def test_records_are_the_same_under_python_O():
+    # the __debug__ checks (SNF transforms, d1 * d2 = 0, tetrahedron
+    # relations) must not change any output they guard
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_REPLAY,
+         os.path.join(REFERENCE, "census_scan.jsonl"),
+         os.path.join(REFERENCE, "fill_bundles.jsonl")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    want = reference_lines("census_scan") + reference_lines("fill_bundles")
+    assert out.stdout.splitlines() == want
 
 
 def count_calls(monkeypatch, target):
