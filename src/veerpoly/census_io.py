@@ -122,12 +122,14 @@ class GluingTable:
     the permutation p (a tuple or list).  All facets must be glued, the
     pairing must be an involution, and all permutations must be odd.
 
-    The table is checked and built in one pass over the facets.  The
+    Every row's length, and that every facet is glued, is checked first;
+    the table is then checked and built in one pass over the facets.  The
     first facet of each glued pair, in (t, f) order, is checked in full:
-    it is glued, its permutation is an odd permutation, it is not glued
-    to itself, and its partner's gluing is its inverse.  Its partner then
-    passes every check too, so it is not checked again, and the first
-    failure raises the same CensusError as checking both sides would.
+    it is glued by a pair of a tetrahedron and an odd permutation of
+    0..3, not to itself, and its partner's gluing is its inverse.  Its
+    partner then passes every check too, so it is not checked again, and
+    the first failure raises the same CensusError as checking both sides
+    would.  Any malformed table raises CensusError.
     Each pair makes one face, numbered in order of its first facet, and
     one union of its three edges and of its three vertices.
     """
@@ -149,32 +151,33 @@ class GluingTable:
             if len(row) != 4:
                 raise CensusError("tetrahedron %d does not have 4 gluings"
                                   % t)
+            if None in row:
+                raise CensusError("boundary faces are not supported")
+        for t, row in enumerate(self.gluings):
             for f, entry in enumerate(row):
                 if (t, f) in face_index:
                     continue        # partner of a facet checked earlier
-                if entry is None:
-                    raise CensusError("boundary faces are not supported")
-                t2, p = entry
-                k = PERM_INDEX.get(tuple(p)) if 0 <= t2 < n else None
-                if k is None:
+                glued = _read_gluing(entry, n)
+                if glued is None:
                     raise CensusError("malformed gluing on (%d,%d)" % (t, f))
+                t2, k = glued
                 if PERM_SIGN[k] != -1:
                     raise CensusError(
                         "gluing permutation on (%d,%d) is even; table is "
                         "not coherently oriented" % (t, f))
+                p = ISOSIG_PERMS[k]
                 f2 = p[f]
                 if (t2, f2) == (t, f):
                     raise CensusError("facet (%d,%d) glued to itself"
                                       % (t, f))
-                back_t, back_p = self.gluings[t2][f2]
-                if back_t != t or \
-                        PERM_INDEX.get(tuple(back_p)) != PERM_INVERSE[k]:
-                    if back_t != t or compose(back_p, p) != (0, 1, 2, 3):
+                back = self.gluings[t2][f2]
+                if _read_gluing(back, n) != (t, PERM_INVERSE[k]):
+                    if not _undoes(back, t, p):
                         raise CensusError(
                             "gluings on (%d,%d) and (%d,%d) are not inverse"
                             % (t, f, t2, f2))
-                    # back_p inverts p on 0..3 but is no permutation of
-                    # them: the partner fails its own check, in turn
+                    # the partner inverts p on 0..3 but is no gluing:
+                    # it fails its own check, in turn
                     continue
                 face_index[(t, f)] = face_index[(t2, f2)] = len(faces)
                 faces.append(((t, f), (t2, f2)))
@@ -191,6 +194,28 @@ class GluingTable:
 
     def glue(self, t, f):
         return self.gluings[t][f]
+
+
+def _read_gluing(entry, n):
+    """(t2, index in ISOSIG_PERMS) of an entry (t2, p) with t2 in
+    range(n) and p a permutation of 0..3; None for any other entry."""
+    try:
+        t2, p = entry
+        k = PERM_INDEX.get(tuple(p))
+    except (TypeError, ValueError):
+        return None
+    if k is None or not isinstance(t2, int) or not 0 <= t2 < n:
+        return None
+    return t2, k
+
+
+def _undoes(entry, t, p):
+    """Whether an entry glues back to t by a map undoing p on 0..3."""
+    try:
+        back_t, back_p = entry
+        return back_t == t and compose(back_p, p) == (0, 1, 2, 3)
+    except (TypeError, ValueError, IndexError):
+        return False
 
 
 def decode_isosig(sig):
@@ -232,19 +257,12 @@ def decode_isosig(sig):
         consumed += 2
     pos = bits_pos + (len(types) + 2) // 3
 
+    # n <= 62, so each destination is one character
     n_explicit = sum(1 for ty in types if ty == 2)
-    width = 1
-    while 64 ** width - 1 < n - 1:
-        width += 1
-    need = n_explicit * width + n_explicit
-    if len(vals) - pos != need:
+    if len(vals) - pos != 2 * n_explicit:
         raise CensusError("signature has wrong length")
-    dests = []
-    for i in range(n_explicit):
-        chunk = vals[pos + i * width: pos + (i + 1) * width]
-        dests.append(sum(c * 64 ** j for j, c in enumerate(chunk)))
-    pos += n_explicit * width
-    perm_indices = vals[pos: pos + n_explicit]
+    dests = vals[pos: pos + n_explicit]
+    perm_indices = vals[pos + n_explicit:]
     for pi in perm_indices:
         if pi >= 24:
             raise CensusError("invalid permutation index %d" % pi)

@@ -178,9 +178,9 @@ def _batch_jobs(args):
 def cmd_batch(args):
     jobs = _batch_jobs(args)
     with open(args.census) as fh:
-        sigs = [line.strip() for line in fh
-                if line.strip() and not line.startswith("#")]
-    work = [(sig, args.verify) for sig in sigs]
+        lines = [line.strip() for line in fh]
+    work = [(sig, args.verify) for sig in lines
+            if sig and not sig.startswith("#")]
     t0 = time.perf_counter()
     # records are written as they arrive, in input order, so one failing
     # entry cannot lose the output of the others; the summary is counted

@@ -28,16 +28,15 @@ class CuspData:
     """
 
     __slots__ = ("index", "corners", "sides", "side_faces",
-                 "n_manifold_faces", "link_h1", "basis", "periph_class")
+                 "n_manifold_faces", "basis", "periph_class")
 
     def __init__(self, index, corners, sides, side_faces, n_manifold_faces,
-                 link_h1, basis):
+                 basis):
         self.index = index
         self.corners = corners
         self.sides = sides
         self.side_faces = side_faces
         self.n_manifold_faces = n_manifold_faces
-        self.link_h1 = link_h1
         self.basis = basis
         self.periph_class = None
 
@@ -61,7 +60,12 @@ def cross_section_to_faces(cusp, z):
 
 
 def vertex_links(ts, coor, cycles, h1):
-    """One CuspData per ideal vertex.  Asserts each link is a torus."""
+    """One CuspData per ideal vertex.  Asserts each link is a torus.
+
+    A link's ``H1Data`` has its triangles as cells, each side as a face
+    from its own (canonical-key) triangle to the partner's, and as edges
+    the link vertices (manifold edge ends), bounded by the fan of sides
+    the corner cycle crosses, +1 leaving through a side's own triangle."""
     table = ts.table
     cusps = []
     for index, corners in enumerate(table.vertices):
@@ -75,37 +79,24 @@ def vertex_links(ts, coor, cycles, h1):
                 side_keys.add(min(key, _side_partner(table, key)))
         sides = sorted(side_keys)
         side_index = {k: i for i, k in enumerate(sides)}
-        # dual graph of the link: reference direction of a side runs from
-        # its canonical-key triangle to the partner triangle
-        d1 = [[0] * len(sides) for _ in corners]
-        for si, key in enumerate(sides):
-            t, v, fs = key
-            t2, v2, _ = _side_partner(table, key)
-            d1[tri_index[(t2, v2)]][si] += 1
-            d1[tri_index[(t, v)]][si] -= 1
-        # link vertices are edge ends; their 2-cell boundaries (fans) come
-        # from the manifold edge's corner cycle restricted to this end
-        linkverts = []
-        d2_cols = []
+        side_ends = [(tri_index[key[:2]],
+                      tri_index[_side_partner(table, key)[:2]])
+                     for key in sides]
+        fans = []
         for cyc in cycles:
             for end in (0, 1):
-                v0 = cyc.dirs[0][end]
-                if (cyc.corners[0][0], v0) not in tri_index:
+                if (cyc.corners[0][0], cyc.dirs[0][end]) not in tri_index:
                     continue
-                col = [0] * len(sides)
-                for i in range(len(cyc.corners)):
-                    t_i = cyc.corners[i][0]
-                    v_i = cyc.dirs[i][end]
-                    key = (t_i, v_i, cyc.exits[i])
+                fan = []
+                for (t, _), dirpair, exit_fs in zip(cyc.corners, cyc.dirs,
+                                                    cyc.exits):
+                    key = (t, dirpair[end], exit_fs)
                     canon = min(key, _side_partner(table, key))
-                    col[side_index[canon]] += 1 if canon == key else -1
-                linkverts.append((cyc.edge, end))
-                d2_cols.append(col)
-        d2 = [[d2_cols[j][si] for j in range(len(d2_cols))]
-              for si in range(len(sides))]
-        assert len(linkverts) - len(sides) + len(corners) == 0, \
+                    fan.append((side_index[canon], 1 if canon == key else -1))
+                fans.append(fan)
+        assert len(fans) - len(sides) + len(corners) == 0, \
             "cusp cross-section has nonzero Euler characteristic"
-        link_h1 = H1Data(len(corners), len(sides), len(linkverts), d1, d2)
+        link_h1 = H1Data(len(corners), side_ends, fans)
         if link_h1.rank != 2 or link_h1.torsion:
             raise CensusError("cusp %d cross-section is not a torus" % index)
         basis = tuple(
@@ -117,7 +108,7 @@ def vertex_links(ts, coor, cycles, h1):
             side_faces.append(
                 (fidx, 1 if coor.below[fidx] == (t, fs) else -1))
         cusp = CuspData(index, corners, sides, side_faces, len(table.faces),
-                        link_h1, basis)
+                        basis)
         cusp.periph_class = tuple(
             h1.cycle_class_full(cross_section_to_faces(cusp, z))
             for z in basis)
@@ -127,7 +118,8 @@ def vertex_links(ts, coor, cycles, h1):
 
 
 class FillingSpec:
-    """Slopes per filled cusp index, in that cusp's (a, b) basis."""
+    """Slopes per filled cusp index, in that cusp's (a, b) basis, in
+    increasing cusp index."""
 
     __slots__ = ("slopes",)
 
@@ -140,9 +132,6 @@ class FillingSpec:
                     "slope %d/%d on cusp %d is not primitive" % (x, y, j))
             clean[j] = (x, y)
         self.slopes = clean
-
-    def filled_indices(self):
-        return sorted(self.slopes)
 
 
 def parse_slopes(text):
@@ -210,7 +199,7 @@ def filled_homology(h1, cusps, spec, eo=None):
     When the edge-orientation data of the base is supplied, sigma_N is
     resolved immediately.
     """
-    filled = spec.filled_indices()
+    filled = list(spec.slopes)
     for j in filled:
         if not 0 <= j < len(cusps):
             raise CensusError("no cusp with index %d" % j)
@@ -252,7 +241,7 @@ def filled_homology(h1, cusps, spec, eo=None):
         z = [delta[0] * a + delta[1] * b for a, b in zip(za, zb)]
         vec = cross_section_to_faces(cusps[j], z)
         ell_free = n_quot.class_free(h1.cycle_kernel_coords(vec))
-        cores[j] = {"delta": delta, "ell_free": tuple(ell_free),
+        cores[j] = {"ell_free": tuple(ell_free),
                     "nontrivial": any(e != 0 for e in ell_free)}
     fh = FilledHomology(h1, filled, len(filled) == len(cusps), n_quot,
                         i_star, slope_face_vec, cores)
@@ -304,7 +293,7 @@ class PredictedAlexander:
         self.equality_expected = equality_expected
 
 
-def predict_filled_alexander(theta, fh, b1_M=None):
+def predict_filled_alexander(theta, fh):
     """Solve the filling identity for the filled manifold's Alexander
     polynomial (up to a unit).
 
@@ -314,8 +303,6 @@ def predict_filled_alexander(theta, fh, b1_M=None):
     exact division is reported in the result, not raised: it signals a
     violated hypothesis.
     """
-    if b1_M is None:
-        b1_M = fh.h1.rank
     if fh.s == 0:
         raise CensusError("b_1(N) = 0: the filling identity needs "
                           "positive rank")
@@ -327,7 +314,7 @@ def predict_filled_alexander(theta, fh, b1_M=None):
                 "core curve of cusp %d is trivial in free homology; "
                 "the filling identity does not apply" % j)
     s = fh.s
-    if b1_M >= 2:
+    if fh.h1.rank >= 2:
         if s >= 2:
             case, e = "I(a)", 0
         elif not fh.boundary_empty:
@@ -358,14 +345,14 @@ def predict_filled_alexander(theta, fh, b1_M=None):
     quotient = exact_div(numer, denom)
     if quotient is None:
         return PredictedAlexander(case, None, False,
-                                  _equality_conditions(fh, b1_M))
+                                  _equality_conditions(fh))
     # undo the sign twist: Delta_N(h) = quotient(sigma_N(h) * h)
     candidate = sign_twist(quotient, fh.sigma_N)
     return PredictedAlexander(case, candidate, True,
-                              _equality_conditions(fh, b1_M))
+                              _equality_conditions(fh))
 
 
-def _equality_conditions(fh, b1_M):
+def _equality_conditions(fh):
     """The specialised taut polynomial equals Delta_N up to variable
     signs exactly in four situations."""
     generates = {j: fh.s == 1 and fh.cores[j]["ell_free"] in ((1,), (-1,))
@@ -378,7 +365,7 @@ def _equality_conditions(fh, b1_M):
     if fh.s == 1 and fh.boundary_empty and fh.k == 2 and \
             all(generates.values()):
         return True
-    if b1_M == 1 and fh.boundary_empty and all(generates.values()):
+    if fh.h1.rank == 1 and fh.boundary_empty and all(generates.values()):
         return True
     return False
 

@@ -2,9 +2,9 @@
 
 Everything here is generic over integer matrices: Smith normal form with
 full (inverse-tracked) transforms, finitely generated abelian quotients
-Z^q / (column span), first homology of the tetrahedra/faces/edges chain
-complex, and the dual-graph spanning tree with its face cocycle used to
-label matrix entries elsewhere.
+Z^q / (column span), first homology of a dual 2-complex given by its
+face ends and edge crossings, and the dual-graph spanning tree with its
+face cocycle used to label matrix entries elsewhere.
 
 Matrices are plain lists of rows of Python ints (arbitrary precision).
 """
@@ -296,35 +296,44 @@ class AbelianQuotient:
 
 
 class H1Data:
-    """First homology of the dual 2-complex (tets <- faces <- edges).
+    """First homology of a dual 2-complex: cells, faces that join two
+    cells, and edges each bounded by a cycle of face crossings.
 
-    d1 (n_tets x n_faces) sends a face to (tet above) - (tet below); d2
-    (n_faces x n_edges) sends an edge to its signed cycle of incident
-    faces.  Homology classes of face-space cycles are reported in the
+    face_ends[f] = (below, above) gives d1 (n_cells x n_faces), which
+    sends face f to above - below; boundaries[e] lists the (face, sign)
+    crossings around edge e, summed into column e of d2 (n_faces x
+    n_edges).  Classes of face-space cycles are reported in the
     coordinates of an AbelianQuotient on the kernel of d1.
+
+    d1 * d2 = 0 is asserted as: rows 0 .. rho - 1 of M = Vinv * d2
+    vanish, rho the rank of d1.  That is the whole condition, since
+    ``smith_normal_form`` has asserted U * d1 = D * Vinv and
+    U * Uinv = I, so d1 * d2 = Uinv * D * M, and the first rho diagonal
+    entries of D are nonzero and the rest zero.
     """
 
-    __slots__ = ("n_tets", "n_faces", "n_edges", "rank", "torsion",
-                 "snf1", "quot", "q")
+    __slots__ = ("n_faces", "rank", "torsion", "snf1", "quot", "q")
 
-    def __init__(self, n_tets, n_faces, n_edges, d1, d2):
-        if __debug__:
-            prod = int_matmul(d1, d2)
-            assert all(all(x == 0 for x in row) for row in prod), \
-                "d1 * d2 != 0"
-        self.n_tets = n_tets
+    def __init__(self, n_cells, face_ends, boundaries):
+        n_faces = len(face_ends)
+        d1 = [[0] * n_faces for _ in range(n_cells)]
+        for f, (below, above) in enumerate(face_ends):
+            d1[above][f] += 1
+            d1[below][f] -= 1
+        d2 = [[0] * len(boundaries) for _ in range(n_faces)]
+        for e, crossings in enumerate(boundaries):
+            for f, sign in crossings:
+                d2[f][e] += sign
         self.n_faces = n_faces
-        self.n_edges = n_edges
         self.snf1 = smith_normal_form(d1, ncols=n_faces)
         rho = self.snf1.rank
         self.q = n_faces - rho
         # express boundaries in kernel coordinates: rows rho.. of Vinv * d2
-        M = int_matmul(self.snf1.Vinv, d2) if n_edges else \
-            [[] for _ in range(n_faces)]
+        M = int_matmul(self.snf1.Vinv, d2)
         for i in range(rho):
-            assert all(x == 0 for x in M[i]), "im d2 not inside ker d1"
-        columns = [[M[rho + i][j] for i in range(self.q)]
-                   for j in range(n_edges)]
+            assert not any(M[i]), "im d2 not inside ker d1"
+        columns = [[M[rho + i][e] for i in range(self.q)]
+                   for e in range(len(boundaries))]
         self.quot = AbelianQuotient(self.q, columns)
         self.rank = self.quot.rank
         self.torsion = self.quot.torsion

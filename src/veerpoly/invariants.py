@@ -28,7 +28,8 @@ from functools import cached_property
 from operator import add
 
 from .census_io import VERTEX_PAIRS
-from .homology import dual_spanning_tree, face_cocycle, smith_normal_form
+from .homology import (H1Data, dual_spanning_tree, face_cocycle,
+                       smith_normal_form)
 from .laurent import (LaurentMatrix, LaurentPoly,
                       maximal_minor_gcd_bruteforce, normalize_unit,
                       sign_twist, specialize)
@@ -62,12 +63,13 @@ class Analysis:
         self.colours = taut.derive_colouring(ts)
         self.cycles = taut.edge_corner_cycles(ts, coor,
                                               corner_rank=corner_rank)
-        self.h1 = taut.compute_h1(ts, coor, self.cycles)
+        self.face_ends = [(below[0], above[0])
+                          for below, above in zip(coor.below, coor.above)]
+        self.h1 = H1Data(table.n_tet, self.face_ends,
+                         [cyc.crossings for cyc in self.cycles])
         self.eo = taut.edge_orientation_data(ts, coor, self.colours,
                                              self.cycles, self.h1)
         self.tracks = taut.track_slots(ts, coor)
-        self.face_ends = [(coor.below[i][0], coor.above[i][0])
-                          for i in range(len(table.faces))]
         self.tree, self.parent = dual_spanning_tree(
             table.n_tet, self.face_ends, face_priority=face_priority)
         self.cocycle = face_cocycle(self.h1, self.face_ends, self.tree,

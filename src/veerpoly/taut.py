@@ -15,7 +15,6 @@ edge with the apex as a pass-through vertex.
 from .census_io import (CensusError, FACE_SLOTS, GluingTable, OPPOSITE_SLOT,
                         PI_SLOTS, SLOT_OF_PAIR, TautStructure, VERTEX_PAIRS,
                         invert, slot_image)
-from .homology import H1Data
 
 
 def _slot(a, b):
@@ -170,27 +169,6 @@ def edge_corner_cycles(ts, coor, corner_rank=0):
     return cycles
 
 
-def build_chain_complex(ts, coor, cycles):
-    """d1 (tets x faces) and d2 (faces x edges) of the dual 2-complex."""
-    table = ts.table
-    n_faces = len(table.faces)
-    d1 = [[0] * n_faces for _ in range(table.n_tet)]
-    for idx in range(n_faces):
-        d1[coor.above[idx][0]][idx] += 1
-        d1[coor.below[idx][0]][idx] -= 1
-    d2 = [[0] * len(cycles) for _ in range(n_faces)]
-    for cyc in cycles:
-        for face_idx, eps in cyc.crossings:
-            d2[face_idx][cyc.edge] += eps
-    return d1, d2
-
-
-def compute_h1(ts, coor, cycles):
-    d1, d2 = build_chain_complex(ts, coor, cycles)
-    return H1Data(ts.table.n_tet, len(ts.table.faces), len(ts.table.edges),
-                  d1, d2)
-
-
 def track_slots(ts, coor):
     """Per face: (lower-large, upper-large) edge slots in below-tet labels.
 
@@ -321,12 +299,13 @@ class EdgeOrientationData:
 
 
 def edge_orientation_data(ts, coor, colours, cycles, h1):
+    """EdgeOrientationData, with beta asserted to be a cocycle: its sum
+    over each edge's face crossings (all signs +-1) is even."""
     orientations = tet_edge_orientations(ts, coor, colours)
-    eo = EdgeOrientationData(face_disagreement(ts, coor, orientations), h1)
-    # beta must be a cocycle: it vanishes on the boundary of every edge
-    _, d2 = build_chain_complex(ts, coor, cycles)
-    for e in range(len(ts.table.edges)):
-        assert eo.omega_of_cycle_vec([row[e] for row in d2]) == 0, \
+    beta = face_disagreement(ts, coor, orientations)
+    eo = EdgeOrientationData(beta, h1)
+    for cyc in cycles:
+        assert sum(beta[f] for f, _ in cyc.crossings) % 2 == 0, \
             "edge-orientation cochain is not a cocycle"
     # trivial generators are boundaries, where a cocycle must vanish
     for i, order in enumerate(h1.quot.orders):

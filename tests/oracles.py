@@ -4,8 +4,9 @@ Everything here is deliberately naive: cofactor determinants, exhaustive
 minor enumeration, rational row reduction, and a small Fox-calculus engine
 for two-generator one-relator groups.  None of it shares code paths with the
 package's production pipeline, except ``all_columns_fitting_gcd``.  The
-earlier gluing-table builder and dense face cocycle are kept here too; they
-use the package's permutation helpers and ``H1Data.cycle_class_free``.
+earlier gluing-table builder, dense face cocycle, dense chain complex and
+dense ``H1Data`` are kept here too; they use the package's permutation
+helpers, Smith normal form and ``H1Data.cycle_class_free``.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from itertools import combinations
 
 from veerpoly.census_io import (CensusError, VERTEX_PAIRS, compose,
                                 perm_sign, slot_image)
+from veerpoly.homology import AbelianQuotient, int_matmul, smith_normal_form
 from veerpoly.invariants import fitting_gcd
 from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
 
@@ -493,3 +495,43 @@ def dense_face_cocycle(h1, face_ends, tree_faces, parent):
             z[i] += pa[i] - pb[i]
         c.append(h1.cycle_class_free(z))
     return c
+
+
+def dense_chain_complex(ts, coor, cycles):
+    """The earlier builder of d1 (tets x faces) and d2 (faces x edges) of
+    a taut structure's dual 2-complex, kept as an oracle."""
+    table = ts.table
+    n_faces = len(table.faces)
+    d1 = [[0] * n_faces for _ in range(table.n_tet)]
+    for idx in range(n_faces):
+        d1[coor.above[idx][0]][idx] += 1
+        d1[coor.below[idx][0]][idx] -= 1
+    d2 = [[0] * len(cycles) for _ in range(n_faces)]
+    for cyc in cycles:
+        for face_idx, eps in cyc.crossings:
+            d2[face_idx][cyc.edge] += eps
+    return d1, d2
+
+
+class DenseH1Data:
+    """The earlier ``H1Data``, kept as an oracle: it takes the dense
+    boundary matrices d1 (n_tets x n_faces) and d2 (n_faces x n_edges)
+    and checks d1 * d2 = 0 by the product itself."""
+
+    def __init__(self, n_tets, n_faces, n_edges, d1, d2):
+        prod = int_matmul(d1, d2)
+        assert all(all(x == 0 for x in row) for row in prod), \
+            "d1 * d2 != 0"
+        self.n_faces = n_faces
+        self.snf1 = smith_normal_form(d1, ncols=n_faces)
+        rho = self.snf1.rank
+        self.q = n_faces - rho
+        M = int_matmul(self.snf1.Vinv, d2) if n_edges else \
+            [[] for _ in range(n_faces)]
+        for i in range(rho):
+            assert all(x == 0 for x in M[i]), "im d2 not inside ker d1"
+        columns = [[M[rho + i][j] for i in range(self.q)]
+                   for j in range(n_edges)]
+        self.quot = AbelianQuotient(self.q, columns)
+        self.rank = self.quot.rank
+        self.torsion = self.quot.torsion

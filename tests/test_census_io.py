@@ -163,7 +163,10 @@ def build_outcome(builder, gluings):
 
 
 def with_list_perms(gluings):
-    return [[entry if entry is None else (entry[0], list(entry[1]))
+    """gluings with the permutation of each entry as a list; entries
+    with no second item are kept as they are."""
+    return [[entry if entry is None or len(entry) < 2 else
+             (entry[0], list(entry[1])) + tuple(entry[2:])
              for entry in row] for row in gluings]
 
 
@@ -204,15 +207,18 @@ def single_entry_mutations(gluings):
     """Every table that differs from gluings in one entry or one row
     length: each destination (one out of range on each side) with each
     of the 24 permutations, non-permutations, the inverse padded with an
-    extra label, an unglued facet, and rows one entry short or long."""
+    extra label, an unglued facet, entries that are no (destination,
+    permutation) pair or whose destination is no int, and rows one
+    entry short or long."""
     n = len(gluings)
     for t in range(n):
         for f in range(4):
             t2, p = gluings[t][f]
-            entries = [(d, q) for d in range(-1, n + 1) for q in ISOSIG_PERMS]
+            entries = [(d, q) for d in range(-1, n + 1) for q in ISOSIG_PERMS
+                       if (d, q) != (t2, tuple(p))]
             entries += [(t2, q) for q in ((0, 1, 2, 2), (0, 1, 2),
                                           tuple(p) + (4,), (3, 2, 1, 0, 4))]
-            entries.append(None)
+            entries += [None, (t2,), (t2, p, 0), ("1", p)]
             for entry in entries:
                 table = [list(row) for row in gluings]
                 table[t][f] = entry
@@ -225,17 +231,20 @@ def single_entry_mutations(gluings):
 @pytest.mark.parametrize("sig", ["cPcbbbdxm_10", "cPcbbbiht_12",
                                  "dLQbcccxxfo_100"])
 def test_malformed_gluing_tables_raise_as_two_sided_builder(sig):
-    # the first failure of the one-pass check must be the one the
-    # two-sided builder reports, message for message, with tuple- or
-    # list-typed permutations
+    # every mutation is a CensusError, with tuple- or list-typed
+    # permutations; where the two-sided builder reports one too, the
+    # first failure of the one-pass check must be the same, message for
+    # message (elsewhere the two-sided builder raises another exception)
     messages = set()
     gluings = parse_taut_sig(sig).table.gluings
     for table in single_entry_mutations(gluings):
         want = build_outcome(TwoSidedGluingTable, table)
-        assert build_outcome(GluingTable, table) == want
-        assert build_outcome(GluingTable, with_list_perms(table)) == want
-        if want[0] == "error":
-            messages.add(want[1])
+        for mutated in (table, with_list_perms(table)):
+            got = build_outcome(GluingTable, mutated)
+            assert got[0] == "error"
+            if want[0] == "error":
+                assert got == want
+            messages.add(got[1])
     assert build_outcome(GluingTable, []) == \
         build_outcome(TwoSidedGluingTable, []) == \
         ("error", "empty triangulation")

@@ -152,6 +152,18 @@ def test_batch_stdout_and_summary(capsys, tmp_path):
     assert summary["cover_double_cusps"] == 0
 
 
+def test_batch_skips_indented_comments_and_blank_lines(capsys, tmp_path):
+    census = tmp_path / "census.txt"
+    census.write_text("  # indented comment\n\n%s\n   \n\t# tab comment\n"
+                      "%s\n" % (M003, TWO_TET_EO))
+    rc, out, err = run_cli(capsys, "batch", str(census))
+    assert rc == 0
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["sig"] for r in recs] == [M003, TWO_TET_EO]
+    summary = parse_summary(err)
+    assert summary["total"] == 2 and summary["errors"] == 0
+
+
 def test_batch_verify_summary(capsys, tmp_path):
     census = tmp_path / "census.txt"
     write_census(census, [M003, TWO_TET_EO])

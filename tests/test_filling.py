@@ -333,7 +333,7 @@ def synthetic_filling(r, s, filled, boundary_empty, sigma_n, ell_frees):
     reads, for exercising case branches whose census witnesses are too
     expensive to compute here."""
     i_star = [[1 if i == j else 0 for j in range(r)] for i in range(s)]
-    cores = {j: {"delta": None, "ell_free": ell, "nontrivial": any(ell)}
+    cores = {j: {"ell_free": ell, "nontrivial": any(ell)}
              for j, ell in zip(filled, ell_frees)}
     fh = FilledHomology(_StubH1(r), list(filled), boundary_empty,
                         _StubQuot(s), i_star, {}, cores)

@@ -12,7 +12,8 @@ from veerpoly.homology import (AbelianQuotient, H1Data, SNFResult,
 from veerpoly.invariants import Analysis
 from veerpoly.taut import build_double_cover
 from bundles import bundle_sig
-from oracles import (abelian_group_from_relations, dense_face_cocycle,
+from oracles import (DenseH1Data, abelian_group_from_relations,
+                     dense_chain_complex, dense_face_cocycle,
                      dense_int_matvec, dense_kernel_to_cycle, full_scan_snf,
                      naive_int_matmul, rational_rank)
 
@@ -192,7 +193,7 @@ def test_sparse_sums_match_dense_sums():
                               rng.choice((0.0, 0.1, 0.5)))[0]
             assert h1.kernel_to_cycle(y) == dense_kernel_to_cycle(h1, y)
     # a complex whose kernel is trivial: q = 0 and the empty vector
-    h1 = H1Data(2, 1, 0, [[-1], [1]], [[]])
+    h1 = H1Data(2, [(0, 1)], [])
     assert h1.q == 0
     assert h1.kernel_to_cycle([]) == dense_kernel_to_cycle(h1, []) == [0]
 
@@ -276,7 +277,7 @@ def test_quotient_class_coords_kill_relations():
 
 def test_h1_single_loop():
     # one tet, one face glued to itself front-to-back: dual circle
-    h1 = H1Data(1, 1, 0, [[0]], [[]])
+    h1 = H1Data(1, [(0, 0)], [])
     assert h1.rank == 1 and h1.torsion == []
     assert h1.cycle_class_free([1]) in ((1,), (-1,))
 
@@ -284,12 +285,11 @@ def test_h1_single_loop():
 def test_h1_two_parallel_faces_with_relation():
     # two tets joined by two parallel faces; one 2-cell wrapping the
     # resulting dual circle twice leaves Z/2
-    d1 = [[1, 1], [-1, -1]]
+    face_ends = [(1, 0), (1, 0)]
     for mult, rank, torsion in ((1, 0, []), (2, 0, [2])):
-        d2 = [[mult], [-mult]]
-        h1 = H1Data(2, 2, 1, d1, d2)
+        h1 = H1Data(2, face_ends, [[(0, mult), (1, -mult)]])
         assert h1.rank == rank and h1.torsion == torsion
-    h1 = H1Data(2, 2, 1, d1, [[2], [-2]])
+    h1 = H1Data(2, face_ends, [[(0, 2), (1, -2)]])
     free, tors = h1.cycle_class_full([1, -1])
     assert free == () and tors == (1,)
     free, tors = h1.cycle_class_full([2, -2])
@@ -297,13 +297,22 @@ def test_h1_two_parallel_faces_with_relation():
 
 
 def test_h1_not_a_cycle_rejected():
-    h1 = H1Data(2, 2, 1, [[1, 1], [-1, -1]], [[1], [-1]])
+    h1 = H1Data(2, [(1, 0), (1, 0)], [[(0, 1), (1, -1)]])
     try:
         h1.cycle_kernel_coords([1, 0])
     except ValueError:
         pass
     else:
         assert False, "expected ValueError for a non-cycle"
+
+
+def test_h1_boundary_not_a_cycle_rejected():
+    # an edge whose crossings do not close up (its boundary leaves a
+    # cell and never returns) fails the rows-below-rho check
+    for boundaries in ([[(0, 1)]], [[(0, 1), (1, 1)]],
+                       [[(0, 1), (1, -1)], [(1, 2)]]):
+        with pytest.raises(AssertionError, match="im d2 not inside ker d1"):
+            H1Data(2, [(1, 0), (1, 0)], boundaries)
 
 
 # -- spanning tree and face cocycle ------------------------------------------
@@ -334,7 +343,9 @@ def test_face_cocycle_reproduces_cycle_classes():
         face_ends, d1 = _random_connected_graph_complex(rng, n_tets,
                                                         rng.randint(1, 4))
         n_faces = len(face_ends)
-        h1 = H1Data(n_tets, n_faces, 0, d1, [[] for _ in range(n_faces)])
+        h1 = H1Data(n_tets, face_ends, [])
+        assert_same_h1(h1, DenseH1Data(n_tets, n_faces, 0, d1,
+                                       [[] for _ in range(n_faces)]))
         assert h1.rank == n_faces - n_tets + 1
         tree, parent = dual_spanning_tree(n_tets, face_ends)
         assert len(tree) == n_tets - 1
@@ -359,6 +370,34 @@ def sample_sigs():
     with open(DATA) as fh:
         return [ln.strip() for ln in fh
                 if ln.strip() and not ln.startswith("#")]
+
+
+def assert_same_h1(h1, dense):
+    """The same transforms, rank and torsion as the dense builder."""
+    assert h1.snf1.V == dense.snf1.V
+    assert h1.snf1.Vinv == dense.snf1.Vinv
+    assert h1.quot.snf.U == dense.quot.snf.U
+    assert h1.quot.snf.Uinv == dense.quot.snf.Uinv
+    assert (h1.rank, h1.torsion) == (dense.rank, dense.torsion)
+
+
+def test_h1_matches_dense_builder_on_sample_and_covers():
+    # H1Data from face ends and crossings against the dense d1, d2 of the
+    # earlier builder, on every sample entry and each non-edge-orientable
+    # entry's cover
+    covers = 0
+    for sig in sample_sigs():
+        analysis = Analysis(parse_taut_sig(sig))
+        analyses = [analysis]
+        if not analysis.eo.edge_orientable:
+            analyses.append(Analysis(analysis.cover))
+            covers += 1
+        for a in analyses:
+            table = a.ts.table
+            d1, d2 = dense_chain_complex(a.ts, a.coor, a.cycles)
+            assert_same_h1(a.h1, DenseH1Data(
+                table.n_tet, len(table.faces), len(table.edges), d1, d2))
+    assert covers > 100
 
 
 def assert_cocycle_matches_dense(analysis):

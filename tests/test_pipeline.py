@@ -50,18 +50,21 @@ def test_fill_records_match_reference(capsys):
         assert capsys.readouterr().out == line + "\n", rec["sig"]
 
 
-# Prints the records of the census_scan and fill_bundles references, as
-# batch and fill write them, from an interpreter whose __debug__ is off.
+# Prints the records of the census_scan, census_verify and fill_bundles
+# references, as batch, batch --verify and fill write them, from an
+# interpreter whose __debug__ is off.
 OPTIMIZED_REPLAY = """
 import json, sys
 from veerpoly.cli import entry_record, main
 if __debug__:
     sys.exit("expected python -O")
-scan, fill = sys.argv[1:]
-with open(scan) as fh:
-    for line in fh:
-        rec = entry_record(json.loads(line)["sig"], with_polynomials=False)
-        print(json.dumps(rec, sort_keys=True))
+scan, verify, fill = sys.argv[1:]
+for path, with_polynomials in ((scan, False), (verify, True)):
+    with open(path) as fh:
+        for line in fh:
+            rec = entry_record(json.loads(line)["sig"],
+                               with_polynomials=with_polynomials)
+            print(json.dumps(rec, sort_keys=True))
 with open(fill) as fh:
     for line in fh:
         rec = json.loads(line)
@@ -71,8 +74,10 @@ with open(fill) as fh:
 
 
 def test_records_are_the_same_under_python_O():
-    # the __debug__ checks (SNF transforms, d1 * d2 = 0, tetrahedron
-    # relations) must not change any output they guard
+    # the __debug__ checks (SNF transforms, boundaries inside the kernel
+    # of d1, read off the rows of Vinv * d2 below the rank of d1,
+    # tetrahedron relations, the edge-orientation cocycle) must not
+    # change any output they guard
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -80,9 +85,11 @@ def test_records_are_the_same_under_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_REPLAY,
          os.path.join(REFERENCE, "census_scan.jsonl"),
+         os.path.join(REFERENCE, "census_verify.jsonl"),
          os.path.join(REFERENCE, "fill_bundles.jsonl")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    want = reference_lines("census_scan") + reference_lines("fill_bundles")
+    want = reference_lines("census_scan") + \
+        reference_lines("census_verify") + reference_lines("fill_bundles")
     assert out.stdout.splitlines() == want
 
 

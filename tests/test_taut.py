@@ -6,14 +6,14 @@ import pytest
 from veerpoly.census_io import (CensusError, GluingTable, OPPOSITE_SLOT,
                                 PI_SLOTS, TautStructure, VERTEX_PAIRS,
                                 parse_taut_sig)
-from veerpoly.taut import (Coorientation, build_chain_complex,
-                           build_double_cover, derive_colouring,
-                           derive_coorientation, edge_corner_cycles,
-                           edge_orientation_data, compute_h1,
+from veerpoly.taut import (Coorientation, build_double_cover,
+                           derive_colouring, derive_coorientation,
+                           edge_corner_cycles, edge_orientation_data,
                            face_disagreement, tet_edge_orientations,
                            track_slots, FACE_SLOTS)
 from veerpoly.invariants import Analysis
 from bundles import bundle_sig, both_letter_words
+from oracles import dense_chain_complex
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 
@@ -141,7 +141,7 @@ def test_chain_complex_composes_to_zero():
         ts = parse_taut_sig(sig)
         coor = derive_coorientation(ts)
         cycles = edge_corner_cycles(ts, coor)
-        d1, d2 = build_chain_complex(ts, coor, cycles)
+        d1, d2 = dense_chain_complex(ts, coor, cycles)
         n_faces = len(ts.table.faces)
         for t in range(ts.table.n_tet):
             for e in range(len(ts.table.edges)):
@@ -170,7 +170,7 @@ def test_beta_is_a_mod_two_cocycle():
         orientations = tet_edge_orientations(ts, coor, colours)
         beta = face_disagreement(ts, coor, orientations)
         assert all(b in (0, 1) for b in beta)
-        _, d2 = build_chain_complex(ts, coor, cycles)
+        _, d2 = dense_chain_complex(ts, coor, cycles)
         for e in range(len(ts.table.edges)):
             assert sum(beta[f] * d2[f][e] for f in range(len(beta))) % 2 == 0
 
@@ -194,7 +194,7 @@ def test_cover_connected_iff_not_edge_orientable():
         coor = derive_coorientation(ts)
         colours = derive_colouring(ts)
         cycles = edge_corner_cycles(ts, coor)
-        h1 = compute_h1(ts, coor, cycles)
+        h1 = Analysis(ts).h1
         eo = edge_orientation_data(ts, coor, colours, cycles, h1)
         cover, connected = build_double_cover(ts, coor, eo.beta)
         assert connected == (not eo.edge_orientable)
@@ -218,7 +218,7 @@ def test_sigma_signs_on_known_entries():
         coor = derive_coorientation(ts)
         colours = derive_colouring(ts)
         cycles = edge_corner_cycles(ts, coor)
-        h1 = compute_h1(ts, coor, cycles)
+        h1 = Analysis(ts).h1
         eo = edge_orientation_data(ts, coor, colours, cycles, h1)
         assert eo.sigma_exists and eo.sigma == want
 
@@ -230,9 +230,9 @@ def test_omega_vanishes_on_boundaries():
         coor = derive_coorientation(ts)
         colours = derive_colouring(ts)
         cycles = edge_corner_cycles(ts, coor)
-        h1 = compute_h1(ts, coor, cycles)
+        h1 = Analysis(ts).h1
         eo = edge_orientation_data(ts, coor, colours, cycles, h1)
-        _, d2 = build_chain_complex(ts, coor, cycles)
+        _, d2 = dense_chain_complex(ts, coor, cycles)
         for e in range(len(ts.table.edges)):
             col = [d2[f][e] for f in range(len(ts.table.faces))]
             assert eo.omega_of_cycle_vec(col) == 0
