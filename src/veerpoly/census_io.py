@@ -138,7 +138,10 @@ class GluingTable:
         self.n_tet = len(gluings)
         if self.n_tet == 0:
             raise CensusError("empty triangulation")
-        self.gluings = [list(row) for row in gluings]
+        try:
+            self.gluings = [list(row) for row in gluings]
+        except TypeError:
+            raise CensusError("gluing table row is not a sequence") from None
         self._build()
 
     def _build(self):

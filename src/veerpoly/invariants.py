@@ -7,7 +7,8 @@ and accumulating +/- c(face crossed) gives each corner a vector label
 u; the corner's edge in the universal free-abelian cover, seen from the
 base lift of the corner's tetrahedron, is the deck translate by -u of
 the class's anchored lift.  Hence every matrix entry contributed by an
-incidence carries the monomial with exponent -u of that corner.
+incidence carries the monomial with exponent -u of that corner, which
+``Analysis.exponents`` holds.
 
 Tetrahedron relations.  A face column is the base lift of the face as
 an upper face of the tetrahedron below it.  Seen from the base lift of
@@ -25,7 +26,8 @@ gcd is taken over the T + 1 non-tree faces only.
 """
 
 from functools import cached_property
-from operator import add
+from math import prod
+from operator import sub
 
 from .census_io import VERTEX_PAIRS
 from .homology import (H1Data, dual_spanning_tree, face_cocycle,
@@ -74,11 +76,10 @@ class Analysis:
             table.n_tet, self.face_ends, face_priority=face_priority)
         self.cocycle = face_cocycle(self.h1, self.face_ends, self.tree,
                                     self.parent)
-        self.labels = corner_labels(self.cycles, self.cocycle, self.h1.rank)
-        self.ref_dir = {}
-        for cyc in self.cycles:
-            for corner, dirpair in zip(cyc.corners, cyc.dirs):
-                self.ref_dir[corner] = dirpair
+        self.exponents = corner_exponents(self.cycles, self.cocycle,
+                                          self.h1.rank)
+        self.ref_dir = {corner: dirpair for cyc in self.cycles
+                        for corner, dirpair in zip(cyc.corners, cyc.dirs)}
 
     def tree_reduced(self, mat):
         """mat without the columns of the tree faces: the same Fitting
@@ -116,35 +117,38 @@ class Analysis:
         return fitting_gcd(pushed)
 
 
-def corner_labels(cycles, cocycle, rank):
-    """Deck-translation label of every corner: the signed partial sum of
-    the face cocycle along the corner cycle from the canonical corner."""
-    labels = {}
+def corner_exponents(cycles, cocycle, rank):
+    """Monomial exponent -u of every corner, u its deck-translation
+    label: minus the signed partial sum of the face cocycle along the
+    corner cycle from the canonical corner."""
+    exponents = {}
     for cyc in cycles:
-        u = (0,) * rank
+        v = (0,) * rank
         for corner, (face_idx, eps) in zip(cyc.corners, cyc.crossings):
-            labels[corner] = u
-            u = tuple(a + eps * b for a, b in zip(u, cocycle[face_idx]))
-        assert u == (0,) * rank, "cocycle does not close around an edge"
-    return labels
+            exponents[corner] = v
+            v = tuple(a - eps * b for a, b in zip(v, cocycle[face_idx]))
+        assert v == (0,) * rank, "cocycle does not close around an edge"
+    return exponents
 
 
 def _presentation_matrix(analysis, incidences):
-    """Edges x faces matrix from per-face (edge, corner label,
+    """Edges x faces matrix from per-face (edge, corner exponent,
     coefficient) incidences: each adds the coefficient times the
-    monomial with exponent -label, coincident rows summed."""
+    monomial, coincident rows summed.  The summed cells drop their
+    zeros as they go, so they are wrapped as they are."""
     table = analysis.ts.table
     r = analysis.h1.rank
     zero = LaurentPoly.zero(r)
     rows = [[zero] * len(table.faces) for _ in table.edges]
     for idx, entries in enumerate(incidences):
         cells = {}
-        for e, u, coef in entries:
+        for e, exp, coef in entries:
             terms = cells.setdefault(e, {})
-            exp = tuple(-x for x in u)
-            terms[exp] = terms.get(exp, 0) + coef
+            s = terms[exp] = terms.get(exp, 0) + coef
+            if not s:
+                del terms[exp]
         for e, terms in cells.items():
-            rows[e][idx] = LaurentPoly(r, terms)
+            rows[e][idx] = LaurentPoly._wrap(r, terms)
     return LaurentMatrix(r, rows)
 
 
@@ -153,18 +157,18 @@ def _tetrahedron_relations_hold(analysis, incidences, signs):
     zero: +-1 times each top face (t below it), +-x^(-c(f)) times each
     bottom face (t above it).  signs[f] = (sign of f as a top face of the
     tetrahedron below, sign as a bottom face of the one above).  Summed
-    as {(t, edge, label): coefficient} on raw label tuples, where
-    x^(-c(f)) adds c(f) to the label."""
+    as {(t, edge, exponent): coefficient} on raw exponent tuples, where
+    x^(-c(f)) subtracts c(f) from the exponent."""
     coor = analysis.coor
     total = {}
     for f, entries in enumerate(incidences):
         s_top, s_bottom = signs[f]
         c = analysis.cocycle[f]
         t_top, t_bottom = coor.below[f][0], coor.above[f][0]
-        for e, u, coef in entries:
-            key = (t_top, e, u)
+        for e, exp, coef in entries:
+            key = (t_top, e, exp)
             total[key] = total.get(key, 0) + s_top * coef
-            key = (t_bottom, e, tuple(map(add, u, c)))
+            key = (t_bottom, e, tuple(map(sub, exp, c)))
             total[key] = total.get(key, 0) + s_bottom * coef
     return not any(total.values())
 
@@ -188,13 +192,13 @@ def build_taut_matrix(analysis):
     (arXiv 2009.13558) also drops the faces of a dual spanning tree;
     asserted on every build unless run with -O."""
     table = analysis.ts.table
-    labels = analysis.labels
+    exponents = analysis.exponents
     incidences = []
     for idx in range(len(table.faces)):
         t_b, fs_b = analysis.coor.below[idx]
         upper_large = analysis.tracks[idx][1]
         incidences.append([
-            (table.edge_index[(t_b, es)], labels[(t_b, es)],
+            (table.edge_index[(t_b, es)], exponents[(t_b, es)],
              1 if es == upper_large else -1)
             for es in taut.FACE_SLOTS[fs_b]])
     assert _tetrahedron_relations_hold(
@@ -239,7 +243,7 @@ def build_alexander_matrix(analysis):
     sign +1; its bottom faces are oriented from the tetrahedron below
     them, against the orientation t gives them, so they enter with -1."""
     table = analysis.ts.table
-    labels = analysis.labels
+    exponents = analysis.exponents
     incidences = []
     for idx in range(len(table.faces)):
         t_b, fs_b = analysis.coor.below[idx]
@@ -250,7 +254,7 @@ def build_alexander_matrix(analysis):
             a, b = verts[i], verts[j]
             es = taut.SLOT_OF_PAIR[(a, b)]
             agree = 1 if analysis.ref_dir[(t_b, es)] == (a, b) else -1
-            entries.append((table.edge_index[(t_b, es)], labels[(t_b, es)],
+            entries.append((table.edge_index[(t_b, es)], exponents[(t_b, es)],
                             face_sign * tsign * agree))
         incidences.append(entries)
     assert _tetrahedron_relations_hold(
@@ -267,28 +271,35 @@ def unit_pivot_reduce(mat):
     nonzero.  That equals clearing the pivot row by column operations,
     so the gcd of maximal minors is kept up to a unit.  The pivot's
     inverse +-x^(-v) acts as a shift by -v, with its sign folded into
-    the pivot row once.  Returns (residual row list, saw_zero_row)."""
-    entries = [list(row) for row in mat.entries]
-    while entries:
-        if any(all(p.is_zero() for p in row) for row in entries):
-            return entries, True
-        pivot = next(((i, j) for i, row in enumerate(entries)
-                      for j, p in enumerate(row) if p.is_unit()), None)
-        if pivot is None:
+    the pivot row once.  Rows are kept sparse, as {column: nonzero
+    entry}, and each update row[k] - c * p is one fused ``sub_mul``.
+    Returns (residual row list over the columns left, saw_zero_row)."""
+    zero = LaurentPoly.zero(mat.nvars)
+    rows = [{k: p for k, p in enumerate(row) if p.terms}
+            for row in mat.entries]
+    cols = list(range(mat.cols))
+    while rows and all(rows):
+        for i, row in enumerate(rows):
+            units = [k for k, p in row.items() if p.is_unit()]
+            if units:
+                break
+        else:
             break
-        i, j = pivot
-        prow = entries.pop(i)
-        ((exp, sign),) = prow[j].terms.items()
+        j = min(units)
+        prow = rows.pop(i)
+        ((exp, sign),) = prow.pop(j).terms.items()
         inv_exp = tuple(-e for e in exp)
-        scaled = [(k, p if sign == 1 else -p) for k, p in enumerate(prow)
-                  if k != j and not p.is_zero()]
-        for row in entries:
-            if not row[j].is_zero():
-                c = row[j].shift(inv_exp)
-                for k, p in scaled:
-                    row[k] = row[k] - c * p
-            row.pop(j)
-    return entries, False
+        if sign == -1:
+            prow = {k: -p for k, p in prow.items()}
+        for row in rows:
+            if j in row:
+                c = row.pop(j).shift(inv_exp)
+                for k, p in prow.items():
+                    q = row[k] = row.get(k, zero).sub_mul(c, p)
+                    if not q.terms:
+                        del row[k]
+        cols.remove(j)
+    return [[row.get(k, zero) for k in cols] for row in rows], not all(rows)
 
 
 def fitting_gcd(mat):
@@ -317,9 +328,8 @@ def cover_pushforward(analysis, cover_analysis):
     cover_table = cover_analysis.ts.table
     n = base_table.n_tet
     cover_h1 = cover_analysis.h1
-    base_of_cover_face = []
-    for (t, fs), _ in cover_table.faces:
-        base_of_cover_face.append(base_table.face_index[(t % n, fs)])
+    base_of_cover_face = [base_table.face_index[(t % n, fs)]
+                          for (t, fs), _ in cover_table.faces]
     columns = []
     for pos in cover_h1.quot.free_positions:
         zhat = cover_h1.w_position_representative(pos)
@@ -329,11 +339,8 @@ def cover_pushforward(analysis, cover_analysis):
         columns.append(analysis.h1.cycle_class_free(base_z))
     A = [[col[l] for col in columns] for l in range(analysis.h1.rank)]
     snf = smith_normal_form(A, ncols=len(columns))
-    index = 1
-    for d in snf.diag[:snf.rank]:
-        index *= d
     assert snf.rank == analysis.h1.rank and \
-        index == (2 if analysis.eo.sigma_exists else 1), \
+        prod(snf.diag[:snf.rank]) == (2 if analysis.eo.sigma_exists else 1), \
         "cover homology does not map onto the kernel of omega"
     return A
 
@@ -347,9 +354,8 @@ def verify_identities(analysis):
     if eo.sigma_exists:
         record["identity"] = "sign_twist"
         twisted = normalize_unit(sign_twist(delta, eo.sigma))
-        record["passed"] = theta_n == twisted
         record["delta_hat_absent"] = analysis.delta_hat is None
-        record["passed"] = record["passed"] and record["delta_hat_absent"]
+        record["passed"] = theta_n == twisted and record["delta_hat_absent"]
     else:
         record["identity"] = "cover_product"
         delta_hat = analysis.delta_hat
@@ -368,8 +374,5 @@ def verify_identities(analysis):
                 break
         record["sign_change_match"] = matched
         if not matched:
-            order = 1
-            for d in analysis.h1.torsion:
-                order *= d
-            record["even_torsion"] = (order % 2 == 0)
+            record["even_torsion"] = prod(analysis.h1.torsion) % 2 == 0
     return record

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import add
 
 
 class LaurentPoly:
@@ -38,7 +39,8 @@ class LaurentPoly:
     def _wrap(cls, nvars, terms):
         """Wrap a dict that is already clean, without copying or checking
         it: every key a tuple of length ``nvars``, every value nonzero.
-        For the arithmetic below, whose results are clean by construction;
+        For the arithmetic below, and for presentation cells summed from
+        exponent tuples, which are clean by construction;
         ``LaurentPoly(nvars, terms)`` checks and copies outside input."""
         p = object.__new__(cls)
         p.nvars = nvars
@@ -54,10 +56,6 @@ class LaurentPoly:
     @classmethod
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def const(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def monomial(cls, nvars, exp, coef=1):
@@ -98,15 +96,7 @@ class LaurentPoly:
         return LaurentPoly._wrap(self.nvars, out)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            s = out.get(exp, 0) - coef
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return LaurentPoly._wrap(self.nvars, out)
+        return self + -other
 
     def __neg__(self):
         return LaurentPoly._wrap(self.nvars,
@@ -122,7 +112,7 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -131,6 +121,24 @@ class LaurentPoly:
         return LaurentPoly._wrap(self.nvars, out)
 
     __rmul__ = __mul__
+
+    def sub_mul(self, c, p):
+        """self - c * p, summed into one copy of self's terms: no
+        product polynomial is built on the way.  c and p must be
+        LaurentPoly; their ring is checked inline, as the Schur updates
+        of ``unit_pivot_reduce`` call this once per updated entry."""
+        if c.nvars != self.nvars or p.nvars != self.nvars:
+            raise ValueError("operands live in different Laurent rings")
+        out = dict(self.terms)
+        for e1, c1 in c.terms.items():
+            for e2, c2 in p.terms.items():
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) - c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return LaurentPoly._wrap(self.nvars, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -169,7 +177,7 @@ class LaurentPoly:
             raise ValueError("shift %r has length %d, expected %d"
                              % (vec, len(vec), self.nvars))
         return LaurentPoly._wrap(self.nvars,
-                                 {tuple(a + b for a, b in zip(e, vec)): c
+                                 {tuple(map(add, e, vec)): c
                                   for e, c in self.terms.items()})
 
     def leading_term(self):
@@ -213,13 +221,7 @@ def normalize_unit(p):
     that the graded-lex greatest term has a positive coefficient.  Zero maps
     to zero.
     """
-    if p.is_zero():
-        return p
-    q = p.shift(tuple(-m for m in p.min_exponents()))
-    _, lead = q.leading_term()
-    if lead < 0:
-        q = -q
-    return q
+    return _sign_norm(p.shift(tuple(-m for m in p.min_exponents())))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +267,8 @@ def _poly_exact_div(p, q):
         if any(e < 0 for e in exp):
             return None
         out[exp] = c
-        rem = rem - q * LaurentPoly.monomial(nvars, exp, c)
-    return LaurentPoly(nvars, out)
+        rem = rem.sub_mul(LaurentPoly._wrap(nvars, {exp: c}), q)
+    return LaurentPoly._wrap(nvars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +282,8 @@ def gcd(p, q):
     gcd(0, 0) = 0.  Monomial factors are units here, so they never appear in
     the result.
     """
-    if p.is_zero() and q.is_zero():
-        return p
-    if p.is_zero():
-        return normalize_unit(q)
-    if q.is_zero():
-        return normalize_unit(p)
+    if p.is_zero() or q.is_zero():
+        return normalize_unit(p if q.is_zero() else q)
     ph = p.shift(tuple(-m for m in p.min_exponents()))
     qh = q.shift(tuple(-m for m in q.min_exponents()))
     return normalize_unit(_poly_gcd(ph, qh))
@@ -307,12 +305,13 @@ def _poly_gcd(p, q):
     if p.nvars == 0:
         a = p.terms.get((), 0)
         b = q.terms.get((), 0)
-        return LaurentPoly.const(0, math.gcd(a, b))
+        return LaurentPoly(0, {(): math.gcd(a, b)})
     pc, pp = _content_pp(p)
     qc, qp = _content_pp(q)
     d = _poly_gcd(pc, qc)
     g = _subresultant_gcd(pp, qp)
-    return _sign_norm(_join_last(_mul_coeffs(_split_last(g), d), p.nvars))
+    return _sign_norm(_join_last({deg: c * d for deg, c in
+                                  _split_last(g).items()}, p.nvars))
 
 
 def _split_last(p):
@@ -334,10 +333,6 @@ def _join_last(coeffs, nvars):
         for exp, coef in poly.terms.items():
             terms[exp + (d,)] = coef
     return LaurentPoly(nvars, terms)
-
-
-def _mul_coeffs(coeffs, c):
-    return {d: poly * c for d, poly in coeffs.items()}
 
 
 def _content_pp(p):
@@ -372,7 +367,7 @@ def _prem(a, b):
         new = {d: c * lb for d, c in r.items()}
         for d, c in b.items():
             nd = d + dr - db
-            val = new.get(nd, LaurentPoly.zero(c.nvars)) - lr * c
+            val = new.get(nd, LaurentPoly.zero(c.nvars)).sub_mul(lr, c)
             if val.is_zero():
                 new.pop(nd, None)
             else:
@@ -453,13 +448,12 @@ def determinant(mat):
     """
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
-    entries = [row[:] for row in mat.entries]
+    a = [row[:] for row in mat.entries]
     nvars = mat.nvars
-    n = len(entries)
+    n = len(a)
     if n == 0:
         return LaurentPoly.one(nvars)
     sign = 1
-    a = entries
     for k in range(n - 1):
         pivot = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
         if pivot is None:
@@ -469,7 +463,7 @@ def determinant(mat):
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                num = (a[k][k] * a[i][j]).sub_mul(a[i][k], a[k][j])
                 a[i][j] = num if k == 0 else _require(exact_div(num, prev))
             a[i][k] = LaurentPoly.zero(nvars)
         prev = a[k][k]

@@ -164,10 +164,12 @@ def build_outcome(builder, gluings):
 
 def with_list_perms(gluings):
     """gluings with the permutation of each entry as a list; entries
-    with no second item are kept as they are."""
+    with no second item, and rows that are no list, are kept as they
+    are."""
     return [[entry if entry is None or len(entry) < 2 else
              (entry[0], list(entry[1])) + tuple(entry[2:])
-             for entry in row] for row in gluings]
+             for entry in row] if isinstance(row, list) else row
+            for row in gluings]
 
 
 def assert_same_table(gluings):
@@ -208,8 +210,8 @@ def single_entry_mutations(gluings):
     length: each destination (one out of range on each side) with each
     of the 24 permutations, non-permutations, the inverse padded with an
     extra label, an unglued facet, entries that are no (destination,
-    permutation) pair or whose destination is no int, and rows one
-    entry short or long."""
+    permutation) pair or whose destination is no int, rows one entry
+    short or long, and rows that are no sequence."""
     n = len(gluings)
     for t in range(n):
         for f in range(4):
@@ -226,6 +228,9 @@ def single_entry_mutations(gluings):
         yield [row if s != t else row[:3] for s, row in enumerate(gluings)]
         yield [row if s != t else row + [row[0]]
                for s, row in enumerate(gluings)]
+        for not_a_row in (None, 5):
+            yield [row if s != t else not_a_row
+                   for s, row in enumerate(gluings)]
 
 
 @pytest.mark.parametrize("sig", ["cPcbbbdxm_10", "cPcbbbiht_12",

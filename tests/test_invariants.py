@@ -9,6 +9,7 @@ from veerpoly.invariants import (Analysis, build_alexander_matrix,
                                  verify_identities)
 from veerpoly.laurent import (LaurentMatrix, LaurentPoly, normalize_unit,
                               specialize)
+from veerpoly.taut import build_double_cover
 from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
 from oracles import (TwoSidedGluingTable, all_columns_fitting_gcd,
@@ -134,12 +135,44 @@ def test_unit_pivot_reduce_matches_dense_oracle():
         mat = random_laurent_matrix(rng, rows, cols, nvars,
                                     density=rng.uniform(0.2, 0.9))
         assert unit_pivot_reduce(mat) == dense_unit_pivot_reduce(mat)
+    # a row that is a unit multiple of another cancels to a zero row
+    # once the other has been a pivot row
+    zero_rows = 0
+    for _ in range(100):
+        nvars = rng.randint(1, 3)
+        rows = rng.randint(1, 4)
+        mat = random_laurent_matrix(rng, rows, rng.randint(rows + 1, rows + 3),
+                                    nvars)
+        unit = LaurentPoly.monomial(
+            nvars, [rng.randint(-2, 2) for _ in range(nvars)],
+            rng.choice((1, -1)))
+        copied = [unit * p for p in rng.choice(mat.entries)]
+        mat = LaurentMatrix(nvars, mat.entries + [copied])
+        got = unit_pivot_reduce(mat)
+        assert got == dense_unit_pivot_reduce(mat)
+        zero_rows += got[1]
+    assert zero_rows > 20
     for sig in sample_sigs():
         analysis = Analysis(parse_taut_sig(sig))
         for build in (build_taut_matrix, build_alexander_matrix):
             mat = build(analysis)
             assert unit_pivot_reduce(mat) == dense_unit_pivot_reduce(mat), \
                 (sig, build.__name__)
+    # the tree-reduced presentations fitting_gcd sees, on the
+    # edge-orientation covers (all b1 = 1), the cover of every nonzero
+    # character H1 -> Z/2 of the <= 6-tet entries (b1 up to 2), and the
+    # 14-tet entry (b1 = 2) with its edge-orientation cover (b1 = 4)
+    bases, covers = small_analyses_and_covers()
+    fourteen = Analysis(parse_taut_sig(FOURTEEN))
+    analyses = covers + [cover for base in bases if base.ts.table.n_tet <= 6
+                         for cover in z2_covers(base)]
+    analyses += [fourteen, Analysis(fourteen.cover)]
+    assert sorted({analysis.h1.rank for analysis in analyses}) == [1, 2, 4]
+    for analysis in analyses:
+        for build in (build_taut_matrix, build_alexander_matrix):
+            mat = analysis.tree_reduced(build(analysis))
+            assert unit_pivot_reduce(mat) == dense_unit_pivot_reduce(mat), \
+                (analysis.ts.sig, build.__name__)
 
 
 def test_unit_pivot_reduce_keeps_minor_gcd():
@@ -170,6 +203,34 @@ def small_analyses_and_covers():
     covers = [Analysis(base.cover) for base in bases
               if not base.eo.edge_orientable]
     return bases, covers
+
+
+def z2_covers(analysis):
+    """Analysis of the double cover of every nonzero character
+    H1 -> Z/2.  Each character is the class of exactly one 0/1 face
+    cocycle that vanishes on the tree faces; on the other faces it
+    solves, mod 2, one equation per edge (its corner cycle crosses an
+    even number of faces where the cocycle is 1), found here by trying
+    every such cochain."""
+    n_faces = len(analysis.ts.table.faces)
+    free = [f for f in range(n_faces) if f not in analysis.tree]
+    edges = []
+    for cyc in analysis.cycles:
+        mask = 0
+        for f, _ in cyc.crossings:
+            if f in free:
+                mask ^= 1 << free.index(f)
+        edges.append(mask)
+    for chosen in range(1, 1 << len(free)):
+        if any(bin(chosen & mask).count("1") % 2 for mask in edges):
+            continue
+        beta = [0] * n_faces
+        for i, f in enumerate(free):
+            beta[f] = chosen >> i & 1
+        cover, connected = build_double_cover(analysis.ts, analysis.coor,
+                                              beta)
+        assert connected
+        yield Analysis(cover)
 
 
 def test_tree_reduced_gcds_equal_all_columns_route():

@@ -71,6 +71,35 @@ def test_arithmetic_results_are_clean():
     assert ((x + one) * (x - one)).terms == {(2,): 1, (0,): -1}
 
 
+def test_sub_mul_equals_difference_of_product():
+    # the fused a - c * p of the unit-pivot reduction, against the
+    # product and the difference taken one at a time, on clean results;
+    # a = c * p cancels in full, and any of a, c, p may be zero
+    rng = random.Random(53)
+    for _ in range(300):
+        nv = rng.randint(1, 3)
+        a, c, p = (random_poly(rng, nv) for _ in range(3))
+        before = [dict(x.terms) for x in (a, c, p)]
+        zero = LaurentPoly.zero(nv)
+        for args in ((a, c, p), (c * p, c, p), (zero, c, p), (a, zero, p),
+                     (a, c, zero), (zero, zero, zero)):
+            got = args[0].sub_mul(args[1], args[2])
+            assert got == args[0] - args[1] * args[2]
+            assert got.nvars == nv
+            assert 0 not in got.terms.values()
+            assert all(type(e) is tuple and len(e) == nv for e in got.terms)
+        assert (c * p).sub_mul(c, p).terms == {}
+        # the operands are left as they were
+        assert [x.terms for x in (a, c, p)] == before
+
+
+def test_sub_mul_rejects_other_rings():
+    a, b = LaurentPoly.one(1), LaurentPoly.one(2)
+    for args in ((a, b, a), (a, a, b), (b, a, a)):
+        with pytest.raises(ValueError):
+            args[0].sub_mul(args[1], args[2])
+
+
 # -- normalize_unit ----------------------------------------------------------
 
 def test_normalize_shift_and_sign():
@@ -110,6 +139,8 @@ def test_exact_div_zero_divisor_raises():
 
 
 def test_exact_div_construct_and_divide():
+    # q divides a monomial only if q is a unit, so adding a unit monomial
+    # to p * q leaves a multiple of q exactly when q is a unit
     rng = random.Random(11)
     for _ in range(200):
         nv = rng.randint(1, 3)
@@ -118,6 +149,13 @@ def test_exact_div_construct_and_divide():
         if q.is_zero():
             continue
         assert exact_div(p * q, q) == p
+        exp = tuple(rng.randint(-3, 3) for _ in range(nv))
+        perturbed = p * q + LaurentPoly.monomial(nv, exp, rng.choice((1, -1)))
+        got = exact_div(perturbed, q)
+        if q.is_unit():
+            assert got is not None and got * q == perturbed
+        else:
+            assert got is None
 
 
 @settings(max_examples=60, deadline=None)

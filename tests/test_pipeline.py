@@ -40,6 +40,20 @@ def test_batch_records_match_reference(name, with_polynomials):
         assert got == line, sig
 
 
+@pytest.mark.parametrize("name, flags", [("census_scan", []),
+                                         ("census_verify", ["--verify"])])
+def test_batch_writer_matches_reference(tmp_path, name, flags):
+    # the bytes batch itself writes, not a re-encoding of its records
+    census = tmp_path / "census.txt"
+    census.write_text("".join(json.loads(line)["sig"] + "\n"
+                              for line in reference_lines(name)))
+    out = tmp_path / "out.jsonl"
+    assert main(["batch", str(census), "--jobs", "1", "--out", str(out)]
+                + flags) == 0
+    with open(os.path.join(REFERENCE, name + ".jsonl"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_fill_records_match_reference(capsys):
     lines = reference_lines("fill_bundles")
     assert lines
