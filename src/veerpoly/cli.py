@@ -75,9 +75,9 @@ def cmd_compute(args):
 
 
 def cmd_fill(args):
+    spec = parse_slopes(args.slopes)
     ts = parse_taut_sig(args.sig)
     analysis = Analysis(ts)
-    spec = parse_slopes(args.slopes)
     cusps = vertex_links(ts, analysis.coor, analysis.cycles, analysis.h1)
     fh = filled_homology(analysis.h1, cusps, spec, eo=analysis.eo)
     if fh.s == 0:

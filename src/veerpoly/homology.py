@@ -3,8 +3,9 @@
 Everything here is generic over integer matrices: Smith normal form with
 full (inverse-tracked) transforms, finitely generated abelian quotients
 Z^q / (column span), first homology of a dual 2-complex given by its
-face ends and edge crossings, and the dual-graph spanning tree with its
-face cocycle used to label matrix entries elsewhere.
+face ends and edge crossings (the Smith-form pivots of d1 replayed on
+its graph), and the dual-graph spanning tree with its face cocycle used
+to label matrix entries elsewhere.
 
 Matrices are plain lists of rows of Python ints (arbitrary precision).
 """
@@ -78,8 +79,10 @@ def smith_normal_form(A, ncols=None):
     A is a list of rows; ncols disambiguates the width when A has no rows.
     Pivoting is deterministic: the smallest nonzero entry in absolute
     value, ties broken by row-major position.  The pivot rule is part of
-    the output contract, not only D: the transforms U, V fix the basis of
-    each cusp link, and so the slope coordinates of ``fill`` records.
+    the output contract, not only D: ``H1Data`` replays it on d1
+    (``_d1_pivots``) for its kernel basis, which with the quotient's
+    transforms fixes the basis of each cusp link, and so the slope
+    coordinates of ``fill`` records.
 
     Two early exits keep the transforms identical to a full scan.  The
     pivot search stops at the first entry with |x| = 1, since no entry
@@ -305,46 +308,60 @@ class H1Data:
     n_edges).  Classes of face-space cycles are reported in the
     coordinates of an AbelianQuotient on the kernel of d1.
 
-    d1 * d2 = 0 is asserted as: rows 0 .. rho - 1 of M = Vinv * d2
-    vanish, rho the rank of d1.  That is the whole condition, since
-    ``smith_normal_form`` has asserted U * d1 = D * Vinv and
-    U * Uinv = I, so d1 * d2 = Uinv * D * M, and the first rho diagonal
-    entries of D are nonzero and the rest zero.
+    The kernel basis is V[:, rho:] for the Smith form U * d1 * V = D
+    that ``smith_normal_form`` would reach, rho the rank of d1, found
+    without any transform: ``_d1_pivots`` replays its pivot rule and
+    keeps only the pivot faces, a spanning forest, and the other faces
+    in final column order (``kernel_faces``).  V changes only through
+    swap_cols(k, j) with j >= k and add_col(j, k, c) with j > k, so each
+    column p of V is e_sigma(p) plus multiples of e_sigma(k) for pivot
+    positions k < p, sigma the final column order.  Hence
+    V[kernel_faces, rho:] = I, and row kernel_faces[i] of V is
+    e_(rho + i), so (Vinv z)[rho:] = z[kernel_faces] for every z.  A
+    cycle is fixed by its values off the forest, so V[:, rho + i] is the
+    cycle that is 1 on kernel_faces[i] and 0 on the other kernel faces
+    (``kernel_to_cycle``), and the relations Vinv * d2 in kernel
+    coordinates are the rows of d2 at kernel_faces.  d1 * d2 = 0 is
+    asserted edge by edge.
     """
 
-    __slots__ = ("n_faces", "rank", "torsion", "snf1", "quot", "q")
+    __slots__ = ("face_ends", "n_cells", "peel", "kernel_faces", "q",
+                 "quot", "rank", "torsion")
 
     def __init__(self, n_cells, face_ends, boundaries):
-        n_faces = len(face_ends)
-        d1 = [[0] * n_faces for _ in range(n_cells)]
-        for f, (below, above) in enumerate(face_ends):
-            d1[above][f] += 1
-            d1[below][f] -= 1
-        d2 = [[0] * len(boundaries) for _ in range(n_faces)]
-        for e, crossings in enumerate(boundaries):
+        self.face_ends = face_ends
+        self.n_cells = n_cells
+        forest, self.kernel_faces = _d1_pivots(n_cells, face_ends)
+        self.peel = _leaves_first(n_cells, face_ends, forest)
+        self.q = len(self.kernel_faces)
+        position = {f: i for i, f in enumerate(self.kernel_faces)}
+        columns = []
+        for crossings in boundaries:
+            assert self._is_cycle(crossings), "im d2 not inside ker d1"
+            col = [0] * self.q
             for f, sign in crossings:
-                d2[f][e] += sign
-        self.n_faces = n_faces
-        self.snf1 = smith_normal_form(d1, ncols=n_faces)
-        rho = self.snf1.rank
-        self.q = n_faces - rho
-        # express boundaries in kernel coordinates: rows rho.. of Vinv * d2
-        M = int_matmul(self.snf1.Vinv, d2)
-        for i in range(rho):
-            assert not any(M[i]), "im d2 not inside ker d1"
-        columns = [[M[rho + i][e] for i in range(self.q)]
-                   for e in range(len(boundaries))]
+                if f in position:
+                    col[position[f]] += sign
+            columns.append(col)
         self.quot = AbelianQuotient(self.q, columns)
         self.rank = self.quot.rank
         self.torsion = self.quot.torsion
 
+    def _is_cycle(self, pairs):
+        """Whether d1 sends the sum of x * e_f over (f, x) in pairs to 0."""
+        acc = {}
+        for f, x in pairs:
+            below, above = self.face_ends[f]
+            acc[above] = acc.get(above, 0) + x
+            acc[below] = acc.get(below, 0) - x
+        return not any(acc.values())
+
     def cycle_kernel_coords(self, z):
-        """Coordinates of a face-space cycle in the kernel basis of d1."""
-        u = int_matvec(self.snf1.Vinv, z)
-        rho = self.snf1.rank
-        if any(u[i] for i in range(rho)):
+        """Coordinates of a face-space cycle in the kernel basis of d1:
+        its values on kernel_faces."""
+        if not self._is_cycle((f, x) for f, x in enumerate(z) if x):
             raise ValueError("vector is not a cycle")
-        return u[rho:]
+        return [z[f] for f in self.kernel_faces]
 
     def cycle_class_full(self, z):
         return self.quot.class_coords(self.cycle_kernel_coords(z))
@@ -353,14 +370,117 @@ class H1Data:
         return self.quot.class_free(self.cycle_kernel_coords(z))
 
     def kernel_to_cycle(self, y):
-        """The face-space cycle with kernel-basis coordinates y."""
-        rho = self.snf1.rank
-        support = [(rho + i, x) for i, x in enumerate(y) if x]
-        return [sum(row[k] * x for k, x in support) for row in self.snf1.V]
+        """The face-space cycle with kernel-basis coordinates y: y on
+        kernel_faces, then leaves peeled off the forest, each forest face
+        carrying the boundary left on its child cell to the parent."""
+        z = [0] * len(self.face_ends)
+        excess = [0] * self.n_cells
+        for f, x in zip(self.kernel_faces, y):
+            if x:
+                z[f] = x
+                below, above = self.face_ends[f]
+                excess[above] += x
+                excess[below] -= x
+        for f, cell, parent, sign in self.peel:
+            x = excess[cell]
+            if x:
+                z[f] = sign * x
+                excess[parent] += x
+        return z
+
+    def cochain_on_kernel(self, cochain):
+        """[cochain . V[:, rho + i] for each i], from tree potentials:
+        phi(cell) sums sign * cochain over the forest faces from the cell
+        to its root, the faces ``kernel_to_cycle`` carries its boundary
+        over, so the basis cycle of a kernel face f from b to a pairs to
+        cochain[f] + phi(a) - phi(b)."""
+        phi = [0] * self.n_cells
+        for f, cell, parent, sign in reversed(self.peel):
+            phi[cell] = phi[parent] + sign * cochain[f]
+        ends = self.face_ends
+        return [cochain[f] + phi[ends[f][1]] - phi[ends[f][0]]
+                for f in self.kernel_faces]
 
     def w_position_representative(self, position):
         """A face-space cycle whose class is the given diagonal generator."""
         return self.kernel_to_cycle(self.quot.generator_lift(position))
+
+
+def _d1_pivots(n_cells, face_ends):
+    """The pivots ``smith_normal_form`` takes on d1, replayed on sparse
+    rows.  Returns (pivot faces, kernel_faces), the latter being the
+    faces at column positions rho.. at the end.
+
+    Its rule picks the first row in the current order with a nonzero
+    entry, and in it the smallest column position, as every entry is
+    +-1.  Adding the pivot row to its other end's row and clearing it
+    by column operations leaves the incidence matrix of the graph with
+    the pivot face contracted (faces joining the two classes of cells
+    become loops, zero columns), so every pivot is +-1 and no step
+    restarts.  A row is kept as the set of its faces, merged by
+    symmetric difference; a union-find maps cells to their class.  Row
+    swaps only trade the pivot row for empty rows above it, which stay
+    empty, so the pivot row is the first nonempty one in cell order.
+    """
+    rows = [set() for _ in range(n_cells)]
+    for f, (below, above) in enumerate(face_ends):
+        if below != above:
+            rows[below].add(f)
+            rows[above].add(f)
+    cols = list(range(len(face_ends)))  # column position -> face
+    pos = cols[:]                       # face -> column position
+    rep = list(range(n_cells))
+
+    def find(c):
+        while rep[c] != c:
+            rep[c] = c = rep[rep[c]]
+        return c
+
+    pivots = []
+    cell = 0
+    while True:
+        while cell < n_cells and not rows[cell]:
+            cell += 1
+        if cell == n_cells:
+            return pivots, cols[len(pivots):]
+        k = len(pivots)
+        f = min(rows[cell], key=pos.__getitem__)
+        j, g = pos[f], cols[k]
+        cols[k], cols[j] = f, g
+        pos[f], pos[g] = k, j
+        below, above = map(find, face_ends[f])
+        other = above if below == cell else below
+        small, big = sorted((rows[cell], rows[other]), key=len)
+        big ^= small
+        rows[other], rows[cell] = big, ()
+        rep[cell] = other
+        pivots.append(f)
+
+
+def _leaves_first(n_cells, face_ends, forest):
+    """(face, cell, parent, sign) for each face of a forest rooted at
+    the lowest cell of each tree, leaves first: every cell comes before
+    its parent.  sign is +1 when the cell is the face's below end."""
+    adj = [[] for _ in range(n_cells)]
+    for f in forest:
+        below, above = face_ends[f]
+        adj[below].append((f, above, -1))
+        adj[above].append((f, below, 1))
+    seen = [False] * n_cells
+    steps = []
+    for root in range(n_cells):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for t in queue:
+            for f, cell, sign in adj[t]:
+                if not seen[cell]:
+                    seen[cell] = True
+                    queue.append(cell)
+                    steps.append((f, cell, t, sign))
+    steps.reverse()
+    return steps
 
 
 def dual_spanning_tree(n_tets, face_ends, face_priority=None):
@@ -405,37 +525,33 @@ def face_cocycle(h1, face_ends, tree_faces, parent):
     The fundamental cycle of a non-tree face f with ends (b, a) is
     z_f = e_f + p(a) - p(b), where p(t) is the signed face vector of the
     tree walk from t to the root.  Its class is L(z_f) for the linear map
-    L(z) = ((Vinv z)[:rho], U_free (Vinv z)[rho:]): the first rho entries
-    are zero exactly when z is a cycle, and the rest are class_free(z).
-    Each column L(e_f) is taken once; the potentials phi(t) = L(p(t))
-    follow ``parent`` from the root (phi(root) = 0, and a step parent ->
-    t crossing face g with ``sign`` gives phi(t) = phi(parent) - sign *
-    L(e_g)), so c[f] = L(e_f) + phi(a) - phi(b).  By linearity these are
-    the integers class_free(z_f) gives, and a z_f that is not a cycle
-    raises the same ValueError.  ``parent`` is as ``dual_spanning_tree``
-    returns it: each tetrahedron comes after its parent.
+    L(z) = U_free z[kernel_faces] (``H1Data``: the kernel coordinates of
+    any z are its values on kernel_faces), so L(e_f) is the column of
+    U_free at f's kernel position, or 0 when f is a forest face.  The
+    potentials phi(t) = L(p(t)) follow ``parent`` from the root
+    (phi(root) = 0, and a step parent -> t crossing face g with
+    ``sign`` gives phi(t) = phi(parent) - sign * L(e_g)), so c[f] =
+    L(e_f) + phi(a) - phi(b).  Every z_f is a cycle when each step
+    crosses its face from the parent's side to t's, below to above for
+    sign +1; a step that does not raises ValueError, as class_free of a
+    non-cycle does.  ``parent`` is as ``dual_spanning_tree`` returns it:
+    each tetrahedron comes after its parent.
     """
-    snf1 = h1.snf1
-    rho = snf1.rank
     quot = h1.quot
     free_rows = [quot.snf.U[i] for i in quot.free_positions]
-    L = snf1.Vinv[:rho] + int_matmul(free_rows, snf1.Vinv[rho:])
-    columns = list(zip(*L)) or [()] * h1.n_faces
+    zero = (0,) * h1.rank
+    columns = [zero] * len(face_ends)
+    for k, f in enumerate(h1.kernel_faces):
+        columns[f] = tuple(row[k] for row in free_rows)
     phi = {}
     for t, step in parent.items():
         if step is None:
-            phi[t] = [0] * len(L)
-        else:
-            pt, g, sign = step
-            phi[t] = [x - sign * y for x, y in zip(phi[pt], columns[g])]
-    zero = (0,) * h1.rank
-    c = []
-    for f, (b, a) in enumerate(face_ends):
-        if f in tree_faces:
-            c.append(zero)
+            phi[t] = zero
             continue
-        v = [x + y - z for x, y, z in zip(columns[f], phi[a], phi[b])]
-        if any(v[:rho]):
+        pt, g, sign = step
+        if face_ends[g] != ((pt, t) if sign == 1 else (t, pt)):
             raise ValueError("vector is not a cycle")
-        c.append(tuple(v[rho:]))
-    return c
+        phi[t] = tuple(x - sign * y for x, y in zip(phi[pt], columns[g]))
+    return [zero if f in tree_faces else
+            tuple(x + y - z for x, y, z in zip(columns[f], phi[a], phi[b]))
+            for f, (b, a) in enumerate(face_ends)]

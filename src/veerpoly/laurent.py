@@ -429,8 +429,22 @@ class LaurentMatrix:
                 if e.nvars != nvars:
                     raise ValueError("entry variable count mismatch")
 
+    @classmethod
+    def _wrap(cls, nvars, entries):
+        """Wrap a list of equal-length rows the package built itself,
+        every entry in ``nvars`` variables, without copying or checking
+        it, as ``LaurentPoly._wrap`` does for terms;
+        ``LaurentMatrix(nvars, entries)`` checks and copies outside
+        input."""
+        mat = object.__new__(cls)
+        mat.nvars = nvars
+        mat.entries = entries
+        mat.rows = len(entries)
+        mat.cols = len(entries[0]) if entries else 0
+        return mat
+
     def submatrix(self, row_idx, col_idx):
-        return LaurentMatrix(
+        return LaurentMatrix._wrap(
             self.nvars,
             [[self.entries[i][j] for j in col_idx] for i in row_idx])
 

@@ -273,13 +273,9 @@ class EdgeOrientationData:
         quot = h1.quot
         # The generator at position i is represented by the cycle
         # V[:, rho:] * Uinv[:, i], so omega_i = (beta * V[:, rho:]) *
-        # Uinv[:, i] mod 2: one row bv for all positions.
-        rho = h1.snf1.rank
-        bv = [0] * h1.q
-        for b, row in zip(beta, h1.snf1.V):
-            if b:
-                for k in range(h1.q):
-                    bv[k] += row[rho + k]
+        # Uinv[:, i] mod 2: one row bv for all positions, which H1Data
+        # reads off tree potentials.
+        bv = h1.cochain_on_kernel(beta)
         odd = [quot.snf.Uinv[k] for k, x in enumerate(bv) if x % 2]
         omega_positions = [sum(row[i] for row in odd) % 2
                            for i in range(h1.q)]

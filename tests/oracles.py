@@ -80,11 +80,12 @@ def dense_int_matvec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def dense_kernel_to_cycle(h1, y):
-    """The face-space cycle sum_i y[i] * V[:, rho + i], summed densely."""
-    rho = h1.snf1.rank
-    return [sum(h1.snf1.V[f][rho + i] * y[i] for i in range(h1.q))
-            for f in range(h1.n_faces)]
+def dense_kernel_to_cycle(dense, y):
+    """The face-space cycle sum_i y[i] * V[:, rho + i] of a
+    ``DenseH1Data``, summed densely."""
+    rho = dense.snf1.rank
+    return [sum(dense.snf1.V[f][rho + i] * y[i] for i in range(dense.q))
+            for f in range(dense.n_faces)]
 
 
 def dense_unit_pivot_reduce(mat):
@@ -480,7 +481,7 @@ def dense_face_cocycle(h1, face_ends, tree_faces, parent):
     """The earlier face cocycle, kept as an oracle: for each non-tree
     face, the dense fundamental cycle e_f + path(a) - path(b) and its
     class by ``h1.cycle_class_free``."""
-    n_faces = h1.n_faces
+    n_faces = len(face_ends)
     zero = (0,) * h1.rank
     c = []
     for f, (b, a) in enumerate(face_ends):
@@ -513,10 +514,26 @@ def dense_chain_complex(ts, coor, cycles):
     return d1, d2
 
 
+def dense_boundaries(n_cells, face_ends, boundaries):
+    """Dense d1 (n_cells x n_faces) and d2 (n_faces x n_edges) of the
+    complex that ``H1Data(n_cells, face_ends, boundaries)`` describes."""
+    n_faces = len(face_ends)
+    d1 = [[0] * n_faces for _ in range(n_cells)]
+    for f, (below, above) in enumerate(face_ends):
+        d1[above][f] += 1
+        d1[below][f] -= 1
+    d2 = [[0] * len(boundaries) for _ in range(n_faces)]
+    for e, crossings in enumerate(boundaries):
+        for f, sign in crossings:
+            d2[f][e] += sign
+    return d1, d2
+
+
 class DenseH1Data:
     """The earlier ``H1Data``, kept as an oracle: it takes the dense
-    boundary matrices d1 (n_tets x n_faces) and d2 (n_faces x n_edges)
-    and checks d1 * d2 = 0 by the product itself."""
+    boundary matrices d1 (n_tets x n_faces) and d2 (n_faces x n_edges),
+    checks d1 * d2 = 0 by the product itself and reads the kernel of d1
+    off the Smith form of d1."""
 
     def __init__(self, n_tets, n_faces, n_edges, d1, d2):
         prod = int_matmul(d1, d2)

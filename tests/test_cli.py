@@ -125,6 +125,20 @@ def test_fill_bad_slope_exits_one(capsys):
     assert "not primitive" in err
 
 
+@pytest.mark.parametrize("slopes, message", [
+    ("c0:2/4", "not primitive"), ("c0-1/2", "malformed slope"),
+    ("c0:1/2,c0:1/3", "filled twice")])
+def test_fill_rejects_slopes_before_any_analysis(monkeypatch, capsys,
+                                                 slopes, message):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("Analysis built before --slopes was parsed")
+
+    monkeypatch.setattr(cli, "Analysis", no_analysis)
+    rc, _, err = run_cli(capsys, "fill", M003, "--slopes", slopes)
+    assert rc == 1
+    assert message in err
+
+
 # -------------------------------------------------------------- batch
 
 def write_census(path, sigs):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from veerpoly import homology
+from veerpoly import filling, homology
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.filling import vertex_links
 from veerpoly.homology import (AbelianQuotient, H1Data, SNFResult,
@@ -13,9 +13,10 @@ from veerpoly.invariants import Analysis
 from veerpoly.taut import build_double_cover
 from bundles import bundle_sig
 from oracles import (DenseH1Data, abelian_group_from_relations,
-                     dense_chain_complex, dense_face_cocycle,
-                     dense_int_matvec, dense_kernel_to_cycle, full_scan_snf,
-                     naive_int_matmul, rational_rank)
+                     dense_boundaries, dense_chain_complex,
+                     dense_face_cocycle, dense_int_matvec,
+                     dense_kernel_to_cycle, full_scan_snf, naive_int_matmul,
+                     rational_rank)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
@@ -185,17 +186,18 @@ def test_sparse_sums_match_dense_sums():
         v = random_matrix(rng, 1, n, -big, big,
                           rng.choice((0.0, 0.05, 0.2, 0.9)))[0]
         assert int_matvec(A, v) == dense_int_matvec(A, v)
-    for sig in ("cPcbbbdxm_10", bundle_sig("RRLRL", -1),
-                "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"):
-        h1 = Analysis(parse_taut_sig(sig)).h1
+    for sig in ("cPcbbbdxm_10", bundle_sig("RRLRL", -1), FOURTEEN):
+        a = Analysis(parse_taut_sig(sig))
+        dense = dense_analysis_h1(a)
         for _ in range(20):
-            y = random_matrix(rng, 1, h1.q, -5, 5,
+            y = random_matrix(rng, 1, a.h1.q, -5, 5,
                               rng.choice((0.0, 0.1, 0.5)))[0]
-            assert h1.kernel_to_cycle(y) == dense_kernel_to_cycle(h1, y)
+            assert a.h1.kernel_to_cycle(y) == dense_kernel_to_cycle(dense, y)
     # a complex whose kernel is trivial: q = 0 and the empty vector
     h1 = H1Data(2, [(0, 1)], [])
     assert h1.q == 0
-    assert h1.kernel_to_cycle([]) == dense_kernel_to_cycle(h1, []) == [0]
+    dense = DenseH1Data(2, 1, 0, *dense_boundaries(2, [(0, 1)], []))
+    assert h1.kernel_to_cycle([]) == dense_kernel_to_cycle(dense, []) == [0]
 
 
 def test_snf_transforms_match_full_scan_on_sparse_incidence():
@@ -214,22 +216,41 @@ def test_snf_transforms_match_full_scan_on_sparse_incidence():
 
 
 def test_snf_transforms_match_full_scan_on_bundle_links(monkeypatch):
-    # every SNF of the manifold and cusp-link homology of a 20-tet bundle,
-    # including the 80 x 120 link d1
+    # every SNF of the manifold and cusp-link homology of a 20-tet bundle;
+    # each link complex against the dense builder, whose 80 x 120 SNF of
+    # the link d1 is checked against the full scan
     inputs = []
+    links = []
 
     def recording_snf(A, ncols=None):
         inputs.append(([list(r) for r in A], ncols))
         return smith_normal_form(A, ncols=ncols)
 
+    def recording_h1(n_cells, face_ends, boundaries):
+        h1 = H1Data(n_cells, face_ends, boundaries)
+        links.append((h1, n_cells, face_ends, boundaries))
+        return h1
+
     monkeypatch.setattr(homology, "smith_normal_form", recording_snf)
+    monkeypatch.setattr(filling, "H1Data", recording_h1)
     ts = parse_taut_sig(bundle_sig("RRLRLLRLRRLLRLRLLRRL", -1))
     a = Analysis(ts)
     vertex_links(ts, a.coor, a.cycles, a.h1)
     monkeypatch.undo()
-    assert any(len(A) == 80 and ncols == 120 for A, ncols in inputs)
+    assert inputs and links
+    assert_same_h1(a.h1, dense_analysis_h1(a))
     for A, ncols in inputs:
         assert same_as_full_scan(smith_normal_form(A, ncols=ncols), A, ncols)
+    shapes = []
+    for h1, n_cells, face_ends, boundaries in links:
+        d1, d2 = dense_boundaries(n_cells, face_ends, boundaries)
+        dense = DenseH1Data(n_cells, len(face_ends), len(boundaries), d1, d2)
+        assert_same_h1(h1, dense)
+        snf1 = dense.snf1
+        assert (snf1.diag, snf1.U, snf1.Uinv, snf1.V, snf1.Vinv) == \
+            full_scan_snf(d1, ncols=len(face_ends))
+        shapes.append((n_cells, len(face_ends)))
+    assert (80, 120) in shapes
 
 
 # -- abelian quotients -------------------------------------------------------
@@ -308,7 +329,7 @@ def test_h1_not_a_cycle_rejected():
 
 def test_h1_boundary_not_a_cycle_rejected():
     # an edge whose crossings do not close up (its boundary leaves a
-    # cell and never returns) fails the rows-below-rho check
+    # cell and never returns) fails the edge-by-edge d1 check
     for boundaries in ([[(0, 1)]], [[(0, 1), (1, 1)]],
                        [[(0, 1), (1, -1)], [(1, 2)]]):
         with pytest.raises(AssertionError, match="im d2 not inside ker d1"):
@@ -328,12 +349,7 @@ def _random_connected_graph_complex(rng, n_tets, n_extra):
         b = rng.randrange(n_tets)
         face_ends.append((a, b))
     rng.shuffle(face_ends)
-    n_faces = len(face_ends)
-    d1 = [[0] * n_faces for _ in range(n_tets)]
-    for f, (b, a) in enumerate(face_ends):
-        d1[a][f] += 1
-        d1[b][f] -= 1
-    return face_ends, d1
+    return face_ends, dense_boundaries(n_tets, face_ends, [])[0]
 
 
 def test_face_cocycle_reproduces_cycle_classes():
@@ -344,16 +360,18 @@ def test_face_cocycle_reproduces_cycle_classes():
                                                         rng.randint(1, 4))
         n_faces = len(face_ends)
         h1 = H1Data(n_tets, face_ends, [])
-        assert_same_h1(h1, DenseH1Data(n_tets, n_faces, 0, d1,
-                                       [[] for _ in range(n_faces)]))
+        dense = DenseH1Data(n_tets, n_faces, 0, d1,
+                            [[] for _ in range(n_faces)])
+        assert_same_h1(h1, dense)
         assert h1.rank == n_faces - n_tets + 1
         tree, parent = dual_spanning_tree(n_tets, face_ends)
         assert len(tree) == n_tets - 1
         c = face_cocycle(h1, face_ends, tree, parent)
         assert c == dense_face_cocycle(h1, face_ends, tree, parent)
-        # sample random cycles as integer combinations of the kernel basis
-        rho = h1.snf1.rank
-        V = h1.snf1.V
+        # sample random cycles as integer combinations of the dense
+        # builder's kernel basis
+        rho = dense.snf1.rank
+        V = dense.snf1.V
         for _ in range(5):
             coeffs = [rng.randint(-3, 3) for _ in range(h1.q)]
             z = [sum(V[f][rho + i] * coeffs[i] for i in range(h1.q))
@@ -373,12 +391,31 @@ def sample_sigs():
 
 
 def assert_same_h1(h1, dense):
-    """The same transforms, rank and torsion as the dense builder."""
-    assert h1.snf1.V == dense.snf1.V
-    assert h1.snf1.Vinv == dense.snf1.Vinv
+    """The maps H1Data shows agree with the dense builder's Smith form
+    of d1: kernel_to_cycle(e_i) is V[:, rho + i], cycle_kernel_coords
+    reads that column back as e_i, cochain_on_kernel is a cochain times
+    V[:, rho:]; and the quotient transforms, rank and torsion agree."""
+    rho, V = dense.snf1.rank, dense.snf1.V
+    assert h1.q == dense.q
+    columns = [[row[rho + i] for row in V] for i in range(dense.q)]
+    for i, col in enumerate(columns):
+        e = [int(k == i) for k in range(dense.q)]
+        assert h1.kernel_to_cycle(e) == col
+        assert h1.cycle_kernel_coords(col) == e
+    cochain = [(7 * f) % 5 - 2 for f in range(dense.n_faces)]
+    assert h1.cochain_on_kernel(cochain) == \
+        [sum(b * x for b, x in zip(cochain, col)) for col in columns]
     assert h1.quot.snf.U == dense.quot.snf.U
     assert h1.quot.snf.Uinv == dense.quot.snf.Uinv
     assert (h1.rank, h1.torsion) == (dense.rank, dense.torsion)
+
+
+def dense_analysis_h1(a):
+    """The dense builder on an Analysis's own chain complex."""
+    table = a.ts.table
+    d1, d2 = dense_chain_complex(a.ts, a.coor, a.cycles)
+    return DenseH1Data(table.n_tet, len(table.faces), len(table.edges),
+                       d1, d2)
 
 
 def test_h1_matches_dense_builder_on_sample_and_covers():
@@ -393,11 +430,55 @@ def test_h1_matches_dense_builder_on_sample_and_covers():
             analyses.append(Analysis(analysis.cover))
             covers += 1
         for a in analyses:
-            table = a.ts.table
-            d1, d2 = dense_chain_complex(a.ts, a.coor, a.cycles)
-            assert_same_h1(a.h1, DenseH1Data(
-                table.n_tet, len(table.faces), len(table.edges), d1, d2))
+            assert_same_h1(a.h1, dense_analysis_h1(a))
     assert covers > 100
+
+
+def random_graph_complex(rng):
+    """(n_cells, face_ends, boundaries) of a random 2-complex: a graph
+    with self-loops, parallel faces and possibly several components, or
+    a single cell, and edges bounded by random integer combinations of
+    the dense builder's kernel basis."""
+    n_cells = rng.choice((1, rng.randint(2, 9)))
+    face_ends = []
+    for _ in range(rng.randint(0, 14)):
+        below = rng.randrange(n_cells)
+        kind = rng.random()
+        if kind < 0.15:
+            above = below
+        elif kind < 0.3 and face_ends:
+            below, above = rng.choice(face_ends)
+        else:
+            above = rng.randrange(n_cells)
+        face_ends.append((below, above))
+    dense = DenseH1Data(n_cells, len(face_ends), 0,
+                        *dense_boundaries(n_cells, face_ends, []))
+    rho, V = dense.snf1.rank, dense.snf1.V
+    boundaries = []
+    for _ in range(rng.randint(0, 4) if dense.q else 0):
+        coeffs = [rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(dense.q)]
+        z = [sum(row[rho + i] * x for i, x in enumerate(coeffs))
+             for row in V]
+        boundaries.append([(f, x) for f, x in enumerate(z) if x])
+    return n_cells, face_ends, boundaries
+
+
+def test_h1_matches_dense_builder_on_random_graph_complexes():
+    rng = random.Random(263)
+    seen = set()
+    for _ in range(600):
+        n_cells, face_ends, boundaries = random_graph_complex(rng)
+        d1, d2 = dense_boundaries(n_cells, face_ends, boundaries)
+        dense = DenseH1Data(n_cells, len(face_ends), len(boundaries), d1, d2)
+        assert_same_h1(H1Data(n_cells, face_ends, boundaries), dense)
+        components = n_cells - dense.snf1.rank
+        seen.add((n_cells == 1, components > 1,
+                  any(b == a for b, a in face_ends),
+                  len(set(face_ends)) < len(face_ends), dense.torsion != []))
+    # one cell, several components, self-loops, parallel faces and
+    # torsion each turn up, and not only together
+    for k in range(5):
+        assert {s[k] for s in seen} == {False, True}
 
 
 def assert_cocycle_matches_dense(analysis):

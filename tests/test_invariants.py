@@ -330,6 +330,30 @@ def test_tree_reduction_sees_the_faces_of_the_tree():
         assert same_up_to_unit_and_inversion(base, other)
 
 
+def matrix_parts(mat):
+    return mat.nvars, mat.rows, mat.cols, mat.entries
+
+
+def test_wrapped_matrices_equal_checked_ones():
+    # the matrices the package wraps without copying or checking (the
+    # presentations, their tree_reduced copies, the unit-pivot residuals
+    # and submatrices) are the ones the checking constructor makes
+    for sig in sample_sigs():
+        analysis = Analysis(parse_taut_sig(sig))
+        for build in (build_taut_matrix, build_alexander_matrix):
+            full = build(analysis)
+            reduced = analysis.tree_reduced(full)
+            square = reduced.submatrix(range(reduced.rows),
+                                       range(1, reduced.cols))
+            residual, _ = unit_pivot_reduce(reduced)
+            for mat in (full, reduced, square,
+                        LaurentMatrix._wrap(full.nvars, residual)):
+                assert matrix_parts(mat) == matrix_parts(
+                    LaurentMatrix(mat.nvars, mat.entries))
+            assert (reduced.rows, reduced.cols) == (full.rows,
+                                                    full.rows + 1)
+
+
 # -- known polynomial values --------------------------------------------------
 
 def test_two_tet_polynomials():

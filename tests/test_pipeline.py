@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from veerpoly import invariants, taut
+from veerpoly import homology, invariants, taut
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.cli import entry_record, main
 from veerpoly.invariants import Analysis, verify_identities
@@ -89,9 +89,8 @@ with open(fill) as fh:
 
 def test_records_are_the_same_under_python_O():
     # the __debug__ checks (SNF transforms, boundaries inside the kernel
-    # of d1, read off the rows of Vinv * d2 below the rank of d1,
-    # tetrahedron relations, the edge-orientation cocycle) must not
-    # change any output they guard
+    # of d1, checked edge by edge, tetrahedron relations, the
+    # edge-orientation cocycle) must not change any output they guard
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -126,6 +125,16 @@ def count_calls(monkeypatch, target):
 
 @pytest.mark.parametrize("sig, covers", [(TWO_TET_EO, 0), (M003, 1)])
 def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
+    built = count_analyses(monkeypatch)
+    cover_calls = count_calls(monkeypatch, taut.build_double_cover)
+    rec = entry_record(sig, with_polynomials=True)
+    assert rec["verify"]["passed"]
+    assert built.count(sig) == 1
+    assert len(cover_calls) == covers
+
+
+def count_analyses(monkeypatch):
+    """The signatures of every Analysis built from now on."""
     built = []
     init = Analysis.__init__
 
@@ -134,11 +143,41 @@ def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
         init(self, ts, *args, **kwargs)
 
     monkeypatch.setattr(Analysis, "__init__", counting_init)
-    cover_calls = count_calls(monkeypatch, taut.build_double_cover)
-    rec = entry_record(sig, with_polynomials=True)
-    assert rec["verify"]["passed"]
-    assert built.count(sig) == 1
-    assert len(cover_calls) == covers
+    return built
+
+
+@pytest.mark.parametrize("name, flags", [("census_scan", []),
+                                         ("census_verify", ["--verify"])])
+def test_batch_takes_one_smith_form_per_analysis(monkeypatch, tmp_path,
+                                                 name, flags):
+    # H1Data replays the pivots of d1 instead of taking its Smith form:
+    # the one SNF per entry is the T + 1 kernel coordinates x T edges
+    # relation matrix of the quotient
+    sigs = [json.loads(line)["sig"] for line in reference_lines(name)]
+    census = tmp_path / "census.txt"
+    census.write_text("".join(sig + "\n" for sig in sigs))
+    built = count_analyses(monkeypatch)
+    taken = count_calls(monkeypatch, homology.smith_normal_form)
+    assert main(["batch", str(census), "--jobs", "1",
+                 "--out", str(tmp_path / "out.jsonl")] + flags) == 0
+    assert built == sigs
+    assert len(taken) == len(built)
+    assert all(len(A) == len(A[0]) + 1 for A in taken)
+
+
+def test_fill_takes_one_smith_form_per_quotient(monkeypatch, capsys):
+    # per fill: the manifold's and each cusp link's H1 quotient, the
+    # filled quotient, and the surjectivity check of i_star when b1 > 0
+    for line in reference_lines("fill_bundles"):
+        rec = json.loads(line)
+        cusps = len(parse_taut_sig(rec["sig"]).table.vertices)
+        slopes = ",".join("%s:%s" % kv
+                          for kv in sorted(rec["slopes"].items()))
+        taken = count_calls(monkeypatch, homology.smith_normal_form)
+        assert main(["fill", rec["sig"], "--slopes", slopes]) == 0
+        monkeypatch.undo()
+        assert len(taken) == 2 + cusps + (1 if rec["s"] else 0), rec["sig"]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("sig", [M003, FOURTEEN])
