@@ -191,13 +191,12 @@ class FilledHomology:
         self.sigma_N = None
 
 
-def filled_homology(h1, cusps, spec, eo=None):
+def filled_homology(h1, cusps, spec, eo):
     """H_1 data of the filled manifold.
 
     The quotient is taken in the kernel-coordinate ambient Z^q: the
     base's diagonalised relations plus one slope class per filled cusp.
-    When the edge-orientation data of the base is supplied, sigma_N is
-    resolved immediately.
+    sigma_N is resolved from the base's edge-orientation data eo.
     """
     filled = list(spec.slopes)
     for j in filled:
@@ -245,8 +244,7 @@ def filled_homology(h1, cusps, spec, eo=None):
                     "nontrivial": any(e != 0 for e in ell_free)}
     fh = FilledHomology(h1, filled, len(filled) == len(cusps), n_quot,
                         i_star, slope_face_vec, cores)
-    if eo is not None:
-        fh.sigma_N = vN_edge_orientable(eo, fh)
+    fh.sigma_N = vN_edge_orientable(eo, fh)
     return fh
 
 

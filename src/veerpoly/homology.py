@@ -4,8 +4,9 @@ Everything here is generic over integer matrices: Smith normal form with
 full (inverse-tracked) transforms, finitely generated abelian quotients
 Z^q / (column span), first homology of a dual 2-complex given by its
 face ends and edge crossings (the Smith-form pivots of d1 replayed on
-its graph), and the dual-graph spanning tree with its face cocycle used
-to label matrix entries elsewhere.
+its graph), the face cocycle read off that H1 (it labels the matrix
+entries of ``invariants``), and a BFS spanning tree of the dual graph,
+whose columns ``invariants`` drops from its presentations.
 
 Matrices are plain lists of rows of Python ints (arbitrary precision).
 """
@@ -483,75 +484,50 @@ def _leaves_first(n_cells, face_ends, forest):
     return steps
 
 
-def dual_spanning_tree(n_tets, face_ends, face_priority=None):
-    """BFS spanning tree of the dual graph (vertices tets, edges faces).
+def dual_spanning_tree(n_tets, face_ends):
+    """Faces of a BFS spanning tree of the dual graph (vertices tets,
+    edges faces, face_ends[f] = (below tet, above tet)), rooted at tet 0
+    and scanning each tet's faces in face order.
 
-    face_ends[f] = (below tet, above tet).  Returns (tree_faces, parent)
-    where parent[t] = (parent tet, face, sign) and sign is +1 when the
-    step parent -> t crosses the face in its coorientation direction
-    (below to above).  ``face_priority`` reorders the BFS neighbour
-    scan, which selects a different (equally valid) tree.
+    ``Analysis`` drops this tree's columns from its presentations.  Any
+    spanning tree would give the same Fitting gcd, but not in the same
+    time, so this is not the pivot forest of ``H1Data`` (the two agree
+    on the sample's base entries, not on their covers).  Dropping that
+    forest instead slows Theta + Delta 3-4x on the hardest Z/2 cover of
+    the 14-tet sample entry (b1 = 3, 28 tets): 4.8-6.3 s against
+    1.4-2.1 s on a shared 2-core machine.
     """
-    adj = {}
+    adj = [[] for _ in range(n_tets)]
     for f, (b, a) in enumerate(face_ends):
-        adj.setdefault(b, []).append((f, a, 1))
-        adj.setdefault(a, []).append((f, b, -1))
-    if face_priority is None:
-        key = None
-    else:
-        def key(item):
-            return (face_priority[item[0]],) + item
+        adj[b].append((f, a))
+        adj[a].append((f, b))
+    seen = [False] * n_tets
+    seen[0] = True
     tree_faces = set()
-    parent = {0: None}
     queue = [0]
-    while queue:
-        t = queue.pop(0)
-        for f, t2, sign in sorted(adj.get(t, []), key=key):
-            if t2 not in parent:
-                parent[t2] = (t, f, sign)
+    for t in queue:
+        for f, t2 in adj[t]:
+            if not seen[t2]:
+                seen[t2] = True
                 tree_faces.add(f)
                 queue.append(t2)
-    assert len(parent) == n_tets, "dual graph is disconnected"
-    return tree_faces, parent
+    assert len(queue) == n_tets, "dual graph is disconnected"
+    return tree_faces
 
 
-def face_cocycle(h1, face_ends, tree_faces, parent):
-    """Free H1 class of the fundamental cycle of each non-tree face.
+def face_cocycle(h1):
+    """Free H1 class c[f] of each face, with class_free(z) =
+    sum_f c[f] * z[f] for every face-space cycle z, which is what turns
+    local crossing data into group-ring exponents.
 
-    Tree faces get the zero class.  For any face-space cycle z we then
-    have class_free(z) = sum_f c[f] * z[f], which is what turns local
-    crossing data into group-ring exponents.
-
-    The fundamental cycle of a non-tree face f with ends (b, a) is
-    z_f = e_f + p(a) - p(b), where p(t) is the signed face vector of the
-    tree walk from t to the root.  Its class is L(z_f) for the linear map
-    L(z) = U_free z[kernel_faces] (``H1Data``: the kernel coordinates of
-    any z are its values on kernel_faces), so L(e_f) is the column of
-    U_free at f's kernel position, or 0 when f is a forest face.  The
-    potentials phi(t) = L(p(t)) follow ``parent`` from the root
-    (phi(root) = 0, and a step parent -> t crossing face g with
-    ``sign`` gives phi(t) = phi(parent) - sign * L(e_g)), so c[f] =
-    L(e_f) + phi(a) - phi(b).  Every z_f is a cycle when each step
-    crosses its face from the parent's side to t's, below to above for
-    sign +1; a step that does not raises ValueError, as class_free of a
-    non-cycle does.  ``parent`` is as ``dual_spanning_tree`` returns it:
-    each tetrahedron comes after its parent.
+    The kernel coordinates of a cycle are its values on kernel_faces
+    (``H1Data``), so class_free(z) = U_free z[kernel_faces]: c[f] is the
+    column of U_free at f's kernel position, and zero on the faces of
+    the pivot forest.
     """
     quot = h1.quot
     free_rows = [quot.snf.U[i] for i in quot.free_positions]
-    zero = (0,) * h1.rank
-    columns = [zero] * len(face_ends)
+    c = [(0,) * h1.rank] * len(h1.face_ends)
     for k, f in enumerate(h1.kernel_faces):
-        columns[f] = tuple(row[k] for row in free_rows)
-    phi = {}
-    for t, step in parent.items():
-        if step is None:
-            phi[t] = zero
-            continue
-        pt, g, sign = step
-        if face_ends[g] != ((pt, t) if sign == 1 else (t, pt)):
-            raise ValueError("vector is not a cycle")
-        phi[t] = tuple(x - sign * y for x, y in zip(phi[pt], columns[g]))
-    return [zero if f in tree_faces else
-            tuple(x + y - z for x, y, z in zip(columns[f], phi[a], phi[b]))
-            for f, (b, a) in enumerate(face_ends)]
+        c[f] = tuple(row[k] for row in free_rows)
+    return c

@@ -1,14 +1,16 @@
 """Presentation matrices over the group ring of first homology, their
 Fitting gcds, and identity verification.
 
-Lift bookkeeping.  Fix the spanning-tree cocycle c on faces (zero on
-tree faces).  Walking around an edge class from its canonical corner
-and accumulating +/- c(face crossed) gives each corner a vector label
-u; the corner's edge in the universal free-abelian cover, seen from the
-base lift of the corner's tetrahedron, is the deck translate by -u of
-the class's anchored lift.  Hence every matrix entry contributed by an
-incidence carries the monomial with exponent -u of that corner, which
-``Analysis.exponents`` holds.
+Lift bookkeeping.  Fix the face cocycle c of ``homology.face_cocycle``:
+class_free(z) = sum_f c[f] * z[f] for every face-space cycle z, and c
+vanishes on the pivot forest of ``H1Data``.  Walking around an edge
+class from its canonical corner and accumulating +/- c(face crossed)
+gives each corner a vector label u; the corner's edge in the universal
+free-abelian cover, seen from the base lift of the corner's
+tetrahedron, is the deck translate by -u of the class's anchored lift.
+Hence every matrix entry contributed by an incidence carries the
+monomial with exponent -u of that corner, which ``Analysis.exponents``
+holds.
 
 Tetrahedron relations.  A face column is the base lift of the face as
 an upper face of the tetrahedron below it.  Seen from the base lift of
@@ -17,12 +19,14 @@ and its entries pick up the factor x^(-c(f)).  In each matrix the four
 face columns of t, the top faces as they are and the bottom faces
 times x^(-c(f)), sum with signs to zero (``build_taut_matrix`` and
 ``build_alexander_matrix`` give the signs and assert the relation).
-The coefficient of a face is a unit, and a tree face is never glued to
-one tetrahedron on both sides, so peeling leaves off the dual spanning
-tree writes every tree column as a combination of non-tree columns.
-The non-tree columns therefore span the same module, and by
-Cauchy-Binet their maximal minors generate the same ideal: the Fitting
-gcd is taken over the T + 1 non-tree faces only.
+The coefficient of a face is a unit whatever the cocycle, and a tree
+face is never glued to one tetrahedron on both sides, so peeling
+leaves off any spanning tree of the dual graph writes every tree column
+as a combination of non-tree columns.  The columns dropped are those of
+a BFS tree (``Analysis.tree``), not of the pivot forest c vanishes on.
+The non-tree columns span the same module, and by Cauchy-Binet their
+maximal minors generate the same ideal: the Fitting gcd is taken over
+the T + 1 non-tree faces only.
 """
 
 from functools import cached_property
@@ -50,12 +54,12 @@ class Analysis:
     with the columns of the dual spanning tree ``tree`` dropped
     (``tree_reduced``), so the gcd runs on T x (T + 1) matrices; for
     ``delta_hat`` the cover's own tree is dropped before the cover's
-    matrix is pushed down to the base.  The keyword knobs select
-    alternative presentation choices (used to test presentation
+    matrix is pushed down to the base.  The two keyword knobs, the
+    coorientation and the canonical corner of each edge, select
+    alternative presentations (used to test presentation
     independence)."""
 
-    def __init__(self, ts, flip_coorientation=False, corner_rank=0,
-                 face_priority=None):
+    def __init__(self, ts, flip_coorientation=False, corner_rank=0):
         self.ts = ts
         table = ts.table
         coor = taut.derive_coorientation(ts)
@@ -72,10 +76,8 @@ class Analysis:
         self.eo = taut.edge_orientation_data(ts, coor, self.colours,
                                              self.cycles, self.h1)
         self.tracks = taut.track_slots(ts, coor)
-        self.tree, self.parent = dual_spanning_tree(
-            table.n_tet, self.face_ends, face_priority=face_priority)
-        self.cocycle = face_cocycle(self.h1, self.face_ends, self.tree,
-                                    self.parent)
+        self.tree = dual_spanning_tree(table.n_tet, self.face_ends)
+        self.cocycle = face_cocycle(self.h1)
         self.exponents = corner_exponents(self.cycles, self.cocycle,
                                           self.h1.rank)
         self.ref_dir = {corner: dirpair for cyc in self.cycles

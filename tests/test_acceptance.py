@@ -17,7 +17,8 @@ import pytest
 from bundles import bundle_sig, both_letter_words
 from oracles import (cofactor_determinant, exhaustive_fitting_gcd,
                      fox_alexander_polynomial)
-from test_invariants import permuted_structure, random_laurent_matrix
+from test_invariants import (coboundary_variant, permuted_structure,
+                             random_laurent_matrix)
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.homology import int_matmul, smith_normal_form
 from veerpoly.invariants import (Analysis, build_alexander_matrix,
@@ -247,7 +248,7 @@ def test_criterion_7_presentation_invariance():
         rng.shuffle(perm)
         variants = [
             Analysis(permuted_structure(ts, perm, [(0, 1, 2, 3)] * n_tet)),
-            Analysis(ts, face_priority=list(range(2 * n_tet))[::-1]),
+            coboundary_variant(ts),
             Analysis(ts, flip_coorientation=True),
         ]
         for variant in variants:

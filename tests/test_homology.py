@@ -353,21 +353,31 @@ def _random_connected_graph_complex(rng, n_tets, n_extra):
 
 
 def test_face_cocycle_reproduces_cycle_classes():
+    # connected graphs with free H1, whose BFS tree has n_tets - 1
+    # faces, and random 2-complexes with relations, torsion and several
+    # components: c is the dense route's cocycle on the pivot forest,
+    # and sum_f c[f] * z[f] is the free class of every cycle z
     rng = random.Random(109)
+    complexes = []
     for _ in range(40):
         n_tets = rng.randint(1, 6)
-        face_ends, d1 = _random_connected_graph_complex(rng, n_tets,
-                                                        rng.randint(1, 4))
+        face_ends, _ = _random_connected_graph_complex(rng, n_tets,
+                                                       rng.randint(1, 4))
+        assert len(dual_spanning_tree(n_tets, face_ends)) == n_tets - 1
+        complexes.append((n_tets, face_ends, []))
+    complexes += [random_graph_complex(rng) for _ in range(200)]
+    torsion = 0
+    for n_cells, face_ends, boundaries in complexes:
         n_faces = len(face_ends)
-        h1 = H1Data(n_tets, face_ends, [])
-        dense = DenseH1Data(n_tets, n_faces, 0, d1,
-                            [[] for _ in range(n_faces)])
+        h1 = H1Data(n_cells, face_ends, boundaries)
+        dense = DenseH1Data(n_cells, n_faces, len(boundaries),
+                            *dense_boundaries(n_cells, face_ends, boundaries))
         assert_same_h1(h1, dense)
-        assert h1.rank == n_faces - n_tets + 1
-        tree, parent = dual_spanning_tree(n_tets, face_ends)
-        assert len(tree) == n_tets - 1
-        c = face_cocycle(h1, face_ends, tree, parent)
-        assert c == dense_face_cocycle(h1, face_ends, tree, parent)
+        if not boundaries:
+            assert h1.rank == n_faces - dense.snf1.rank
+        torsion += h1.torsion != []
+        c = face_cocycle(h1)
+        assert c == dense_face_cocycle(h1, face_ends, *pivot_forest(h1))
         # sample random cycles as integer combinations of the dense
         # builder's kernel basis
         rho = dense.snf1.rank
@@ -382,6 +392,7 @@ def test_face_cocycle_reproduces_cycle_classes():
                 for i in range(h1.rank):
                     summed[i] += c[f][i] * z[f]
             assert tuple(summed) == direct
+    assert torsion > 10
 
 
 def sample_sigs():
@@ -481,12 +492,22 @@ def test_h1_matches_dense_builder_on_random_graph_complexes():
         assert {s[k] for s in seen} == {False, True}
 
 
+def pivot_forest(h1):
+    """(forest faces, parent map) of H1Data's pivot forest, in the form
+    ``dense_face_cocycle`` takes: parent[cell] = (parent, face, sign),
+    sign +1 when the step from the parent crosses the face from below
+    to above, which is when the cell is the face's above end."""
+    parent = [None] * h1.n_cells
+    for f, cell, up, sign in h1.peel:
+        parent[cell] = (up, f, -sign)
+    return {f for f, *_ in h1.peel}, parent
+
+
 def assert_cocycle_matches_dense(analysis):
-    want = dense_face_cocycle(analysis.h1, analysis.face_ends, analysis.tree,
-                              analysis.parent)
+    h1 = analysis.h1
+    want = dense_face_cocycle(h1, analysis.face_ends, *pivot_forest(h1))
     assert analysis.cocycle == want
-    assert face_cocycle(analysis.h1, analysis.face_ends, analysis.tree,
-                        analysis.parent) == want
+    assert face_cocycle(h1) == want
 
 
 def z2_characters(analysis):
@@ -501,9 +522,10 @@ def z2_characters(analysis):
 
 
 def test_face_cocycle_matches_dense_route_on_sample_and_covers():
-    # every sample entry, the b1 = 2 14-tet entry among them, with the
-    # trees of two other face priorities, and each connected Z/2 cover
-    # of the entry
+    # the dense fundamental cycles of the pivot forest on every sample
+    # entry, the b1 = 2 14-tet entry among them, with the coorientation
+    # as derived and flipped (another d1, so other pivots), and on each
+    # connected Z/2 cover of the entry
     sigs = sample_sigs()
     assert FOURTEEN in sigs
     covers = 0
@@ -511,30 +533,10 @@ def test_face_cocycle_matches_dense_route_on_sample_and_covers():
         ts = parse_taut_sig(sig)
         analysis = Analysis(ts)
         assert_cocycle_matches_dense(analysis)
-        n_faces = len(ts.table.faces)
-        for priority in (list(reversed(range(n_faces))),
-                         [(7 * f) % n_faces for f in range(n_faces)]):
-            assert_cocycle_matches_dense(
-                Analysis(ts, face_priority=priority))
+        assert_cocycle_matches_dense(Analysis(ts, flip_coorientation=True))
         for beta in z2_characters(analysis):
             cover, connected = build_double_cover(ts, analysis.coor, beta)
             if connected:
                 assert_cocycle_matches_dense(Analysis(cover))
                 covers += 1
     assert covers > 300
-
-
-def test_face_cocycle_rejects_a_flipped_tree_sign():
-    # flipping the sign of one tree step breaks the fundamental cycle of
-    # every non-tree face with one end below that step
-    for sig in ("cPcbbbdxm_10", bundle_sig("RRLRL", -1), FOURTEEN):
-        a = Analysis(parse_taut_sig(sig))
-        for t, step in a.parent.items():
-            if step is None:
-                continue
-            pt, g, sign = step
-            parent = dict(a.parent)
-            parent[t] = (pt, g, -sign)
-            for route in (face_cocycle, dense_face_cocycle):
-                with pytest.raises(ValueError, match="not a cycle"):
-                    route(a.h1, a.face_ends, a.tree, parent)

@@ -4,9 +4,9 @@ import random
 from veerpoly.census_io import (GluingTable, TautStructure, VERTEX_PAIRS,
                                 parse_taut_sig, perm_sign)
 from veerpoly.invariants import (Analysis, build_alexander_matrix,
-                                 build_taut_matrix, cover_pushforward,
-                                 fitting_gcd, unit_pivot_reduce,
-                                 verify_identities)
+                                 build_taut_matrix, corner_exponents,
+                                 cover_pushforward, fitting_gcd,
+                                 unit_pivot_reduce, verify_identities)
 from veerpoly.laurent import (LaurentMatrix, LaurentPoly, normalize_unit,
                               specialize)
 from veerpoly.taut import build_double_cover
@@ -310,24 +310,26 @@ def test_tetrahedron_relations_hold_exactly():
 
 def test_tree_reduction_sees_the_faces_of_the_tree():
     # the reduced matrices keep exactly the T + 1 non-tree columns, in
-    # face order; different face priorities drop different trees and
-    # give the same polynomials
-    ts = parse_taut_sig(bundle_sig("RRLRL", 1))
+    # face order; dropping the pivot forest's columns instead, a
+    # different tree, gives the same polynomials.  The two trees agree
+    # on every base entry of the sample, so this takes a 10-tet cover
+    ts = Analysis(parse_taut_sig(bundle_sig("RRLRL", -1))).cover
+    analysis = Analysis(ts)
     n_faces = len(ts.table.faces)
-    trees, polys = set(), []
-    for priority in (None, list(reversed(range(n_faces)))):
-        analysis = Analysis(ts, face_priority=priority)
-        mat = build_taut_matrix(analysis)
-        reduced = analysis.tree_reduced(mat)
-        keep = [f for f in range(n_faces) if f not in analysis.tree]
-        assert len(keep) == ts.table.n_tet + 1
-        assert reduced.entries == [[row[f] for f in keep]
-                                   for row in mat.entries]
-        trees.add(frozenset(analysis.tree))
-        polys.append((analysis.theta, analysis.delta))
-    assert len(trees) == 2
-    for base, other in zip(*polys):
-        assert same_up_to_unit_and_inversion(base, other)
+    forest = {f for f, *_ in analysis.h1.peel}
+    assert len(forest) == len(analysis.tree) == ts.table.n_tet - 1
+    assert forest != analysis.tree
+    for build, poly in ((build_taut_matrix, analysis.theta),
+                        (build_alexander_matrix, analysis.delta)):
+        mat = build(analysis)
+        for tree in (analysis.tree, forest):
+            keep = [f for f in range(n_faces) if f not in tree]
+            assert len(keep) == ts.table.n_tet + 1
+            reduced = [[row[f] for f in keep] for row in mat.entries]
+            if tree is analysis.tree:
+                assert analysis.tree_reduced(mat).entries == reduced
+            assert normalize_unit(fitting_gcd(LaurentMatrix(
+                mat.nvars, reduced))) == normalize_unit(poly)
 
 
 def matrix_parts(mat):
@@ -440,6 +442,20 @@ def test_fourteen_tet_cover_identity():
     assert rep.h1.torsion == [4]
 
 
+def test_fourteen_tet_z2_cover_without_sigma():
+    # of the 14-tet entry's Z/2 covers exactly one has no sigma; its
+    # double-cover polynomial runs through a 28-tet cover of the cover
+    covers = [cover for cover in z2_covers(Analysis(parse_taut_sig(FOURTEEN)))
+              if not cover.eo.sigma_exists]
+    assert len(covers) == 1
+    (rep,) = covers
+    assert rep.ts.table.n_tet == 28
+    assert (rep.h1.rank, rep.h1.torsion) == (2, [2, 8])
+    v = verify_identities(rep)
+    assert v["identity"] == "cover_product" and v["passed"]
+    assert v["sign_change_match"] is False and v["even_torsion"] is True
+
+
 # -- presentation invariance --------------------------------------------------
 
 def permuted_structure(ts, perm, relabels):
@@ -501,20 +517,37 @@ def test_relabelled_tables_match_two_sided_builder():
                 assert getattr(table, attr) == getattr(oracle, attr), attr
 
 
+def coboundary_variant(ts):
+    """Analysis of ts whose face cocycle is moved by the coboundary of a
+    nonconstant tetrahedron potential phi, c[f] + phi(above) -
+    phi(below), with the corner exponents recomputed: the same classes
+    of cycles, so the same polynomials."""
+    var = Analysis(ts)
+    r = var.h1.rank
+    phi = [tuple((3 * t + 2 * i) % 5 - 2 for i in range(r))
+           for t in range(ts.table.n_tet)]
+    assert len(set(phi)) > 1
+    cocycle = [tuple(x + pa - pb for x, pa, pb in zip(c, phi[a], phi[b]))
+               for c, (b, a) in zip(var.cocycle, var.face_ends)]
+    assert cocycle != var.cocycle
+    var.cocycle = cocycle
+    var.exponents = corner_exponents(var.cycles, cocycle, r)
+    return var
+
+
 def test_polynomials_invariant_under_internal_choices():
-    # flipping the coorientation, re-anchoring corner cycles, or using a
-    # different dual spanning tree must not change the polynomials
+    # flipping the coorientation or re-anchoring corner cycles must not
+    # change the polynomials up to a unit and inversion, and moving the
+    # face cocycle by a coboundary must not change them up to a unit
     for sig in ("cPcbbbdxm_10", bundle_sig("RRLL", 1), bundle_sig("RLRL", -1)):
         ts = parse_taut_sig(sig)
         base_a = Analysis(ts)
         base_theta = normalize_unit(fitting_gcd(build_taut_matrix(base_a)))
         base_delta = normalize_unit(
             fitting_gcd(build_alexander_matrix(base_a)))
-        n_faces = len(ts.table.faces)
         variants = [
             Analysis(ts, corner_rank=1),
             Analysis(ts, corner_rank=2),
-            Analysis(ts, face_priority=list(reversed(range(n_faces)))),
             Analysis(ts, flip_coorientation=True),
         ]
         for var in variants:
@@ -522,3 +555,8 @@ def test_polynomials_invariant_under_internal_choices():
             delta = fitting_gcd(build_alexander_matrix(var))
             assert same_up_to_unit_and_inversion(base_theta, theta)
             assert same_up_to_unit_and_inversion(base_delta, delta)
+        var = coboundary_variant(ts)
+        assert normalize_unit(fitting_gcd(build_taut_matrix(var))) == \
+            base_theta
+        assert normalize_unit(fitting_gcd(build_alexander_matrix(var))) == \
+            base_delta
