@@ -1,12 +1,13 @@
 """Exact integer linear algebra for triangulation homology.
 
 Everything here is generic over integer matrices: Smith normal form with
-full (inverse-tracked) transforms, finitely generated abelian quotients
-Z^q / (column span), first homology of a dual 2-complex given by its
-face ends and edge crossings (the Smith-form pivots of d1 replayed on
-its graph), the face cocycle read off that H1 (it labels the matrix
-entries of ``invariants``), and a BFS spanning tree of the dual graph,
-whose columns ``invariants`` drops from its presentations.
+the row transform U and its inverse (the column transform is only a
+certificate), finitely generated abelian quotients Z^q / (column span),
+first homology of a dual 2-complex given by its face ends and edge
+crossings (the Smith-form pivots of d1 replayed on its graph), the face
+cocycle read off that H1 (it labels the matrix entries of
+``invariants``), and a BFS spanning tree of the dual graph, whose
+columns ``invariants`` drops from its presentations.
 
 Matrices are plain lists of rows of Python ints (arbitrary precision).
 """
@@ -53,25 +54,22 @@ def int_matvec(A, v):
 
 
 class SNFResult:
-    """Smith normal form D = U * A * V with unimodular U, V.
+    """Smith normal form D = U * A * V with U unimodular.
 
     diag holds the diagonal of D (length min(m, n), divisibility chain,
     non-negative); rank is the number of nonzero diagonal entries.
-    Uinv and Vinv are maintained alongside U and V so callers can move
-    coordinates in both directions without re-inverting.
+    U and Uinv move coordinates of Z^m / (column span of A) in both
+    directions; V is kept only as the certificate ``_check_snf`` reads.
     """
 
-    __slots__ = ("m", "n", "diag", "rank", "U", "Uinv", "V", "Vinv")
+    __slots__ = ("diag", "rank", "U", "Uinv", "V")
 
-    def __init__(self, m, n, diag, rank, U, Uinv, V, Vinv):
-        self.m = m
-        self.n = n
+    def __init__(self, diag, rank, U, Uinv, V):
         self.diag = diag
         self.rank = rank
         self.U = U
         self.Uinv = Uinv
         self.V = V
-        self.Vinv = Vinv
 
 
 def smith_normal_form(A, ncols=None):
@@ -91,9 +89,7 @@ def smith_normal_form(A, ncols=None):
     divisibility-chain scan is skipped for a pivot of +-1, which divides
     every integer, so the scan could find no offending row.
 
-    Under ``__debug__`` the result is checked exactly by ``_check_snf``:
-    D diagonal, U * A = D * Vinv, U * Uinv = I, V * Vinv = I and the
-    divisibility chain.
+    Under ``__debug__`` the result is checked exactly by ``_check_snf``.
     """
     m = len(A)
     n = len(A[0]) if m else (0 if ncols is None else ncols)
@@ -101,11 +97,11 @@ def smith_normal_form(A, ncols=None):
         assert n == ncols
     D = [list(row) for row in A]
     U, Uinv = int_identity(m), int_identity(m)
-    V, Vinv = int_identity(n), int_identity(n)
+    V = int_identity(n)
 
     # Row/column operations, mirrored onto the transforms.  For U' = E*U the
     # inverse picks up E^-1 on the right, which is the corresponding column
-    # operation on Uinv (and dually for V).
+    # operation on Uinv.
     def swap_rows(i, j):
         if i == j:
             return
@@ -117,11 +113,9 @@ def smith_normal_form(A, ncols=None):
     def swap_cols(i, j):
         if i == j:
             return
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        for M in (D, V):
+            for row in M:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, c):
         # row_i += c * row_j, over the nonzero entries of the source only
@@ -144,10 +138,6 @@ def smith_normal_form(A, ncols=None):
             for row in M:
                 if row[i]:
                     row[j] += c * row[i]
-        Vi = Vinv[i]
-        for k, x in enumerate(Vinv[j]):
-            if x:
-                Vi[k] -= c * x
 
     def negate_row(i):
         D[i] = [-x for x in D[i]]
@@ -222,7 +212,7 @@ def smith_normal_form(A, ncols=None):
 
     diag = [D[i][i] for i in range(limit)]
     rank = sum(1 for d in diag if d)
-    res = SNFResult(m, n, diag, rank, U, Uinv, V, Vinv)
+    res = SNFResult(diag, rank, U, Uinv, V)
     if __debug__:
         _check_snf(A, D, res)
     return res
@@ -234,25 +224,29 @@ def _is_identity(M):
 
 
 def _check_snf(A, D, res):
-    """Assert that res is a Smith normal form of A reached at D.
+    """Assert that U of res carries Z^m / (column span of A) onto
+    Z^m / L, L the span of diag[i] * e_i, with D the matrix reached.
 
-    D must be diagonal, and U * A = D * Vinv, whose row i is diag[i]
-    times row i of Vinv (zero past the diagonal), together with
-    U * Uinv = I and V * Vinv = I.  As V * Vinv = I, U * A = D * Vinv
-    holds exactly when U * A * V = D, so this is the same check as
-    re-multiplying U * A * V, with one product fewer.
+    D must be diagonal, U * Uinv = I, and for P = U * A: row i of P a
+    multiple of diag[i] (zero from rank on), so the columns of P lie in
+    L; P * V = D, so each diag[i] * e_i is a combination of the columns
+    of P; and the divisibility chain.  The column span of P is then L,
+    and as U is unimodular, w = U * v maps the quotient of A onto that
+    of D, which is all that callers read.  V itself need not be
+    unimodular for this, so its inverse is not tracked.
     """
     for i, row in enumerate(D):
         assert not any(row[:i]) and not any(row[i + 1:]), \
             "SNF result is not diagonal"
-    diag = res.diag
-    for i, row in enumerate(int_matmul(res.U, A)):
-        want = [diag[i] * x for x in res.Vinv[i]] if i < len(diag) \
-            else [0] * res.n
-        assert row == want, "SNF transform mismatch"
     assert _is_identity(int_matmul(res.U, res.Uinv)), "U * Uinv != I"
-    assert _is_identity(int_matmul(res.V, res.Vinv)), "V * Vinv != I"
-    for i in range(res.rank - 1):
+    diag, rank = res.diag, res.rank
+    P = int_matmul(res.U, A)
+    for i, row in enumerate(P):
+        assert (not any(row) if i >= rank
+                else all(x % diag[i] == 0 for x in row)), \
+            "SNF row of U * A is not a multiple of its diagonal entry"
+    assert int_matmul(P, res.V) == D, "U * A * V != D"
+    for i in range(rank - 1):
         assert diag[i + 1] % diag[i] == 0, "SNF divisibility chain broken"
 
 

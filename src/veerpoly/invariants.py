@@ -87,8 +87,8 @@ class Analysis:
         """mat without the columns of the tree faces: the same Fitting
         gcd, by the tetrahedron relations (module docstring)."""
         keep = [f for f in range(mat.cols) if f not in self.tree]
-        return LaurentMatrix._wrap(mat.nvars, [[row[f] for f in keep]
-                                               for row in mat.entries])
+        return LaurentMatrix(mat.nvars, [[row[f] for f in keep]
+                                         for row in mat.entries])
 
     @cached_property
     def theta(self):
@@ -114,7 +114,7 @@ class Analysis:
         A = cover_pushforward(self, cover_analysis)
         cover_alex = cover_analysis.tree_reduced(
             build_alexander_matrix(cover_analysis))
-        pushed = LaurentMatrix._wrap(self.h1.rank, [
+        pushed = LaurentMatrix(self.h1.rank, [
             [specialize(p, A) for p in row] for row in cover_alex.entries])
         return fitting_gcd(pushed)
 
@@ -151,7 +151,7 @@ def _presentation_matrix(analysis, incidences):
                 del terms[exp]
         for e, terms in cells.items():
             rows[e][idx] = LaurentPoly._wrap(r, terms)
-    return LaurentMatrix._wrap(r, rows)
+    return LaurentMatrix(r, rows)
 
 
 def _tetrahedron_relations_hold(analysis, incidences, signs):
@@ -316,8 +316,7 @@ def fitting_gcd(mat):
     residual, saw_zero_row = unit_pivot_reduce(mat)
     if saw_zero_row:
         return LaurentPoly.zero(mat.nvars)
-    return maximal_minor_gcd_bruteforce(
-        LaurentMatrix._wrap(mat.nvars, residual))
+    return maximal_minor_gcd_bruteforce(LaurentMatrix(mat.nvars, residual))
 
 
 def cover_pushforward(analysis, cover_analysis):

@@ -418,35 +418,16 @@ class LaurentMatrix:
     __slots__ = ("nvars", "rows", "cols", "entries")
 
     def __init__(self, nvars, entries):
+        """Wrap a list of equal-length rows, every entry in ``nvars``
+        variables, without copying or checking it."""
         self.nvars = nvars
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-            for e in row:
-                if e.nvars != nvars:
-                    raise ValueError("entry variable count mismatch")
-
-    @classmethod
-    def _wrap(cls, nvars, entries):
-        """Wrap a list of equal-length rows the package built itself,
-        every entry in ``nvars`` variables, without copying or checking
-        it, as ``LaurentPoly._wrap`` does for terms;
-        ``LaurentMatrix(nvars, entries)`` checks and copies outside
-        input."""
-        mat = object.__new__(cls)
-        mat.nvars = nvars
-        mat.entries = entries
-        mat.rows = len(entries)
-        mat.cols = len(entries[0]) if entries else 0
-        return mat
+        self.entries = entries
+        self.rows = len(entries)
+        self.cols = len(entries[0]) if entries else 0
 
     def submatrix(self, row_idx, col_idx):
-        return LaurentMatrix._wrap(
-            self.nvars,
-            [[self.entries[i][j] for j in col_idx] for i in row_idx])
+        return LaurentMatrix(self.nvars, [
+            [self.entries[i][j] for j in col_idx] for i in row_idx])
 
     def __repr__(self):
         return "LaurentMatrix(%dx%d over %d vars)" % (

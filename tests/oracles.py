@@ -6,7 +6,9 @@ for two-generator one-relator groups.  None of it shares code paths with the
 package's production pipeline, except ``all_columns_fitting_gcd``.  The
 earlier gluing-table builder, dense face cocycle, dense chain complex and
 dense ``H1Data`` are kept here too; they use the package's permutation
-helpers, Smith normal form and ``H1Data.cycle_class_free``.
+helpers, ``AbelianQuotient`` and ``H1Data.cycle_class_free``.  The dense
+``H1Data`` takes the Smith form of d1, both column transforms included,
+from ``full_scan_snf`` rather than the package's.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from itertools import combinations
 
 from veerpoly.census_io import (CensusError, VERTEX_PAIRS, compose,
                                 perm_sign, slot_image)
-from veerpoly.homology import AbelianQuotient, int_matmul, smith_normal_form
+from veerpoly.homology import AbelianQuotient, int_matmul
 from veerpoly.invariants import fitting_gcd
 from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
 
@@ -83,8 +85,8 @@ def dense_int_matvec(A, v):
 def dense_kernel_to_cycle(dense, y):
     """The face-space cycle sum_i y[i] * V[:, rho + i] of a
     ``DenseH1Data``, summed densely."""
-    rho = dense.snf1.rank
-    return [sum(dense.snf1.V[f][rho + i] * y[i] for i in range(dense.q))
+    rho = dense.rho
+    return [sum(dense.V[f][rho + i] * y[i] for i in range(dense.q))
             for f in range(dense.n_faces)]
 
 
@@ -533,17 +535,18 @@ class DenseH1Data:
     """The earlier ``H1Data``, kept as an oracle: it takes the dense
     boundary matrices d1 (n_tets x n_faces) and d2 (n_faces x n_edges),
     checks d1 * d2 = 0 by the product itself and reads the kernel of d1
-    off the Smith form of d1."""
+    off the ``full_scan_snf`` Smith form of d1: rho, its rank, and its
+    column transform V with inverse Vinv."""
 
     def __init__(self, n_tets, n_faces, n_edges, d1, d2):
         prod = int_matmul(d1, d2)
         assert all(all(x == 0 for x in row) for row in prod), \
             "d1 * d2 != 0"
         self.n_faces = n_faces
-        self.snf1 = smith_normal_form(d1, ncols=n_faces)
-        rho = self.snf1.rank
+        diag, _, _, self.V, self.Vinv = full_scan_snf(d1, ncols=n_faces)
+        self.rho = rho = sum(1 for d in diag if d)
         self.q = n_faces - rho
-        M = int_matmul(self.snf1.Vinv, d2) if n_edges else \
+        M = int_matmul(self.Vinv, d2) if n_edges else \
             [[] for _ in range(n_faces)]
         for i in range(rho):
             assert all(x == 0 for x in M[i]), "im d2 not inside ker d1"

@@ -30,8 +30,8 @@ def random_matrix(rng, m, n, lo=-9, hi=9, density=0.8):
 # -- Smith normal form -------------------------------------------------------
 
 def same_as_full_scan(res, A, ncols=None):
-    return (res.diag, res.U, res.Uinv, res.V, res.Vinv) == \
-        full_scan_snf(A, ncols=ncols)
+    return (res.diag, res.U, res.Uinv, res.V) == \
+        full_scan_snf(A, ncols=ncols)[:4]
 
 
 def test_snf_textbook():
@@ -73,9 +73,10 @@ def test_snf_random_properties():
             for j in range(n):
                 want = res.diag[i] if i == j and i < len(res.diag) else 0
                 assert D[i][j] == want
-        # transforms are integer inverses of each other, hence unimodular
+        # transforms are integer inverses, hence unimodular: U of Uinv,
+        # V of the reference's Vinv
         assert int_matmul(res.U, res.Uinv) == int_identity(m)
-        assert int_matmul(res.Vinv, res.V) == int_identity(n)
+        assert int_matmul(full_scan_snf(A)[4], res.V) == int_identity(n)
         # rank agrees with an independent rational-elimination oracle
         assert res.rank == rational_rank(A)
         # diagonal is a non-negative divisibility chain
@@ -85,18 +86,13 @@ def test_snf_random_properties():
 
 
 def snf_parts(res):
-    """Copies of (U, Uinv, V, Vinv) of an SNFResult, to corrupt."""
-    return [[list(row) for row in M] for M in (res.U, res.Uinv, res.V,
-                                               res.Vinv)]
+    """Copies of (U, Uinv, V) of an SNFResult, to corrupt."""
+    return [[list(row) for row in M] for M in (res.U, res.Uinv, res.V)]
 
 
-def with_parts(res, U, Uinv, V, Vinv):
-    return SNFResult(res.m, res.n, res.diag, res.rank, U, Uinv, V, Vinv)
-
-
-def diagonal_matrix(res):
-    return [[res.diag[i] if i == j else 0 for j in range(res.n)]
-            for i in range(res.m)]
+def diagonal_matrix(res, A):
+    return [[res.diag[i] if i == j else 0 for j in range(len(row))]
+            for i, row in enumerate(A)]
 
 
 def test_snf_check_accepts_every_result():
@@ -106,57 +102,85 @@ def test_snf_check_accepts_every_result():
                None) for _ in range(60)]
     for A, ncols in cases:
         res = smith_normal_form(A, ncols=ncols)
-        homology._check_snf(A, diagonal_matrix(res), res)
+        homology._check_snf(A, diagonal_matrix(res, A), res)
 
 
 def test_snf_check_rejects_corrupted_results():
-    # each corruption alone must fail the check: a changed entry of U,
-    # Uinv, V or Vinv; U and Uinv (or V and Vinv) changed together so
-    # that both stay inverse pairs, which only U * A = D * Vinv sees;
-    # and a nonzero off-diagonal entry of D
+    # a changed entry of U or Uinv must fail the check, and so must a
+    # nonzero off-diagonal entry of D.  U and Uinv changed together so
+    # that both stay inverse, a changed entry of V and a column operation
+    # on V must each fail exactly when they change U * A * V; the changes
+    # of V must include both cases.
     rng = random.Random(257)
     seen = set()
+    v_kept = v_changed = 0
     for _ in range(40):
         m, n = rng.randint(2, 5), rng.randint(2, 5)
         A = random_matrix(rng, m, n)
         res = smith_normal_form(A)
-        D = diagonal_matrix(res)
-        for which in range(4):
+        D = diagonal_matrix(res, A)
+
+        def check(U, Uinv, V):
+            homology._check_snf(A, D, SNFResult(res.diag, res.rank, U, Uinv,
+                                                V))
+
+        def fails_iff_changed(U, Uinv, V):
+            if int_matmul(int_matmul(U, A), V) == D:
+                check(U, Uinv, V)
+                return False
+            with pytest.raises(AssertionError) as err:
+                check(U, Uinv, V)
+            seen.add(str(err.value))
+            return True
+
+        for which in range(2):
             parts = snf_parts(res)
             M = parts[which]
-            M[rng.randrange(len(M))][rng.randrange(len(M))] += \
-                rng.choice((1, -1, 2))
-            with pytest.raises(AssertionError) as err:
-                homology._check_snf(A, D, with_parts(res, *parts))
-            seen.add(str(err.value))
+            M[rng.randrange(m)][rng.randrange(m)] += rng.choice((1, -1, 2))
+            with pytest.raises(AssertionError, match=r"U \* Uinv != I"):
+                check(*parts)
         # row_i += c * row_j on U is undone by col_j -= c * col_i on Uinv
-        for left in (True, False):
-            U, Uinv, V, Vinv = snf_parts(res)
-            size = m if left else n
-            i, j = rng.sample(range(size), 2)
-            c = rng.choice((1, -1, 3))
-            if left:
-                U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-                for row in Uinv:
-                    row[j] -= c * row[i]
+        U, Uinv, V = snf_parts(res)
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((1, -1, 3))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for row in Uinv:
+            row[j] -= c * row[i]
+        assert int_matmul(U, Uinv) == int_identity(m)
+        fails_iff_changed(U, Uinv, V)
+        for entry in (True, False):
+            U, Uinv, V = snf_parts(res)
+            if entry:
+                V[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1, 2))
             else:
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((1, -1, 3))
                 for row in V:
                     row[j] += c * row[i]
-                Vinv[i] = [a - c * b for a, b in zip(Vinv[i], Vinv[j])]
-            assert int_matmul(U, Uinv) == int_identity(m)
-            assert int_matmul(V, Vinv) == int_identity(n)
-            if int_matmul(int_matmul(U, A), V) == D:
-                continue        # the change happened to keep U * A * V
-            with pytest.raises(AssertionError, match="transform mismatch"):
-                homology._check_snf(A, D, with_parts(res, U, Uinv, V, Vinv))
-            seen.add("SNF transform mismatch")
+            if fails_iff_changed(U, Uinv, V):
+                v_changed += 1
+            else:
+                v_kept += 1
         i, j = rng.sample(range(min(m, n)), 2)
         bad = [list(row) for row in D]
         bad[i][j] = rng.choice((1, -2))
         with pytest.raises(AssertionError, match="not diagonal"):
             homology._check_snf(A, bad, res)
-    assert seen >= {"SNF transform mismatch", "U * Uinv != I",
-                    "V * Vinv != I"}
+    assert seen == {"U * A * V != D",
+                    "SNF row of U * A is not a multiple of its diagonal entry"}
+    assert v_kept and v_changed
+
+
+def test_snf_check_rejects_rows_outside_the_diagonal_lattice():
+    # U * A * V = D holds, but row 1 of U * A = I is not zero: e_2 is a
+    # relation of A and not of D, so U does not carry Z^2 / (column span
+    # of A), which is trivial, onto Z^2 / L = Z
+    A = int_identity(2)
+    res = SNFResult([1, 0], 1, int_identity(2), int_identity(2),
+                    [[1, 0], [0, 0]])
+    assert int_matmul(int_matmul(res.U, A), res.V) == [[1, 0], [0, 0]]
+    with pytest.raises(AssertionError, match="not a multiple"):
+        homology._check_snf(A, [[1, 0], [0, 0]], res)
 
 
 def test_int_matmul_matches_naive_product():
@@ -246,9 +270,8 @@ def test_snf_transforms_match_full_scan_on_bundle_links(monkeypatch):
         d1, d2 = dense_boundaries(n_cells, face_ends, boundaries)
         dense = DenseH1Data(n_cells, len(face_ends), len(boundaries), d1, d2)
         assert_same_h1(h1, dense)
-        snf1 = dense.snf1
-        assert (snf1.diag, snf1.U, snf1.Uinv, snf1.V, snf1.Vinv) == \
-            full_scan_snf(d1, ncols=len(face_ends))
+        assert same_as_full_scan(
+            smith_normal_form(d1, ncols=len(face_ends)), d1, len(face_ends))
         shapes.append((n_cells, len(face_ends)))
     assert (80, 120) in shapes
 
@@ -374,14 +397,13 @@ def test_face_cocycle_reproduces_cycle_classes():
                             *dense_boundaries(n_cells, face_ends, boundaries))
         assert_same_h1(h1, dense)
         if not boundaries:
-            assert h1.rank == n_faces - dense.snf1.rank
+            assert h1.rank == n_faces - dense.rho
         torsion += h1.torsion != []
         c = face_cocycle(h1)
         assert c == dense_face_cocycle(h1, face_ends, *pivot_forest(h1))
         # sample random cycles as integer combinations of the dense
         # builder's kernel basis
-        rho = dense.snf1.rank
-        V = dense.snf1.V
+        rho, V = dense.rho, dense.V
         for _ in range(5):
             coeffs = [rng.randint(-3, 3) for _ in range(h1.q)]
             z = [sum(V[f][rho + i] * coeffs[i] for i in range(h1.q))
@@ -406,7 +428,7 @@ def assert_same_h1(h1, dense):
     of d1: kernel_to_cycle(e_i) is V[:, rho + i], cycle_kernel_coords
     reads that column back as e_i, cochain_on_kernel is a cochain times
     V[:, rho:]; and the quotient transforms, rank and torsion agree."""
-    rho, V = dense.snf1.rank, dense.snf1.V
+    rho, V = dense.rho, dense.V
     assert h1.q == dense.q
     columns = [[row[rho + i] for row in V] for i in range(dense.q)]
     for i, col in enumerate(columns):
@@ -464,7 +486,7 @@ def random_graph_complex(rng):
         face_ends.append((below, above))
     dense = DenseH1Data(n_cells, len(face_ends), 0,
                         *dense_boundaries(n_cells, face_ends, []))
-    rho, V = dense.snf1.rank, dense.snf1.V
+    rho, V = dense.rho, dense.V
     boundaries = []
     for _ in range(rng.randint(0, 4) if dense.q else 0):
         coeffs = [rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(dense.q)]
@@ -482,7 +504,7 @@ def test_h1_matches_dense_builder_on_random_graph_complexes():
         d1, d2 = dense_boundaries(n_cells, face_ends, boundaries)
         dense = DenseH1Data(n_cells, len(face_ends), len(boundaries), d1, d2)
         assert_same_h1(H1Data(n_cells, face_ends, boundaries), dense)
-        components = n_cells - dense.snf1.rank
+        components = n_cells - dense.rho
         seen.add((n_cells == 1, components > 1,
                   any(b == a for b, a in face_ends),
                   len(set(face_ends)) < len(face_ends), dense.torsion != []))

@@ -332,14 +332,11 @@ def test_tree_reduction_sees_the_faces_of_the_tree():
                 mat.nvars, reduced))) == normalize_unit(poly)
 
 
-def matrix_parts(mat):
-    return mat.nvars, mat.rows, mat.cols, mat.entries
-
-
 def test_wrapped_matrices_equal_checked_ones():
-    # the matrices the package wraps without copying or checking (the
-    # presentations, their tree_reduced copies, the unit-pivot residuals
-    # and submatrices) are the ones the checking constructor makes
+    # LaurentMatrix wraps its rows without copying or checking them; the
+    # matrices the package builds (the presentations, their tree_reduced
+    # copies, the unit-pivot residuals and submatrices) are well formed:
+    # equal row lengths, every entry in nvars variables
     for sig in sample_sigs():
         analysis = Analysis(parse_taut_sig(sig))
         for build in (build_taut_matrix, build_alexander_matrix):
@@ -349,11 +346,14 @@ def test_wrapped_matrices_equal_checked_ones():
                                        range(1, reduced.cols))
             residual, _ = unit_pivot_reduce(reduced)
             for mat in (full, reduced, square,
-                        LaurentMatrix._wrap(full.nvars, residual)):
-                assert matrix_parts(mat) == matrix_parts(
-                    LaurentMatrix(mat.nvars, mat.entries))
-            assert (reduced.rows, reduced.cols) == (full.rows,
-                                                    full.rows + 1)
+                        LaurentMatrix(full.nvars, residual)):
+                assert mat.nvars == analysis.h1.rank
+                assert mat.rows == len(mat.entries)
+                assert all(len(row) == mat.cols for row in mat.entries)
+                assert all(p.nvars == mat.nvars for row in mat.entries
+                           for p in row)
+            n_tet = analysis.ts.table.n_tet
+            assert (reduced.rows, reduced.cols) == (n_tet, n_tet + 1)
 
 
 # -- known polynomial values --------------------------------------------------
