@@ -12,6 +12,7 @@ digits are remapped alongside.  Non-orientable input is rejected.
 """
 
 import itertools
+from functools import cached_property
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _CHAR_VAL = {ch: i for i, ch in enumerate(ALPHABET)}
@@ -64,8 +65,9 @@ def slot_image(p, slot):
 
 
 # Per permutation of ISOSIG_PERMS, by index: sign, inverse, the images
-# of the six edge slots, and composition.  GluingTable and
-# _orient_all_odd look these up instead of recomputing them per gluing.
+# of the six edge slots, and composition.  GluingTable, _orient_all_odd
+# and the walks of ``taut`` look these up instead of recomputing them
+# per gluing.
 PERM_INDEX = {p: k for k, p in enumerate(ISOSIG_PERMS)}
 PERM_SIGN = tuple(perm_sign(p) for p in ISOSIG_PERMS)
 PERM_INVERSE = tuple(PERM_INDEX[invert(p)] for p in ISOSIG_PERMS)
@@ -131,7 +133,14 @@ class GluingTable:
     the first failure raises the same CensusError as checking both sides
     would.  Any malformed table raises CensusError.
     Each pair makes one face, numbered in order of its first facet, and
-    one union of its three edges and of its three vertices.
+    one union of its three vertices.  Every permutation is stored as
+    the tuple of ISOSIG_PERMS, whichever sequence was given, so that
+    PERM_INDEX finds it.
+
+    The edge classes (``edges``, ``edge_index``) are computed on first
+    read, from one union of the three edges of each face; the table is
+    fully checked on construction all the same.  A double cover that is
+    only built to count its cusps never unions its edge slots.
     """
 
     def __init__(self, gluings):
@@ -148,7 +157,6 @@ class GluingTable:
         n = self.n_tet
         face_index = {}
         faces = []
-        edge_pairs = []
         vertex_pairs = []
         for t, row in enumerate(self.gluings):
             if len(row) != 4:
@@ -184,16 +192,31 @@ class GluingTable:
                     continue
                 face_index[(t, f)] = face_index[(t2, f2)] = len(faces)
                 faces.append(((t, f), (t2, f2)))
-                images = PERM_SLOT_IMAGES[k]
-                edge_pairs += [(6 * t + s, 6 * t2 + images[s])
-                               for s in FACE_SLOTS[f]]
+                row[f] = (t2, p)
+                self.gluings[t2][f2] = (t, ISOSIG_PERMS[PERM_INVERSE[k]])
                 vertex_pairs += [(4 * t + v, 4 * t2 + p[v])
                                  for v in FACE_VERTICES[f]]
         assert len(faces) == 2 * n
         self.face_index = face_index
         self.faces = faces
-        self.edge_index, self.edges = _classes(6 * n, edge_pairs, 6)
         self.vertex_index, self.vertices = _classes(4 * n, vertex_pairs, 4)
+
+    @cached_property
+    def _edge_classes(self):
+        """(edge_index, edges), as ``_classes`` gives them."""
+        pairs = []
+        for (t, f), (t2, _) in self.faces:
+            images = PERM_SLOT_IMAGES[PERM_INDEX[self.gluings[t][f][1]]]
+            pairs += [(6 * t + s, 6 * t2 + images[s]) for s in FACE_SLOTS[f]]
+        return _classes(6 * self.n_tet, pairs, 6)
+
+    @cached_property
+    def edge_index(self):
+        return self._edge_classes[0]
+
+    @cached_property
+    def edges(self):
+        return self._edge_classes[1]
 
     def glue(self, t, f):
         return self.gluings[t][f]
@@ -326,8 +349,7 @@ def _orient_all_odd(gluings):
     n = len(gluings)
     parity = {0: 1}
     queue = [0]
-    while queue:
-        t = queue.pop(0)
+    for t in queue:
         for f in range(4):
             t2, p = gluings[t][f]
             # an odd gluing joins coherently oriented tetrahedra

@@ -43,11 +43,16 @@ from . import taut
 
 
 class Analysis:
-    """Everything derived from one taut structure: the homology and
-    edge-orientation data are computed on construction, the invariants
-    on first use and then kept.
+    """Everything derived from one taut structure.  Computed on
+    construction: what every record reads, the homology and the
+    edge-orientation data, with the coorientation, colours and corner
+    cycles they rest on; the face tracks, whose asserts check every
+    face; and the dual spanning tree ``tree`` and face cocycle
+    ``cocycle``.  Everything else is computed on first use and then
+    kept.
 
-    Lazy members: ``theta`` and ``delta`` (the taut and Alexander
+    Lazy members: ``exponents`` and ``ref_dir`` (the corner data of the
+    presentations), ``theta`` and ``delta`` (the taut and Alexander
     polynomials), ``cover`` (the edge-orientation double cover) and
     ``delta_hat`` (the double-cover polynomial, None when sigma
     exists).  Each is the Fitting gcd of an edges x faces presentation
@@ -78,10 +83,18 @@ class Analysis:
         self.tracks = taut.track_slots(ts, coor)
         self.tree = dual_spanning_tree(table.n_tet, self.face_ends)
         self.cocycle = face_cocycle(self.h1)
-        self.exponents = corner_exponents(self.cycles, self.cocycle,
-                                          self.h1.rank)
-        self.ref_dir = {corner: dirpair for cyc in self.cycles
-                        for corner, dirpair in zip(cyc.corners, cyc.dirs)}
+
+    @cached_property
+    def exponents(self):
+        """Corner -> monomial exponent, read by the presentations."""
+        return corner_exponents(self.cycles, self.cocycle, self.h1.rank)
+
+    @cached_property
+    def ref_dir(self):
+        """Corner -> reference orientation of its edge, read by the
+        Alexander presentation."""
+        return {corner: dirpair for cyc in self.cycles
+                for corner, dirpair in zip(cyc.corners, cyc.dirs)}
 
     def tree_reduced(self, mat):
         """mat without the columns of the tree faces: the same Fitting
@@ -122,7 +135,14 @@ class Analysis:
 def corner_exponents(cycles, cocycle, rank):
     """Monomial exponent -u of every corner, u its deck-translation
     label: minus the signed partial sum of the face cocycle along the
-    corner cycle from the canonical corner."""
+    corner cycle from the canonical corner.
+
+    The closure assert (the sum vanishes around every edge) runs
+    wherever exponents are built.  Records without polynomials never
+    build them, but their condition is checked all the same: the sum
+    around edge e is U_free times the relation column of e (``H1Data``,
+    ``face_cocycle``), and ``homology._check_snf`` asserts that the free
+    rows of U * R are zero."""
     exponents = {}
     for cyc in cycles:
         v = (0,) * rank

@@ -12,13 +12,23 @@ track orients the face's three edges as source -> sink along the large
 edge with the apex as a pass-through vertex.
 """
 
-from .census_io import (CensusError, FACE_SLOTS, GluingTable, OPPOSITE_SLOT,
-                        PI_SLOTS, SLOT_OF_PAIR, TautStructure, VERTEX_PAIRS,
-                        invert, slot_image)
+from .census_io import (CensusError, FACE_SLOTS, GluingTable, ISOSIG_PERMS,
+                        OPPOSITE_SLOT, PERM_INDEX, PERM_INVERSE,
+                        PERM_SLOT_IMAGES, PI_SLOTS, SLOT_OF_PAIR,
+                        TautStructure, VERTEX_PAIRS)
 
 
 def _slot(a, b):
     return SLOT_OF_PAIR[(a, b) if a < b else (b, a)]
+
+
+# The two facets off edge slot s are the endpoints of the opposite
+# slot.  A corner cycle leaves each corner through the one it did not
+# enter by: _NEXT_EXIT[s][enter], None where enter is not off s.
+_NEXT_EXIT = tuple(tuple(b if enter == a else a if enter == b else None
+                         for enter in range(4))
+                   for a, b in (VERTEX_PAIRS[OPPOSITE_SLOT[s]]
+                                for s in range(6)))
 
 
 class Coorientation:
@@ -31,19 +41,18 @@ class Coorientation:
         self.top_slot = [PI_SLOTS[d][choice[t]]
                          for t, d in enumerate(ts.digits)]
         self.bot_slot = [OPPOSITE_SLOT[s] for s in self.top_slot]
-        self.below = [None] * len(table.faces)
-        self.above = [None] * len(table.faces)
-        for idx, (side1, side2) in enumerate(table.faces):
-            for (t, fs) in (side1, side2):
-                if fs in VERTEX_PAIRS[self.bot_slot[t]]:
-                    # upper face of t: t sits below it
-                    slot_kind = "below"
-                else:
-                    slot_kind = "above"
-                if getattr(self, slot_kind)[idx] is not None:
+        below = self.below = [None] * len(table.faces)
+        above = self.above = [None] * len(table.faces)
+        for idx, sides in enumerate(table.faces):
+            for side in sides:
+                t, fs = side
+                # an upper face of t has t below it
+                ends = below if fs in VERTEX_PAIRS[self.bot_slot[t]] \
+                    else above
+                if ends[idx] is not None:
                     raise CensusError(
                         "taut structure is not transverse at face %d" % idx)
-                getattr(self, slot_kind)[idx] = (t, fs)
+                ends[idx] = side
         for idx in range(len(table.faces)):
             if self.below[idx] is None or self.above[idx] is None:
                 raise CensusError(
@@ -60,8 +69,7 @@ def derive_coorientation(ts):
     table = ts.table
     choice = {0: 0}
     queue = [0]
-    while queue:
-        t = queue.pop(0)
+    for t in queue:
         top = PI_SLOTS[ts.digits[t]][choice[t]]
         bot_pair = VERTEX_PAIRS[OPPOSITE_SLOT[top]]
         for fs in range(4):
@@ -115,8 +123,8 @@ class EdgeCycle:
 
     corners[i] = (tet, edge slot); dirs[i] = the reference orientation
     of the edge at that corner as a directed vertex pair, propagated
-    from the lexicographically smallest corner (oriented low -> high
-    vertex); crossings[i] = (face index, +1 if the step from corner i to
+    from the anchor corner, by default the smallest (oriented low -> high
+    vertex there); crossings[i] = (face index, +1 if the step from corner i to
     corner i+1 crosses the face from below to above); exits[i] = the
     facet of corners[i]'s tetrahedron through which that step leaves.
     """
@@ -132,36 +140,42 @@ class EdgeCycle:
 
 
 def edge_corner_cycles(ts, coor, corner_rank=0):
-    """corner_rank selects which incidence (in sorted order) anchors the
-    cycle: the anchor is the canonical corner (walk start, reference
-    orientation low -> high there)."""
+    """The corner cycle of every edge class, walked from its anchor.
+
+    The anchor (the canonical corner) is member corner_rank, mod the
+    class size, of the class in increasing (tet, slot) order, which is
+    the order ``GluingTable.edges`` lists it in: rank 0 anchors at the
+    smallest corner.  The walk leaves the anchor through the lower facet
+    off its slot, with the reference orientation low -> high there, and
+    steps by table lookups: the slot image of the gluing's permutation
+    and the facet of ``_NEXT_EXIT``.  A face crossed from the tetrahedron
+    below it is one of that tetrahedron's upper faces, which hold the
+    endpoints of its bottom diagonal."""
     table = ts.table
+    gluings, face_index = table.gluings, table.face_index
+    upper = [VERTEX_PAIRS[bot] for bot in coor.bot_slot]
     cycles = []
     for e, cls in enumerate(table.edges):
-        t0, s0 = sorted(cls)[corner_rank % len(cls)]
-        u, v = VERTEX_PAIRS[s0]
-        exit0 = min(fs for fs in range(4) if fs not in VERTEX_PAIRS[s0])
+        t0, s0 = cls[corner_rank % len(cls)]
+        t, s, dirpair = t0, s0, VERTEX_PAIRS[s0]
+        exit_fs = VERTEX_PAIRS[OPPOSITE_SLOT[s0]][0]
         corners, dirs, crossings, exits = [], [], [], []
-        t, s, dirpair, exit_fs = t0, s0, (u, v), exit0
         while True:
             corners.append((t, s))
             dirs.append(dirpair)
             exits.append(exit_fs)
-            t2, p = table.gluings[t][exit_fs]
-            face_idx = table.face_index[(t, exit_fs)]
-            eps = 1 if coor.below[face_idx] == (t, exit_fs) else -1
-            crossings.append((face_idx, eps))
-            s2 = slot_image(p, s)
-            dir2 = (p[dirpair[0]], p[dirpair[1]])
-            enter = p[exit_fs]
-            others = [fs for fs in range(4)
-                      if fs not in VERTEX_PAIRS[s2] and fs != enter]
-            assert len(others) == 1
-            t, s, dirpair, exit_fs = t2, s2, dir2, others[0]
-            if (t, s) == (t0, s0):
+            crossings.append((face_index[(t, exit_fs)],
+                              1 if exit_fs in upper[t] else -1))
+            t, p = gluings[t][exit_fs]
+            s = PERM_SLOT_IMAGES[PERM_INDEX[p]][s]
+            dirpair = (p[dirpair[0]], p[dirpair[1]])
+            exit_fs = _NEXT_EXIT[s][p[exit_fs]]
+            assert exit_fs is not None, "a corner is entered through " \
+                                        "a facet holding its edge"
+            if t == t0 and s == s0:
                 # the holonomy around an edge of an oriented manifold
                 # fixes the edge pointwise
-                assert dirpair == (u, v), \
+                assert dirpair == VERTEX_PAIRS[s0], \
                     "edge returns with reversed orientation"
                 break
         assert len(corners) == len(cls) and len(set(corners)) == len(corners)
@@ -184,12 +198,30 @@ def track_slots(ts, coor):
         lower_large = coor.top_slot[t_b]
         t2, p = table.gluings[t_b][fs_b]
         assert (t2, p[fs_b]) == (t_a, fs_a)
-        upper_large = slot_image(invert(p), coor.bot_slot[t_a])
+        upper_large = PERM_SLOT_IMAGES[PERM_INVERSE[PERM_INDEX[p]]][
+            coor.bot_slot[t_a]]
         assert lower_large in FACE_SLOTS[fs_b]
         assert upper_large in FACE_SLOTS[fs_b]
         assert lower_large != upper_large
         out.append((lower_large, upper_large))
     return out
+
+
+def _orientation_template(top):
+    """For top diagonal slot uv and bottom diagonal xy (x < y): the
+    orientations of the five edges other than uv, (u, v), and the slots
+    of uy, vy and xu."""
+    u, v = VERTEX_PAIRS[top]
+    x, y = VERTEX_PAIRS[OPPOSITE_SLOT[top]]
+    orient = {OPPOSITE_SLOT[top]: (x, y)}
+    for apex in (u, v):
+        orient[_slot(x, apex)] = (x, apex)
+        orient[_slot(apex, y)] = (apex, y)
+    return orient, (u, v), _slot(u, y), _slot(v, y), _slot(x, u)
+
+
+_ORIENTATION_TEMPLATES = tuple(_orientation_template(top)
+                               for top in range(6))
 
 
 def tet_edge_orientations(ts, coor, colours):
@@ -200,22 +232,17 @@ def tet_edge_orientations(ts, coor, colours):
     sink along the bottom diagonal); the top diagonal is forced by the
     pattern of the upper faces, whose large edge is the equatorial edge
     sharing the top diagonal's colour.  Returns, per tetrahedron, a map
-    edge slot -> directed vertex pair.
+    edge slot -> directed vertex pair, each a copy of its top slot's
+    template with the top diagonal added.
     """
-    table = ts.table
+    edge_index = ts.table.edge_index
     orientations = []
-    for t in range(table.n_tet):
-        top = coor.top_slot[t]
-        bot = coor.bot_slot[t]
-        x, y = VERTEX_PAIRS[bot]
-        u, v = VERTEX_PAIRS[top]
-        orient = {bot: (x, y)}
-        for apex in (u, v):
-            orient[_slot(x, apex)] = (x, apex)
-            orient[_slot(apex, y)] = (apex, y)
-        top_col = colours[table.edge_index[(t, top)]]
-        col_uy = colours[table.edge_index[(t, _slot(u, y))]]
-        col_vy = colours[table.edge_index[(t, _slot(v, y))]]
+    for t, top in enumerate(coor.top_slot):
+        template, (u, v), uy, vy, xu = _ORIENTATION_TEMPLATES[top]
+        orient = dict(template)
+        top_col = colours[edge_index[(t, top)]]
+        col_uy = colours[edge_index[(t, uy)]]
+        col_vy = colours[edge_index[(t, vy)]]
         assert col_uy != col_vy, "equatorial edges at a corner share colour"
         # upper face opposite x has edges {uv, uy, vy}; its large edge is
         # the equatorial one coloured like the top diagonal
@@ -224,7 +251,7 @@ def tet_edge_orientations(ts, coor, colours):
         else:
             orient[top] = (v, u)    # large v->y, apex u: v->u->y
         # cross-check with the upper face opposite y ({uv, xu, xv})
-        col_xu = colours[table.edge_index[(t, _slot(x, u))]]
+        col_xu = colours[edge_index[(t, xu)]]
         if col_xu == top_col:
             # large x->u, apex v: x->v, v->u
             assert orient[top] == (v, u)
@@ -245,11 +272,12 @@ def face_disagreement(ts, coor, orientations):
         t_b, fs_b = coor.below[idx]
         t_a, fs_a = coor.above[idx]
         _, p = table.gluings[t_b][fs_b]
+        images = PERM_SLOT_IMAGES[PERM_INDEX[p]]
         agrees = []
         for es in FACE_SLOTS[fs_b]:
             a, b = orientations[t_b][es]
             mapped = (p[a], p[b])
-            agrees.append(mapped == orientations[t_a][slot_image(p, es)])
+            agrees.append(mapped == orientations[t_a][images[es]])
         assert all(agrees) or not any(agrees), \
             "face sides disagree on a proper subset of edges"
         beta.append(0 if agrees[0] else 1)
@@ -321,18 +349,18 @@ def build_double_cover(ts, coor, beta):
         t_b, fs_b = coor.below[idx]
         t_a, fs_a = coor.above[idx]
         _, p = table.gluings[t_b][fs_b]
+        p_inv = ISOSIG_PERMS[PERM_INVERSE[PERM_INDEX[p]]]
         for sheet in (0, 1):
             sheet2 = sheet ^ beta[idx]
             gluings[t_b + sheet * n][fs_b] = (t_a + sheet2 * n, p)
-            gluings[t_a + sheet2 * n][fs_a] = (t_b + sheet * n, invert(p))
+            gluings[t_a + sheet2 * n][fs_a] = (t_b + sheet * n, p_inv)
     cover_table = GluingTable(gluings)
     cover = TautStructure(ts.sig + ":double", cover_table,
                           ts.digits + ts.digits)
     # connectivity of the cover
     seen = {0}
     queue = [0]
-    while queue:
-        t = queue.pop(0)
+    for t in queue:
         for fs in range(4):
             t2 = gluings[t][fs][0]
             if t2 not in seen:

@@ -4,11 +4,12 @@ Everything here is deliberately naive: cofactor determinants, exhaustive
 minor enumeration, rational row reduction, and a small Fox-calculus engine
 for two-generator one-relator groups.  None of it shares code paths with the
 package's production pipeline, except ``all_columns_fitting_gcd``.  The
-earlier gluing-table builder, dense face cocycle, dense chain complex and
-dense ``H1Data`` are kept here too; they use the package's permutation
-helpers, ``AbelianQuotient`` and ``H1Data.cycle_class_free``.  The dense
-``H1Data`` takes the Smith form of d1, both column transforms included,
-from ``full_scan_snf`` rather than the package's.
+earlier gluing-table builder, corner walk, dense face cocycle, dense
+chain complex and dense ``H1Data`` are kept here too; they use the
+package's permutation helpers, ``AbelianQuotient`` and
+``H1Data.cycle_class_free``.  The dense ``H1Data`` takes the Smith form
+of d1, both column transforms included, from ``full_scan_snf`` rather
+than the package's.
 """
 
 from fractions import Fraction
@@ -498,6 +499,43 @@ def dense_face_cocycle(h1, face_ends, tree_faces, parent):
             z[i] += pa[i] - pb[i]
         c.append(h1.cycle_class_free(z))
     return c
+
+
+def reference_corner_cycles(ts, coor, corner_rank=0):
+    """The earlier ``taut.edge_corner_cycles``, kept as an oracle: each
+    exit facet found by scanning the facets, each slot image by
+    ``slot_image``, each crossing sign read off ``coor.below``, and the
+    anchor taken from the sorted class.  Returns, per edge class, its
+    (corners, dirs, crossings, exits)."""
+    table = ts.table
+    cycles = []
+    for cls in table.edges:
+        t0, s0 = sorted(cls)[corner_rank % len(cls)]
+        u, v = VERTEX_PAIRS[s0]
+        exit0 = min(fs for fs in range(4) if fs not in VERTEX_PAIRS[s0])
+        corners, dirs, crossings, exits = [], [], [], []
+        t, s, dirpair, exit_fs = t0, s0, (u, v), exit0
+        while True:
+            corners.append((t, s))
+            dirs.append(dirpair)
+            exits.append(exit_fs)
+            t2, p = table.gluings[t][exit_fs]
+            face_idx = table.face_index[(t, exit_fs)]
+            eps = 1 if coor.below[face_idx] == (t, exit_fs) else -1
+            crossings.append((face_idx, eps))
+            s2 = slot_image(p, s)
+            dir2 = (p[dirpair[0]], p[dirpair[1]])
+            enter = p[exit_fs]
+            others = [fs for fs in range(4)
+                      if fs not in VERTEX_PAIRS[s2] and fs != enter]
+            assert len(others) == 1
+            t, s, dirpair, exit_fs = t2, s2, dir2, others[0]
+            if (t, s) == (t0, s0):
+                assert dirpair == (u, v)
+                break
+        assert len(corners) == len(cls)
+        cycles.append((corners, dirs, crossings, exits))
+    return cycles
 
 
 def dense_chain_complex(ts, coor, cycles):

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from veerpoly.census_io import (CensusError, GluingTable, ISOSIG_PERMS,
-                                OPPOSITE_SLOT, PI_SLOTS, VERTEX_PAIRS, compose,
-                                decode_isosig, invert, parse_taut_sig,
-                                perm_sign, slot_image)
+                                OPPOSITE_SLOT, PI_SLOTS, VERTEX_PAIRS, _classes,
+                                compose, decode_isosig, invert,
+                                parse_taut_sig, perm_sign, slot_image)
 from veerpoly.invariants import Analysis
 from veerpoly.taut import build_double_cover
 from bundles import bundle_sig, encode_isosig
@@ -233,15 +233,24 @@ def single_entry_mutations(gluings):
                    for s, row in enumerate(gluings)]
 
 
+def unreadable_edge_classes(self):
+    raise AssertionError("edge classes read on construction")
+
+
 @pytest.mark.parametrize("sig", ["cPcbbbdxm_10", "cPcbbbiht_12",
                                  "dLQbcccxxfo_100"])
-def test_malformed_gluing_tables_raise_as_two_sided_builder(sig):
+def test_malformed_gluing_tables_raise_as_two_sided_builder(monkeypatch,
+                                                             sig):
     # every mutation is a CensusError, with tuple- or list-typed
     # permutations; where the two-sided builder reports one too, the
     # first failure of the one-pass check must be the same, message for
-    # message (elsewhere the two-sided builder raises another exception)
+    # message (elsewhere the two-sided builder raises another exception).
+    # The edge classes are computed on first read; they are made
+    # unreadable here, so every check is shown to run on construction
     messages = set()
     gluings = parse_taut_sig(sig).table.gluings
+    monkeypatch.setattr(GluingTable, "_edge_classes",
+                        property(unreadable_edge_classes))
     for table in single_entry_mutations(gluings):
         want = build_outcome(TwoSidedGluingTable, table)
         for mutated in (table, with_list_perms(table)):
@@ -250,6 +259,7 @@ def test_malformed_gluing_tables_raise_as_two_sided_builder(sig):
             if want[0] == "error":
                 assert got == want
             messages.add(got[1])
+    monkeypatch.undo()
     assert build_outcome(GluingTable, []) == \
         build_outcome(TwoSidedGluingTable, []) == \
         ("error", "empty triangulation")
@@ -257,3 +267,46 @@ def test_malformed_gluing_tables_raise_as_two_sided_builder(sig):
                  "malformed gluing", "is even", "glued to itself",
                  "are not inverse"):
         assert any(kind in msg for msg in messages), kind
+
+
+def eager_edge_classes(table):
+    """The edge classes as GluingTable built them on construction: one
+    ``_classes`` run over the unions of the three edges of each face."""
+    pairs = []
+    for (t, f), (t2, _) in table.faces:
+        p = table.gluings[t][f][1]
+        pairs += [(6 * t + s, 6 * t2 + slot_image(p, s))
+                  for s in range(6) if f not in VERTEX_PAIRS[s]]
+    return _classes(6 * table.n_tet, pairs, 6)
+
+
+def test_lazy_edge_classes_equal_an_eager_run():
+    # on decoded tables and on double covers, connected or not: unread
+    # until first use, then what an eager _classes run gives, each class
+    # in increasing order (the corner walk anchors on that order); the
+    # vertex classes too are in increasing order, and permutations given
+    # as lists are stored as the tuples of ISOSIG_PERMS
+    with open(DATA) as fh:
+        sigs = [ln.strip() for ln in fh
+                if ln.strip() and not ln.startswith("#")]
+    covers = 0
+    for sig in sigs:
+        ts = parse_taut_sig(sig)
+        analysis = Analysis(ts)
+        cover, connected = build_double_cover(ts, analysis.coor,
+                                              analysis.eo.beta)
+        covers += connected
+        decoded = decode_isosig(sig.split("_")[0])
+        for table in (decoded, cover.table):
+            assert "edges" not in vars(table)
+            assert "edge_index" not in vars(table)
+            index, classes = eager_edge_classes(table)
+            assert table.edges == classes
+            assert table.edge_index == index
+            for cls in table.edges + table.vertices:
+                assert cls == sorted(cls)
+            again = GluingTable(with_list_perms(table.gluings))
+            assert again.gluings == table.gluings
+            assert all(type(p) is tuple for row in again.gluings
+                       for _, p in row)
+    assert covers

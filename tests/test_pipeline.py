@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from veerpoly import homology, invariants, taut
+from veerpoly import census_io, homology, invariants, taut
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.cli import entry_record, main
 from veerpoly.invariants import Analysis, verify_identities
@@ -125,12 +125,37 @@ def count_calls(monkeypatch, target):
 
 @pytest.mark.parametrize("sig, covers", [(TWO_TET_EO, 0), (M003, 1)])
 def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
-    built = count_analyses(monkeypatch)
-    cover_calls = count_calls(monkeypatch, taut.build_double_cover)
-    rec = entry_record(sig, with_polynomials=True)
-    assert rec["verify"]["passed"]
-    assert built.count(sig) == 1
-    assert len(cover_calls) == covers
+    # the tree and the cocycle, which the benchmark traces, are built
+    # with every Analysis; the corner exponents only for the
+    # polynomials, and a record without them never unions the edge
+    # slots of the double cover it counts the cusps of
+    n = parse_taut_sig(sig).table.n_tet
+    for with_polynomials in (False, True):
+        built = count_analyses(monkeypatch)
+        cover_calls = count_calls(monkeypatch, taut.build_double_cover)
+        trees = count_calls(monkeypatch, homology.dual_spanning_tree)
+        cocycles = count_calls(monkeypatch, homology.face_cocycle)
+        exponents = count_calls(monkeypatch, invariants.corner_exponents)
+        unions = []
+        classes = census_io._classes
+
+        def counting_classes(size, pairs, width):
+            unions.append((size, width))
+            return classes(size, pairs, width)
+
+        monkeypatch.setattr(census_io, "_classes", counting_classes)
+        rec = entry_record(sig, with_polynomials=with_polynomials)
+        monkeypatch.undo()
+        assert built.count(sig) == 1
+        assert len(cover_calls) == covers
+        assert len(trees) == len(cocycles) == len(built)
+        if with_polynomials:
+            assert rec["verify"]["passed"]
+            assert len(exponents) == len(built)
+        else:
+            assert exponents == []
+            assert [size for size, width in unions if width == 6] == [6 * n]
+            assert len(unions) == 2 + covers
 
 
 def count_analyses(monkeypatch):

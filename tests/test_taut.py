@@ -13,7 +13,7 @@ from veerpoly.taut import (Coorientation, build_double_cover,
                            track_slots, FACE_SLOTS)
 from veerpoly.invariants import Analysis
 from bundles import bundle_sig, both_letter_words
-from oracles import dense_chain_complex
+from oracles import dense_chain_complex, reference_corner_cycles
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 
@@ -122,6 +122,29 @@ def test_corner_cycles_cover_all_corners():
                 assert exit_fs not in VERTEX_PAIRS[s]
                 seen.add((t, s))
         assert len(seen) == 6 * ts.table.n_tet
+
+
+def test_corner_walk_matches_reference_walk():
+    # the table-driven walk, anchored in the class order of
+    # GluingTable.edges, gives the corners, directions, crossings and
+    # exits of the facet-scanning walk anchored in the sorted class: on
+    # every sample entry and on the double cover of every entry that is
+    # not edge-orientable, under both coorientations, for anchors 0-2
+    structures = []
+    for sig in sample_sigs():
+        analysis = Analysis(parse_taut_sig(sig))
+        structures.append(analysis.ts)
+        if not analysis.eo.edge_orientable:
+            structures.append(analysis.cover)
+    assert any(ts.sig.endswith(":double") for ts in structures)
+    for ts in structures:
+        coor = derive_coorientation(ts)
+        for c in (coor, coor.flipped(ts)):
+            for rank in (0, 1, 2):
+                got = [(cyc.corners, cyc.dirs, cyc.crossings, cyc.exits)
+                       for cyc in edge_corner_cycles(ts, c, corner_rank=rank)]
+                assert got == reference_corner_cycles(ts, c, rank), \
+                    (ts.sig, rank)
 
 
 def test_corner_cycle_has_exactly_two_pi_corners():
