@@ -1,31 +1,33 @@
 """Command-line interface: compute invariants of one census entry, fill
 cusps, or run a batch over a census file.
 
+Each command imports only the modules it runs: ``compute`` and
+``batch`` never load ``filling``, and ``--help`` or a usage error loads
+none of the package's other modules.  Without bytecode caches every
+module loaded is compiled on each start, so this keeps start-up short.
+
 Exit codes: 0 success, 1 input error, 2 internal assertion failure (in
 ``batch``: any entry with an internal error).
 Batch output is JSONL in input order, independent of the worker count.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
 
-from .census_io import CensusError, parse_taut_sig
-from .filling import (filled_homology, parse_slopes, predict_filled_alexander,
-                      specialise_under_filling, vertex_links)
-from .invariants import Analysis, verify_identities
-from .laurent import poly_to_json
-
 
 def _poly_or_null(p):
+    from .laurent import poly_to_json
     return None if p is None else poly_to_json(p)
 
 
 def entry_record(sig, with_polynomials=True):
     """The full RunRecord for one census entry (timing excluded so that
     records are byte-stable)."""
+    from .census_io import parse_taut_sig
+    from .invariants import Analysis, verify_identities
+    from .laurent import poly_to_json
     ts = parse_taut_sig(sig)
     analysis = Analysis(ts)
     eo = analysis.eo
@@ -52,6 +54,7 @@ def entry_record(sig, with_polynomials=True):
 
 
 def cmd_compute(args):
+    import json
     flags = [args.taut, args.alex, args.hat, args.edge_orientability]
     want_all = args.all or not any(flags)
     want_polys = want_all or args.taut or args.alex or args.hat
@@ -75,6 +78,13 @@ def cmd_compute(args):
 
 
 def cmd_fill(args):
+    import json
+    from .census_io import CensusError, parse_taut_sig
+    from .filling import (filled_homology, parse_slopes,
+                          predict_filled_alexander, specialise_under_filling,
+                          vertex_links)
+    from .invariants import Analysis
+    from .laurent import poly_to_json
     spec = parse_slopes(args.slopes)
     ts = parse_taut_sig(args.sig)
     analysis = Analysis(ts)
@@ -122,6 +132,7 @@ def _batch_worker(job):
     record; a failed internal check, or any other exception from the
     library, gives an ``internal_error`` record, so the rest of the batch
     still runs.  ``compute`` on the signature shows the traceback."""
+    from .census_io import CensusError
     sig, verify = job
     try:
         return entry_record(sig, with_polynomials=verify)
@@ -157,6 +168,7 @@ def _batch_jobs(args):
     """Worker count: --jobs, else $VEERPOLY_JOBS, else 1.  A negative
     --jobs or a $VEERPOLY_JOBS that is not a positive integer is an input
     error."""
+    from .census_io import CensusError
     if args.jobs < 0:
         raise CensusError("--jobs must not be negative, got %d" % args.jobs)
     if args.jobs:
@@ -173,6 +185,7 @@ def _batch_jobs(args):
 
 
 def cmd_batch(args):
+    import json
     jobs = _batch_jobs(args)
     with open(args.census) as fh:
         lines = [line.strip() for line in fh]
@@ -258,6 +271,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .census_io import CensusError
     try:
         return args.func(args)
     except CensusError as exc:

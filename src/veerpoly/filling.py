@@ -134,8 +134,20 @@ class FillingSpec:
         self.slopes = clean
 
 
+def _ascii_int(text, signed):
+    """int(text) for ASCII digits, after one '+' or '-' when signed;
+    ValueError for anything else, where int() would also take
+    underscores, inner whitespace and non-ASCII digits."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_slopes(text):
-    """Parse a slope list like "c0:1/2,c2:-3/1" into a FillingSpec."""
+    """Parse a slope list like "c0:1/2,c2:-3/1" into a FillingSpec.
+    Each chunk is cJ:x/y, with J ASCII digits and x, y ASCII digits
+    after an optional sign; whitespace around a chunk is ignored."""
     slopes = {}
     text = text.strip()
     if text:
@@ -145,8 +157,9 @@ def parse_slopes(text):
                 if not cusp.startswith("c"):
                     raise ValueError(chunk)
                 x, y = frac.split("/")
-                j = int(cusp[1:])
-                pair = (int(x), int(y))
+                j = _ascii_int(cusp[1:], signed=False)
+                pair = (_ascii_int(x, signed=True),
+                        _ascii_int(y, signed=True))
             except ValueError:
                 raise CensusError("malformed slope %r (want cJ:x/y)" % chunk)
             if j in slopes:

@@ -2,11 +2,14 @@
 codes, and batch determinism across worker counts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from bundles import bundle_sig
-from veerpoly import cli
+from veerpoly import cli, invariants
 from veerpoly.cli import main
 
 M003 = "cPcbbbdxm_10"
@@ -127,13 +130,18 @@ def test_fill_bad_slope_exits_one(capsys):
 
 @pytest.mark.parametrize("slopes, message", [
     ("c0:2/4", "not primitive"), ("c0-1/2", "malformed slope"),
-    ("c0:1/2,c0:1/3", "filled twice")])
+    ("c0:1/2,c0:1/3", "filled twice"),
+    # int() takes each of these; a slope is ASCII digits only
+    ("c0:1_0/3", "malformed slope"), ("c-0:1/2", "malformed slope"),
+    ("c+0:1/2", "malformed slope"), ("c0:\u0661/2", "malformed slope"),
+    ("c0: 1 / 2", "malformed slope")])
 def test_fill_rejects_slopes_before_any_analysis(monkeypatch, capsys,
                                                  slopes, message):
     def no_analysis(*args, **kwargs):
         raise AssertionError("Analysis built before --slopes was parsed")
 
-    monkeypatch.setattr(cli, "Analysis", no_analysis)
+    # cmd_fill imports Analysis when it runs, so it reads this binding
+    monkeypatch.setattr(invariants, "Analysis", no_analysis)
     rc, _, err = run_cli(capsys, "fill", M003, "--slopes", slopes)
     assert rc == 1
     assert message in err
@@ -276,3 +284,48 @@ def test_batch_missing_file_exits_one(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "batch", str(tmp_path / "absent.txt"))
     assert rc == 1
     assert "error:" in err
+
+
+# ------------------------------------------------------------ loading
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+LOADED = """
+import json, sys
+from veerpoly import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("veerpoly"))))
+"""
+EVERY_MODULE = ["veerpoly", "veerpoly.census_io", "veerpoly.cli",
+                "veerpoly.filling", "veerpoly.homology",
+                "veerpoly.invariants", "veerpoly.laurent", "veerpoly.taut"]
+
+
+def loaded_modules(*argv):
+    """The veerpoly modules loaded after cli.main(argv) in a fresh
+    interpreter, where pytest's own imports do not count."""
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED] + list(argv),
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_help_and_usage_errors_load_no_other_module():
+    assert loaded_modules("--help") == ["veerpoly", "veerpoly.cli"]
+    assert loaded_modules("compute") == ["veerpoly", "veerpoly.cli"]
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_batch_does_not_load_filling(tmp_path, verify):
+    census = tmp_path / "census.txt"
+    write_census(census, [M003, TWO_TET_EO])
+    loaded = loaded_modules("batch", str(census), *verify)
+    assert "veerpoly.invariants" in loaded
+    assert "veerpoly.filling" not in loaded
+
+
+def test_fill_loads_every_module():
+    assert loaded_modules("fill", M003, "--slopes", "c0:1/2") == EVERY_MODULE

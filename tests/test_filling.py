@@ -441,6 +441,9 @@ def test_rank_zero_filling_rejected():
 def test_parse_slopes():
     spec = parse_slopes("c0:1/2,c3:-1/0")
     assert spec.slopes == {0: (1, 2), 3: (-1, 0)}
+    # signs on x and y, and whitespace around a chunk, are still read
+    spec = parse_slopes(" c0:+1/-2 , c3:-1/0 ")
+    assert spec.slopes == {0: (1, -2), 3: (-1, 0)}
     with pytest.raises(CensusError, match="malformed slope"):
         parse_slopes("c0-1/2")
     with pytest.raises(CensusError, match="filled twice"):
