@@ -218,9 +218,6 @@ class GluingTable:
     def edges(self):
         return self._edge_classes[1]
 
-    def glue(self, t, f):
-        return self.gluings[t][f]
-
 
 def _read_gluing(entry, n):
     """(t2, index in ISOSIG_PERMS) of an entry (t2, p) with t2 in
@@ -390,9 +387,6 @@ class TautStructure:
         self.sig = sig
         self.table = table
         self.digits = digits
-
-    def pi_slots(self, t):
-        return PI_SLOTS[self.digits[t]]
 
 
 def parse_taut_sig(line):

@@ -24,7 +24,8 @@ def _poly_or_null(p):
 
 def entry_record(sig, with_polynomials=True):
     """The full RunRecord for one census entry (timing excluded so that
-    records are byte-stable)."""
+    records are byte-stable).  Its "sig" is the signature parsed from
+    the line, without the extra fields ``parse_taut_sig`` ignores."""
     from .census_io import parse_taut_sig
     from .invariants import Analysis, verify_identities
     from .laurent import poly_to_json
@@ -32,7 +33,7 @@ def entry_record(sig, with_polynomials=True):
     analysis = Analysis(ts)
     eo = analysis.eo
     record = {
-        "sig": sig,
+        "sig": ts.sig,
         "b1": analysis.h1.rank,
         "torsion": list(analysis.h1.torsion),
         "cusps": len(ts.table.vertices),
@@ -166,18 +167,16 @@ def _count_record(summary, rec, verify):
 
 def _batch_jobs(args):
     """Worker count: --jobs, else $VEERPOLY_JOBS, else 1.  A negative
-    --jobs or a $VEERPOLY_JOBS that is not a positive integer is an input
-    error."""
+    --jobs or a $VEERPOLY_JOBS that is not a positive integer in ASCII
+    digits is an input error (int() would also take underscores,
+    surrounding whitespace and non-ASCII digits)."""
     from .census_io import CensusError
     if args.jobs < 0:
         raise CensusError("--jobs must not be negative, got %d" % args.jobs)
     if args.jobs:
         return args.jobs
     text = os.environ.get("VEERPOLY_JOBS", "1")
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
+    jobs = int(text) if text.isascii() and text.isdigit() else 0
     if jobs < 1:
         raise CensusError(
             "VEERPOLY_JOBS must be a positive integer, got %r" % text)
@@ -191,6 +190,8 @@ def cmd_batch(args):
         lines = [line.strip() for line in fh]
     work = [(sig, args.verify) for sig in lines
             if sig and not sig.startswith("#")]
+    # a pool starts every worker when it is built: none beyond the entries
+    jobs = min(jobs, len(work))
     t0 = time.perf_counter()
     # records are written as they arrive, in input order, so one failing
     # entry cannot lose the output of the others; the summary is counted

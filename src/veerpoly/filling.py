@@ -27,14 +27,11 @@ class CuspData:
     coordinates are only meaningful relative to this artifact's basis).
     """
 
-    __slots__ = ("index", "corners", "sides", "side_faces",
-                 "n_manifold_faces", "basis", "periph_class")
+    __slots__ = ("corners", "side_faces", "n_manifold_faces", "basis",
+                 "periph_class")
 
-    def __init__(self, index, corners, sides, side_faces, n_manifold_faces,
-                 basis):
-        self.index = index
+    def __init__(self, corners, side_faces, n_manifold_faces, basis):
         self.corners = corners
-        self.sides = sides
         self.side_faces = side_faces
         self.n_manifold_faces = n_manifold_faces
         self.basis = basis
@@ -107,8 +104,7 @@ def vertex_links(ts, coor, cycles, h1):
             fidx = table.face_index[(t, fs)]
             side_faces.append(
                 (fidx, 1 if coor.below[fidx] == (t, fs) else -1))
-        cusp = CuspData(index, corners, sides, side_faces, len(table.faces),
-                        basis)
+        cusp = CuspData(corners, side_faces, len(table.faces), basis)
         cusp.periph_class = tuple(
             h1.cycle_class_full(cross_section_to_faces(cusp, z))
             for z in basis)

@@ -59,21 +59,14 @@ class Analysis:
     with the columns of the dual spanning tree ``tree`` dropped
     (``tree_reduced``), so the gcd runs on T x (T + 1) matrices; for
     ``delta_hat`` the cover's own tree is dropped before the cover's
-    matrix is pushed down to the base.  The two keyword knobs, the
-    coorientation and the canonical corner of each edge, select
-    alternative presentations (used to test presentation
-    independence)."""
+    matrix is pushed down to the base."""
 
-    def __init__(self, ts, flip_coorientation=False, corner_rank=0):
+    def __init__(self, ts):
         self.ts = ts
         table = ts.table
-        coor = taut.derive_coorientation(ts)
-        if flip_coorientation:
-            coor = coor.flipped(ts)
-        self.coor = coor
+        self.coor = coor = taut.derive_coorientation(ts)
         self.colours = taut.derive_colouring(ts)
-        self.cycles = taut.edge_corner_cycles(ts, coor,
-                                              corner_rank=corner_rank)
+        self.cycles = taut.edge_corner_cycles(ts, coor)
         self.face_ends = [(below[0], above[0])
                           for below, above in zip(coor.below, coor.above)]
         self.h1 = H1Data(table.n_tet, self.face_ends,

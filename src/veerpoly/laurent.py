@@ -58,10 +58,6 @@ class LaurentPoly:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def monomial(cls, nvars, exp, coef=1):
-        return cls(nvars, {tuple(exp): coef})
-
-    @classmethod
     def variable(cls, nvars, i):
         exp = [0] * nvars
         exp[i] = 1
@@ -188,10 +184,6 @@ class LaurentPoly:
     def sorted_terms(self):
         """Terms in ascending graded-lex order."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
-
-    def evaluate_at_one(self):
-        """Sum of coefficients: the image under every variable -> 1."""
-        return sum(self.terms.values())
 
     def __repr__(self):
         if not self.terms:

@@ -58,9 +58,6 @@ class Coorientation:
                 raise CensusError(
                     "taut structure is not transverse at face %d" % idx)
 
-    def flipped(self, ts):
-        return Coorientation(ts, [1 - b for b in self.choice])
-
 
 def derive_coorientation(ts):
     """Propagate the top/bottom choice across faces: a face must be an
@@ -123,40 +120,39 @@ class EdgeCycle:
 
     corners[i] = (tet, edge slot); dirs[i] = the reference orientation
     of the edge at that corner as a directed vertex pair, propagated
-    from the anchor corner, by default the smallest (oriented low -> high
-    vertex there); crossings[i] = (face index, +1 if the step from corner i to
-    corner i+1 crosses the face from below to above); exits[i] = the
-    facet of corners[i]'s tetrahedron through which that step leaves.
+    from the anchor corner, the smallest of the class (oriented low ->
+    high vertex there); crossings[i] = (face index, +1 if the step from
+    corner i to corner i+1 crosses the face from below to above);
+    exits[i] = the facet of corners[i]'s tetrahedron through which that
+    step leaves.
     """
 
-    __slots__ = ("edge", "corners", "dirs", "crossings", "exits")
+    __slots__ = ("corners", "dirs", "crossings", "exits")
 
-    def __init__(self, edge, corners, dirs, crossings, exits):
-        self.edge = edge
+    def __init__(self, corners, dirs, crossings, exits):
         self.corners = corners
         self.dirs = dirs
         self.crossings = crossings
         self.exits = exits
 
 
-def edge_corner_cycles(ts, coor, corner_rank=0):
+def edge_corner_cycles(ts, coor):
     """The corner cycle of every edge class, walked from its anchor.
 
-    The anchor (the canonical corner) is member corner_rank, mod the
-    class size, of the class in increasing (tet, slot) order, which is
-    the order ``GluingTable.edges`` lists it in: rank 0 anchors at the
-    smallest corner.  The walk leaves the anchor through the lower facet
-    off its slot, with the reference orientation low -> high there, and
-    steps by table lookups: the slot image of the gluing's permutation
-    and the facet of ``_NEXT_EXIT``.  A face crossed from the tetrahedron
-    below it is one of that tetrahedron's upper faces, which hold the
-    endpoints of its bottom diagonal."""
+    The anchor (the canonical corner) is the first member of the class
+    as ``GluingTable.edges`` lists it, in increasing (tet, slot) order,
+    so the smallest corner.  The walk leaves the anchor through the
+    lower facet off its slot, with the reference orientation low -> high
+    there, and steps by table lookups: the slot image of the gluing's
+    permutation and the facet of ``_NEXT_EXIT``.  A face crossed from the
+    tetrahedron below it is one of that tetrahedron's upper faces, which
+    hold the endpoints of its bottom diagonal."""
     table = ts.table
     gluings, face_index = table.gluings, table.face_index
     upper = [VERTEX_PAIRS[bot] for bot in coor.bot_slot]
     cycles = []
-    for e, cls in enumerate(table.edges):
-        t0, s0 = cls[corner_rank % len(cls)]
+    for cls in table.edges:
+        t0, s0 = cls[0]
         t, s, dirpair = t0, s0, VERTEX_PAIRS[s0]
         exit_fs = VERTEX_PAIRS[OPPOSITE_SLOT[s0]][0]
         corners, dirs, crossings, exits = [], [], [], []
@@ -179,7 +175,7 @@ def edge_corner_cycles(ts, coor, corner_rank=0):
                     "edge returns with reversed orientation"
                 break
         assert len(corners) == len(cls) and len(set(corners)) == len(corners)
-        cycles.append(EdgeCycle(e, corners, dirs, crossings, exits))
+        cycles.append(EdgeCycle(corners, dirs, crossings, exits))
     return cycles
 
 

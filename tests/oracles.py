@@ -9,17 +9,22 @@ chain complex and dense ``H1Data`` are kept here too; they use the
 package's permutation helpers, ``AbelianQuotient`` and
 ``H1Data.cycle_class_free``.  The dense ``H1Data`` takes the Smith form
 of d1, both column transforms included, from ``full_scan_snf`` rather
-than the package's.
+than the package's.  ``variant_analysis`` builds the package's
+``Analysis`` in another presentation of the same structure.
 """
 
+import copy
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
-from veerpoly.census_io import (CensusError, VERTEX_PAIRS, compose,
-                                perm_sign, slot_image)
+from veerpoly import taut
+from veerpoly.census_io import (CensusError, TautStructure, VERTEX_PAIRS,
+                                compose, perm_sign, slot_image)
 from veerpoly.homology import AbelianQuotient, int_matmul
-from veerpoly.invariants import fitting_gcd
+from veerpoly.invariants import Analysis, fitting_gcd
 from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
+from veerpoly.taut import Coorientation, derive_coorientation
 
 
 def cofactor_determinant(entries):
@@ -69,8 +74,8 @@ def tetrahedron_relation_sums(analysis, mat, signs):
             for _ in range(analysis.ts.table.n_tet)]
     for f in range(mat.cols):
         sides = ((coor.below[f], LaurentPoly.one(r)),
-                 (coor.above[f], LaurentPoly.monomial(
-                     r, tuple(-c for c in analysis.cocycle[f]))))
+                 (coor.above[f], LaurentPoly(
+                     r, {tuple(-c for c in analysis.cocycle[f]): 1})))
         for (t, fs), mono in sides:
             for i in range(mat.rows):
                 sums[t][i] = sums[t][i] + \
@@ -315,11 +320,11 @@ def fox_alexander_polynomial(generators, relators):
         prefix = 0  # abelianized exponent of the prefix read so far
         for g, s in word:
             if s == 1:
-                derivs[g] = derivs[g] + LaurentPoly.monomial(1, (prefix,))
+                derivs[g] = derivs[g] + LaurentPoly(1, {(prefix,): 1})
                 prefix += generators[g]
             else:
                 prefix -= generators[g]
-                derivs[g] = derivs[g] - LaurentPoly.monomial(1, (prefix,))
+                derivs[g] = derivs[g] - LaurentPoly(1, {(prefix,): 1})
         rows.append([derivs[g] for g in names])
     # Alexander polynomial: gcd of the (n-1)-minors of the matrix with one
     # column deleted -- for a knot group, any single column works; take the
@@ -538,6 +543,53 @@ def reference_corner_cycles(ts, coor, corner_rank=0):
     return cycles
 
 
+def flipped_coorientation(ts):
+    """The coorientation opposite to ``derive_coorientation``'s: the
+    other diagonal of every tetrahedron on top."""
+    coor = derive_coorientation(ts)
+    return Coorientation(ts, [1 - b for b in coor.choice])
+
+
+def reanchored(ts, rank):
+    """ts with each edge class listed from its member rank, mod the
+    class size, instead of from its smallest corner, so that
+    ``taut.edge_corner_cycles`` walks each cycle from that corner."""
+    table = copy.copy(ts.table)
+    table.edges = [cls[rank % len(cls):] + cls[:rank % len(cls)]
+                   for cls in ts.table.edges]
+    return TautStructure(ts.sig, table, ts.digits)
+
+
+def variant_analysis(ts, flip=False, corner_rank=0):
+    """``Analysis`` of ts in another presentation: the flipped
+    coorientation when flip, and every corner cycle anchored at member
+    corner_rank of its class.  ``Analysis`` reads
+    ``taut.derive_coorientation`` while it is built, so the flip swaps
+    that function for the time of the build."""
+    derive = flipped_coorientation if flip else derive_coorientation
+    with mock.patch.object(taut, "derive_coorientation", derive):
+        return Analysis(reanchored(ts, corner_rank))
+
+
+def bfs_tree_faces(n_tets, face_ends):
+    """Faces of the BFS tree of a connected dual graph from tet 0, each
+    tet's faces taken in face order, found by scanning every face for
+    each tet dequeued."""
+    seen = {0}
+    queue = [0]
+    tree = set()
+    for t in queue:
+        for f, (below, above) in enumerate(face_ends):
+            if t in (below, above):
+                other = above if below == t else below
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+                    tree.add(f)
+    assert len(seen) == n_tets
+    return tree
+
+
 def dense_chain_complex(ts, coor, cycles):
     """The earlier builder of d1 (tets x faces) and d2 (faces x edges) of
     a taut structure's dual 2-complex, kept as an oracle."""
@@ -548,9 +600,9 @@ def dense_chain_complex(ts, coor, cycles):
         d1[coor.above[idx][0]][idx] += 1
         d1[coor.below[idx][0]][idx] -= 1
     d2 = [[0] * len(cycles) for _ in range(n_faces)]
-    for cyc in cycles:
+    for e, cyc in enumerate(cycles):
         for face_idx, eps in cyc.crossings:
-            d2[face_idx][cyc.edge] += eps
+            d2[face_idx][e] += eps
     return d1, d2
 
 

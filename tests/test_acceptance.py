@@ -16,7 +16,7 @@ import pytest
 
 from bundles import bundle_sig, both_letter_words
 from oracles import (cofactor_determinant, exhaustive_fitting_gcd,
-                     fox_alexander_polynomial)
+                     fox_alexander_polynomial, variant_analysis)
 from test_invariants import (coboundary_variant, permuted_structure,
                              random_laurent_matrix)
 from veerpoly.census_io import parse_taut_sig
@@ -246,10 +246,12 @@ def test_criterion_7_presentation_invariance():
         n_tet = ts.table.n_tet
         perm = list(range(n_tet))
         rng.shuffle(perm)
+        flipped = variant_analysis(ts, flip=True)
+        assert flipped.coor.choice == [1 - b for b in base.coor.choice]
         variants = [
             Analysis(permuted_structure(ts, perm, [(0, 1, 2, 3)] * n_tet)),
             coboundary_variant(ts),
-            Analysis(ts, flip_coorientation=True),
+            flipped,
         ]
         for variant in variants:
             got = (normalize_unit(fitting_gcd(build_taut_matrix(variant))),

@@ -60,9 +60,9 @@ def test_decode_two_tet_entry():
     # keep the contract explicit here)
     for t in range(table.n_tet):
         for f in range(4):
-            t2, p = table.glue(t, f)
+            t2, p = table.gluings[t][f]
             assert perm_sign(p) == -1
-            back_t, back_p = table.glue(t2, p[f])
+            back_t, back_p = table.gluings[t2][p[f]]
             assert back_t == t and compose(back_p, p) == (0, 1, 2, 3)
 
 
@@ -79,7 +79,7 @@ def test_angle_digits_give_two_pi_per_edge():
         ts = parse_taut_sig(line)
         count = [0] * len(ts.table.edges)
         for t in range(ts.table.n_tet):
-            for slot in ts.pi_slots(t):
+            for slot in PI_SLOTS[ts.digits[t]]:
                 count[ts.table.edge_index[(t, slot)]] += 1
         assert all(c == 2 for c in count)
 

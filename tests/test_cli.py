@@ -265,6 +265,10 @@ def test_batch_keeps_other_records_after_internal_error(capsys, tmp_path,
     ([], "x"),
     ([], "-2"),
     ([], "0"),
+    ([], "0_1"),
+    ([], " 1 "),
+    ([], "+1"),
+    ([], "\u0661"),
 ])
 def test_batch_bad_worker_count_exits_one(capsys, tmp_path, monkeypatch,
                                           argv, env):
@@ -278,6 +282,53 @@ def test_batch_bad_worker_count_exits_one(capsys, tmp_path, monkeypatch,
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_batch_record_names_the_parsed_signature(capsys, tmp_path):
+    # extra fields on a line are ignored by the parser and left out of
+    # the record; an error record keeps the line as it was
+    census = tmp_path / "census.txt"
+    census.write_text("%s extra\n!!bad extra\n" % M003)
+    rc, out, _ = run_cli(capsys, "batch", str(census))
+    assert rc == 0
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["sig"] for r in recs] == [M003, "!!bad extra"]
+    assert "error" in recs[1]
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count it
+    is asked for and runs the work in this process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def imap(self, func, iterable, chunksize=1):
+        return map(func, iterable)
+
+    def terminate(self):
+        pass
+
+
+@pytest.mark.parametrize("n_entries, pool_sizes", [(1, []), (3, [3])])
+def test_batch_starts_no_more_workers_than_entries(capsys, tmp_path,
+                                                   monkeypatch, n_entries,
+                                                   pool_sizes):
+    import multiprocessing
+    census = tmp_path / "census.txt"
+    write_census(census, [M003, TWO_TET_EO, "!!bad"][:n_entries])
+    rc, want, _ = run_cli(capsys, "batch", str(census), "--jobs", "1")
+    assert rc == 0
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    rc, out, _ = run_cli(capsys, "batch", str(census), "--jobs", "64")
+    assert rc == 0 and out == want
+    monkeypatch.setenv("VEERPOLY_JOBS", "64")
+    rc, out, _ = run_cli(capsys, "batch", str(census))
+    assert rc == 0 and out == want
+    assert RecordingPool.sizes == pool_sizes * 2
 
 
 def test_batch_missing_file_exits_one(capsys, tmp_path):

@@ -71,10 +71,10 @@ def test_two_tet_cusp_cross_section():
     a, cusps = analyse(M003)
     assert len(cusps) == 1
     c = cusps[0]
-    assert c.index == 0
+    assert c.corners == a.ts.table.vertices[0]
     # one triangle per (tet, vertex) corner: 4 * 2 tets
     assert len(c.corners) == 8
-    assert len(c.sides) == 12
+    assert len(c.side_faces) == 12
     assert c.n_manifold_faces == 4
     # torus: two basis curves, each classified in H1 as (free, torsion)
     assert len(c.basis) == 2
@@ -113,7 +113,8 @@ def test_vertex_classes_match_bfs_oracle():
 def test_fourteen_tet_has_two_cusps():
     a, cusps = analyse(FOURTEEN)
     assert len(cusps) == 2
-    assert [c.index for c in cusps] == [0, 1]
+    # cusp j, by list position, is the table's vertex class j
+    assert [c.corners for c in cusps] == a.ts.table.vertices
 
 
 # ------------------------------------------------- filled homology

@@ -13,10 +13,10 @@ from veerpoly.invariants import Analysis
 from veerpoly.taut import build_double_cover
 from bundles import bundle_sig
 from oracles import (DenseH1Data, abelian_group_from_relations,
-                     dense_boundaries, dense_chain_complex,
+                     bfs_tree_faces, dense_boundaries, dense_chain_complex,
                      dense_face_cocycle, dense_int_matvec,
                      dense_kernel_to_cycle, full_scan_snf, naive_int_matmul,
-                     rational_rank)
+                     rational_rank, variant_analysis)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
@@ -467,6 +467,22 @@ def test_h1_matches_dense_builder_on_sample_and_covers():
     assert covers > 100
 
 
+def test_dual_spanning_tree_is_bfs_from_tet_zero_in_face_order():
+    # any spanning tree gives the same polynomials, but not in the same
+    # time (``dual_spanning_tree``), so the tree dropped is pinned: on
+    # every sample entry and each non-edge-orientable entry's cover
+    covers = 0
+    for sig in sample_sigs():
+        analysis = Analysis(parse_taut_sig(sig))
+        analyses = [analysis]
+        if not analysis.eo.edge_orientable:
+            analyses.append(Analysis(analysis.cover))
+            covers += 1
+        for a in analyses:
+            assert a.tree == bfs_tree_faces(a.ts.table.n_tet, a.face_ends)
+    assert covers > 100
+
+
 def random_graph_complex(rng):
     """(n_cells, face_ends, boundaries) of a random 2-complex: a graph
     with self-loops, parallel faces and possibly several components, or
@@ -555,7 +571,9 @@ def test_face_cocycle_matches_dense_route_on_sample_and_covers():
         ts = parse_taut_sig(sig)
         analysis = Analysis(ts)
         assert_cocycle_matches_dense(analysis)
-        assert_cocycle_matches_dense(Analysis(ts, flip_coorientation=True))
+        flipped = variant_analysis(ts, flip=True)
+        assert flipped.coor.choice == [1 - b for b in analysis.coor.choice]
+        assert_cocycle_matches_dense(flipped)
         for beta in z2_characters(analysis):
             cover, connected = build_double_cover(ts, analysis.coor, beta)
             if connected:

@@ -14,7 +14,8 @@ from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
 from oracles import (TwoSidedGluingTable, all_columns_fitting_gcd,
                      dense_unit_pivot_reduce, exhaustive_fitting_gcd,
-                     fox_alexander_polynomial, tetrahedron_relation_sums)
+                     fox_alexander_polynomial, tetrahedron_relation_sums,
+                     variant_analysis)
 
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
@@ -65,7 +66,7 @@ def test_taut_matrix_column_sums():
         assert mat.rows == analysis.ts.table.n_tet
         assert mat.cols == 2 * mat.rows
         for j in range(mat.cols):
-            total = sum(mat.entries[i][j].evaluate_at_one()
+            total = sum(sum(mat.entries[i][j].terms.values())
                         for i in range(mat.rows))
             assert total == -1
 
@@ -78,7 +79,7 @@ def test_alexander_matrix_column_sums():
         analysis = Analysis(parse_taut_sig(sig))
         mat = build_alexander_matrix(analysis)
         for j in range(mat.cols):
-            total = sum(mat.entries[i][j].evaluate_at_one()
+            total = sum(sum(mat.entries[i][j].terms.values())
                         for i in range(mat.rows))
             assert total % 2 == 1 and abs(total) <= 3
             nonzero = sum(1 for i in range(mat.rows)
@@ -143,9 +144,9 @@ def test_unit_pivot_reduce_matches_dense_oracle():
         rows = rng.randint(1, 4)
         mat = random_laurent_matrix(rng, rows, rng.randint(rows + 1, rows + 3),
                                     nvars)
-        unit = LaurentPoly.monomial(
-            nvars, [rng.randint(-2, 2) for _ in range(nvars)],
-            rng.choice((1, -1)))
+        unit = LaurentPoly(
+            nvars, {tuple(rng.randint(-2, 2) for _ in range(nvars)):
+                    rng.choice((1, -1))})
         copied = [unit * p for p in rng.choice(mat.entries)]
         mat = LaurentMatrix(nvars, mat.entries + [copied])
         got = unit_pivot_reduce(mat)
@@ -402,7 +403,7 @@ def test_bundle_delta_at_one_is_torsion_order():
         order = 1
         for d in torsion:
             order *= d
-        assert abs(rep.delta.evaluate_at_one()) == order
+        assert abs(sum(rep.delta.terms.values())) == order
 
 
 def test_bundle_delta_is_monodromy_characteristic_polynomial():
@@ -546,10 +547,15 @@ def test_polynomials_invariant_under_internal_choices():
         base_delta = normalize_unit(
             fitting_gcd(build_alexander_matrix(base_a)))
         variants = [
-            Analysis(ts, corner_rank=1),
-            Analysis(ts, corner_rank=2),
-            Analysis(ts, flip_coorientation=True),
+            variant_analysis(ts, corner_rank=1),
+            variant_analysis(ts, corner_rank=2),
+            variant_analysis(ts, flip=True),
         ]
+        for var in variants[:2]:
+            assert any(cyc.corners[0] != base.corners[0]
+                       for cyc, base in zip(var.cycles, base_a.cycles))
+        assert variants[2].coor.choice == \
+            [1 - b for b in base_a.coor.choice]
         for var in variants:
             theta = fitting_gcd(build_taut_matrix(var))
             delta = fitting_gcd(build_alexander_matrix(var))

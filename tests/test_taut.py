@@ -13,7 +13,8 @@ from veerpoly.taut import (Coorientation, build_double_cover,
                            track_slots, FACE_SLOTS)
 from veerpoly.invariants import Analysis
 from bundles import bundle_sig, both_letter_words
-from oracles import dense_chain_complex, reference_corner_cycles
+from oracles import (dense_chain_complex, flipped_coorientation,
+                     reanchored, reference_corner_cycles)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 
@@ -125,11 +126,12 @@ def test_corner_cycles_cover_all_corners():
 
 
 def test_corner_walk_matches_reference_walk():
-    # the table-driven walk, anchored in the class order of
-    # GluingTable.edges, gives the corners, directions, crossings and
-    # exits of the facet-scanning walk anchored in the sorted class: on
-    # every sample entry and on the double cover of every entry that is
-    # not edge-orientable, under both coorientations, for anchors 0-2
+    # the table-driven walk, anchored at the first corner of each class
+    # as GluingTable.edges lists it, gives the corners, directions,
+    # crossings and exits of the facet-scanning walk anchored in the
+    # sorted class: on every sample entry and on the double cover of
+    # every entry that is not edge-orientable, under both
+    # coorientations, with each class listed from its member 0, 1 or 2
     structures = []
     for sig in sample_sigs():
         analysis = Analysis(parse_taut_sig(sig))
@@ -139,10 +141,16 @@ def test_corner_walk_matches_reference_walk():
     assert any(ts.sig.endswith(":double") for ts in structures)
     for ts in structures:
         coor = derive_coorientation(ts)
-        for c in (coor, coor.flipped(ts)):
+        flipped = flipped_coorientation(ts)
+        assert flipped.choice == [1 - b for b in coor.choice]
+        for c in (coor, flipped):
             for rank in (0, 1, 2):
+                cycles = edge_corner_cycles(reanchored(ts, rank), c)
+                starts = [cyc.corners[0] for cyc in cycles]
+                smallest = [cls[0] for cls in ts.table.edges]
+                assert (starts != smallest) == (rank != 0), (ts.sig, rank)
                 got = [(cyc.corners, cyc.dirs, cyc.crossings, cyc.exits)
-                       for cyc in edge_corner_cycles(ts, c, corner_rank=rank)]
+                       for cyc in cycles]
                 assert got == reference_corner_cycles(ts, c, rank), \
                     (ts.sig, rank)
 
