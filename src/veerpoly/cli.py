@@ -94,7 +94,7 @@ def cmd_fill(args):
     if fh.s == 0:
         raise CensusError("filling kills all free homology (b_1(N) = 0)")
     record = {
-        "sig": args.sig,
+        "sig": ts.sig,
         "slopes": {("c%d" % j): "%d/%d" % xy
                    for j, xy in spec.slopes.items()},
         "b1": analysis.h1.rank,

@@ -33,7 +33,7 @@ from functools import cached_property
 from math import prod
 from operator import sub
 
-from .census_io import VERTEX_PAIRS
+from .census_io import FACE_VERTICES, SLOT_OF_PAIR, VERTEX_PAIRS
 from .homology import (H1Data, dual_spanning_tree, face_cocycle,
                        smith_normal_form)
 from .laurent import (LaurentMatrix, LaurentPoly,
@@ -51,15 +51,15 @@ class Analysis:
     ``cocycle``.  Everything else is computed on first use and then
     kept.
 
-    Lazy members: ``exponents`` and ``ref_dir`` (the corner data of the
-    presentations), ``theta`` and ``delta`` (the taut and Alexander
-    polynomials), ``cover`` (the edge-orientation double cover) and
-    ``delta_hat`` (the double-cover polynomial, None when sigma
-    exists).  Each is the Fitting gcd of an edges x faces presentation
-    with the columns of the dual spanning tree ``tree`` dropped
-    (``tree_reduced``), so the gcd runs on T x (T + 1) matrices; for
-    ``delta_hat`` the cover's own tree is dropped before the cover's
-    matrix is pushed down to the base."""
+    Lazy members: ``exponents`` and ``face_edges`` (the corner data and
+    face table of the presentations), ``theta`` and ``delta`` (the taut
+    and Alexander polynomials), ``cover`` (the edge-orientation double
+    cover) and ``delta_hat`` (the double-cover polynomial, None when
+    sigma exists).  Each polynomial is the Fitting gcd of an edges x
+    faces presentation with the columns of the dual spanning tree
+    ``tree`` dropped (``tree_reduced``), so the gcd runs on T x (T + 1)
+    matrices; for ``delta_hat`` the cover's own tree is dropped before
+    the cover's matrix is pushed down to the base."""
 
     def __init__(self, ts):
         self.ts = ts
@@ -83,11 +83,32 @@ class Analysis:
         return corner_exponents(self.cycles, self.cocycle, self.h1.rank)
 
     @cached_property
-    def ref_dir(self):
-        """Corner -> reference orientation of its edge, read by the
-        Alexander presentation."""
-        return {corner: dirpair for cyc in self.cycles
+    def face_edges(self):
+        """Per face, its three edges at the tetrahedron below in the
+        traversal +ab, +bc, -ac of its facet [a, b, c] (a < b < c), as
+        (edge index, corner exponent, taut coefficient, Alexander
+        coefficient): +1 at the upper-large edge and -1 at the small
+        ones; the traversal sign times the facet's sign in the boundary
+        of the tetrahedron times the agreement of the traversal with
+        the edge's reference orientation (``EdgeCycle.dirs``)."""
+        edge_index = self.ts.table.edge_index
+        exponents = self.exponents
+        dirs = {corner: dirpair for cyc in self.cycles
                 for corner, dirpair in zip(cyc.corners, cyc.dirs)}
+        table = []
+        for (t, fs), (_, upper_large) in zip(self.coor.below, self.tracks):
+            a, b, c = FACE_VERTICES[fs]
+            face_sign = -1 if fs % 2 else 1
+            entries = []
+            for pair, sign in (((a, b), 1), ((b, c), 1), ((a, c), -1)):
+                slot = SLOT_OF_PAIR[pair]
+                corner = (t, slot)
+                entries.append((
+                    edge_index[corner], exponents[corner],
+                    1 if slot == upper_large else -1,
+                    face_sign * sign * (1 if dirs[corner] == pair else -1)))
+            table.append(entries)
+        return table
 
     def tree_reduced(self, mat):
         """mat without the columns of the tree faces: the same Fitting
@@ -190,7 +211,8 @@ def _tetrahedron_relations_hold(analysis, incidences, signs):
 
 def build_taut_matrix(analysis):
     """Rows = edges, columns = faces; +monomial at the face's upper-large
-    edge, -monomial at its two small edges, coincident rows summed.
+    edge, -monomial at its two small edges (the taut coefficient of
+    ``Analysis.face_edges``), coincident rows summed.
 
     Tetrahedron relation.  Let t have top diagonal uv and bottom
     diagonal xy with x < y.  Veering makes opposite equatorial edges
@@ -206,16 +228,8 @@ def build_taut_matrix(analysis):
     Landry-Minsky-Taylor's taut module, on which Parlak's computation
     (arXiv 2009.13558) also drops the faces of a dual spanning tree;
     asserted on every build unless run with -O."""
-    table = analysis.ts.table
-    exponents = analysis.exponents
-    incidences = []
-    for idx in range(len(table.faces)):
-        t_b, fs_b = analysis.coor.below[idx]
-        upper_large = analysis.tracks[idx][1]
-        incidences.append([
-            (table.edge_index[(t_b, es)], exponents[(t_b, es)],
-             1 if es == upper_large else -1)
-            for es in taut.FACE_SLOTS[fs_b]])
+    incidences = [[(e, exp, coef) for e, exp, coef, _ in face]
+                  for face in analysis.face_edges]
     assert _tetrahedron_relations_hold(
         analysis, incidences, _taut_relation_signs(analysis)), \
         "taut tetrahedron relation fails"
@@ -232,7 +246,7 @@ def _taut_relation_signs(analysis):
     by_facet = []
     for t, (top, bottom) in enumerate(zip(coor.top_slot, coor.bot_slot)):
         (u, v), (x, y) = VERTEX_PAIRS[top], VERTEX_PAIRS[bottom]
-        xu = taut.SLOT_OF_PAIR[(min(x, u), max(x, u))]
+        xu = SLOT_OF_PAIR[(min(x, u), max(x, u))]
         s = 1 if colours[edge_index[(t, xu)]] == \
             colours[edge_index[(t, top)]] else -1
         signs = [0] * 4
@@ -242,36 +256,19 @@ def _taut_relation_signs(analysis):
             for (t_b, fs_b), (t_a, fs_a) in zip(coor.below, coor.above)]
 
 
-# boundary traversal of a triangle [a,b,c] (a<b<c): +ab, +bc, -ac
-_TRAVERSAL = (((0, 1), 1), ((1, 2), 1), ((0, 2), -1))
-
-
 def build_alexander_matrix(analysis):
     """Rows = edges, columns = faces; entries are the signed monomial
     boundary of the face's base lift.  The face is oriented as part of
     the boundary of the positively oriented tetrahedron below it, and
     each edge's sign compares that traversal with the class's reference
-    orientation.
+    orientation (the Alexander coefficient of ``Analysis.face_edges``).
 
     Tetrahedron relation (asserted unless run with -O): the boundary of
     the boundary of t's base lift vanishes.  Its top faces enter with
     sign +1; its bottom faces are oriented from the tetrahedron below
     them, against the orientation t gives them, so they enter with -1."""
-    table = analysis.ts.table
-    exponents = analysis.exponents
-    incidences = []
-    for idx in range(len(table.faces)):
-        t_b, fs_b = analysis.coor.below[idx]
-        verts = [v for v in range(4) if v != fs_b]
-        face_sign = -1 if fs_b % 2 else 1
-        entries = []
-        for (i, j), tsign in _TRAVERSAL:
-            a, b = verts[i], verts[j]
-            es = taut.SLOT_OF_PAIR[(a, b)]
-            agree = 1 if analysis.ref_dir[(t_b, es)] == (a, b) else -1
-            entries.append((table.edge_index[(t_b, es)], exponents[(t_b, es)],
-                            face_sign * tsign * agree))
-        incidences.append(entries)
+    incidences = [[(e, exp, coef) for e, exp, _, coef in face]
+                  for face in analysis.face_edges]
     assert _tetrahedron_relations_hold(
         analysis, incidences, [(1, -1)] * len(incidences)), \
         "Alexander tetrahedron relation fails"

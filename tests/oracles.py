@@ -4,10 +4,11 @@ Everything here is deliberately naive: cofactor determinants, exhaustive
 minor enumeration, rational row reduction, and a small Fox-calculus engine
 for two-generator one-relator groups.  None of it shares code paths with the
 package's production pipeline, except ``all_columns_fitting_gcd``.  The
-earlier gluing-table builder, corner walk, dense face cocycle, dense
-chain complex and dense ``H1Data`` are kept here too; they use the
-package's permutation helpers, ``AbelianQuotient`` and
-``H1Data.cycle_class_free``.  The dense ``H1Data`` takes the Smith form
+earlier gluing-table builder, corner walk, face walks of the two
+presentation matrices, dense face cocycle, dense chain complex and
+dense ``H1Data`` are kept here too; they use the package's permutation
+helpers, ``AbelianQuotient``, ``H1Data.cycle_class_free`` and the
+corner data of ``Analysis``.  The dense ``H1Data`` takes the Smith form
 of d1, both column transforms included, from ``full_scan_snf`` rather
 than the package's.  ``variant_analysis`` builds the package's
 ``Analysis`` in another presentation of the same structure.
@@ -19,8 +20,9 @@ from itertools import combinations
 from unittest import mock
 
 from veerpoly import taut
-from veerpoly.census_io import (CensusError, TautStructure, VERTEX_PAIRS,
-                                compose, perm_sign, slot_image)
+from veerpoly.census_io import (CensusError, FACE_SLOTS, TautStructure,
+                                VERTEX_PAIRS, compose, perm_sign,
+                                slot_image)
 from veerpoly.homology import AbelianQuotient, int_matmul
 from veerpoly.invariants import Analysis, fitting_gcd
 from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
@@ -81,6 +83,64 @@ def tetrahedron_relation_sums(analysis, mat, signs):
                 sums[t][i] = sums[t][i] + \
                     signs[(t, fs)] * mono * mat.entries[i][f]
     return sums
+
+
+# boundary traversal of a triangle [a,b,c] (a<b<c): +ab, +bc, -ac
+_TRAVERSAL = (((0, 1), 1), ((1, 2), 1), ((0, 2), -1))
+
+
+def _summed_matrix(analysis, incidences):
+    """Edges x faces matrix, each cell the LaurentPoly sum of its
+    face's signed monomials at that edge."""
+    table = analysis.ts.table
+    r = analysis.h1.rank
+    rows = [[LaurentPoly.zero(r)] * len(table.faces) for _ in table.edges]
+    for idx, entries in enumerate(incidences):
+        for e, exp, coef in entries:
+            rows[e][idx] = rows[e][idx] + LaurentPoly(r, {exp: coef})
+    return rows
+
+
+def reference_taut_matrix(analysis):
+    """The earlier face walk of ``build_taut_matrix``, kept as an
+    oracle: per face, its three slots at the tetrahedron below in
+    ``FACE_SLOTS`` order, +1 at the upper-large edge of
+    ``analysis.tracks`` and -1 elsewhere.  Returns the row lists."""
+    table = analysis.ts.table
+    incidences = []
+    for idx in range(len(table.faces)):
+        t_b, fs_b = analysis.coor.below[idx]
+        upper_large = analysis.tracks[idx][1]
+        incidences.append([
+            (table.edge_index[(t_b, es)], analysis.exponents[(t_b, es)],
+             1 if es == upper_large else -1)
+            for es in FACE_SLOTS[fs_b]])
+    return _summed_matrix(analysis, incidences)
+
+
+def reference_alexander_matrix(analysis):
+    """The earlier face walk of ``build_alexander_matrix``, kept as an
+    oracle: per face, the traversal of its facet's vertex list, each
+    edge signed by the facet's orientation and by its agreement with
+    the reference direction at that corner.  Returns the row lists."""
+    table = analysis.ts.table
+    ref_dir = {corner: dirpair for cyc in analysis.cycles
+               for corner, dirpair in zip(cyc.corners, cyc.dirs)}
+    incidences = []
+    for idx in range(len(table.faces)):
+        t_b, fs_b = analysis.coor.below[idx]
+        verts = [v for v in range(4) if v != fs_b]
+        face_sign = -1 if fs_b % 2 else 1
+        entries = []
+        for (i, j), tsign in _TRAVERSAL:
+            a, b = verts[i], verts[j]
+            es = VERTEX_PAIRS.index((a, b))
+            agree = 1 if ref_dir[(t_b, es)] == (a, b) else -1
+            entries.append((table.edge_index[(t_b, es)],
+                            analysis.exponents[(t_b, es)],
+                            face_sign * tsign * agree))
+        incidences.append(entries)
+    return _summed_matrix(analysis, incidences)
 
 
 def dense_int_matvec(A, v):

@@ -296,6 +296,15 @@ def test_batch_record_names_the_parsed_signature(capsys, tmp_path):
     assert "error" in recs[1]
 
 
+def test_fill_record_names_the_parsed_signature(capsys):
+    # as in compute and batch, the extra fields of the argument are
+    # left out of the record
+    rc, out, _ = run_cli(capsys, "fill", M003 + " extra", "--slopes",
+                         "c0:1/2")
+    assert rc == 0
+    assert json.loads(out)["sig"] == M003
+
+
 class RecordingPool:
     """Stands in for multiprocessing.Pool: records the worker count it
     is asked for and runs the work in this process."""

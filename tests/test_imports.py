@@ -31,25 +31,48 @@ def test_no_private_names_imported_across_modules():
     assert private == []
 
 
-def test_every_definition_is_read_outside_the_tests():
-    # each function, method and class of the package is read by name
-    # somewhere in the package or the benchmark; dunder methods are
-    # called by the interpreter
-    defined, read = {}, set()
+def names_read():
+    """Every name and attribute the package or the benchmark reads."""
+    read = set()
     for directory in (PACKAGE, PERFBENCH):
-        for fname, tree in parsed_modules(directory):
+        for _, tree in parsed_modules(directory):
             for node in ast.walk(tree):
-                if directory == PACKAGE and isinstance(
-                        node, (ast.FunctionDef, ast.ClassDef)):
-                    defined.setdefault(node.name,
-                                       "%s:%d" % (fname, node.lineno))
-                elif isinstance(node, ast.Name) and \
+                if isinstance(node, ast.Name) and \
                         isinstance(node.ctx, ast.Load):
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute) and \
                         isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
+    return read
+
+
+def test_every_definition_is_read_outside_the_tests():
+    # each function, method and class of the package is read by name
+    # somewhere in the package or the benchmark; dunder methods are
+    # called by the interpreter
+    defined = {}
+    for fname, tree in parsed_modules(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, "%s:%d" % (fname, node.lineno))
+    read = names_read() | UNREAD_ALLOWED
     unread = sorted(where for name, where in defined.items()
-                    if name not in read | UNREAD_ALLOWED
+                    if name not in read
                     and not (name.startswith("__") and name.endswith("__")))
     assert unread == []
+
+
+def test_every_module_constant_is_read_outside_the_tests():
+    # each name assigned at the top level of a package module is read
+    # somewhere in the package or the benchmark
+    assigned = []
+    for fname, tree in parsed_modules(PACKAGE):
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            assigned += [(name.id, "%s:%d" % (fname, node.lineno))
+                         for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+    assert assigned
+    read = names_read()
+    assert sorted(where for name, where in assigned if name not in read) == []

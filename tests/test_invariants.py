@@ -1,12 +1,15 @@
 import os
 import random
 
-from veerpoly.census_io import (GluingTable, TautStructure, VERTEX_PAIRS,
-                                parse_taut_sig, perm_sign)
-from veerpoly.invariants import (Analysis, build_alexander_matrix,
-                                 build_taut_matrix, corner_exponents,
-                                 cover_pushforward, fitting_gcd,
-                                 unit_pivot_reduce, verify_identities)
+from veerpoly.census_io import (FACE_VERTICES, GluingTable, SLOT_OF_PAIR,
+                                TautStructure, VERTEX_PAIRS, parse_taut_sig,
+                                perm_sign)
+from veerpoly.invariants import (Analysis, _presentation_matrix,
+                                 _tetrahedron_relations_hold,
+                                 build_alexander_matrix, build_taut_matrix,
+                                 corner_exponents, cover_pushforward,
+                                 fitting_gcd, unit_pivot_reduce,
+                                 verify_identities)
 from veerpoly.laurent import (LaurentMatrix, LaurentPoly, normalize_unit,
                               specialize)
 from veerpoly.taut import build_double_cover
@@ -14,7 +17,8 @@ from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
 from oracles import (TwoSidedGluingTable, all_columns_fitting_gcd,
                      dense_unit_pivot_reduce, exhaustive_fitting_gcd,
-                     fox_alexander_polynomial, tetrahedron_relation_sums,
+                     fox_alexander_polynomial, reference_alexander_matrix,
+                     reference_taut_matrix, tetrahedron_relation_sums,
                      variant_analysis)
 
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
@@ -85,6 +89,31 @@ def test_alexander_matrix_column_sums():
             nonzero = sum(1 for i in range(mat.rows)
                           if not mat.entries[i][j].is_zero())
             assert nonzero <= 3
+
+
+def test_matrices_equal_reference_face_walks():
+    # both presentations, read off Analysis.face_edges, equal the
+    # earlier per-builder face walks cell for cell: on every sample
+    # entry, every edge-orientation double cover and bundles of 4-32
+    # tetrahedra of both signs
+    rng = random.Random(233)
+    sigs = sample_sigs() + [
+        bundle_sig("R" + "".join(rng.choice("RL") for _ in range(n - 2))
+                   + "L", eps)
+        for n in (4, 8, 16, 32) for eps in (1, -1) for _ in range(2)]
+    bases = [Analysis(parse_taut_sig(sig)) for sig in sigs]
+    covers = [Analysis(base.cover) for base in bases
+              if not base.eo.edge_orientable]
+    assert len(covers) > 100
+    assert max(base.ts.table.n_tet for base in bases) == 32
+    for analysis in bases + covers:
+        for build, reference in ((build_taut_matrix, reference_taut_matrix),
+                                 (build_alexander_matrix,
+                                  reference_alexander_matrix)):
+            mat = build(analysis)
+            assert mat.nvars == analysis.h1.rank
+            assert mat.entries == reference(analysis), \
+                (analysis.ts.sig, build.__name__)
 
 
 # -- fitting gcd against the exhaustive oracle --------------------------------
@@ -455,6 +484,56 @@ def test_fourteen_tet_z2_cover_without_sigma():
     v = verify_identities(rep)
     assert v["identity"] == "cover_product" and v["passed"]
     assert v["sign_change_match"] is False and v["even_torsion"] is True
+
+
+def omega_twisted_incidences(analysis):
+    """The Alexander incidences of ``Analysis.face_edges`` twisted by
+    the edge-orientation character omega: each coefficient times
+    (-1)^label of its corner, where a corner's label is the XOR of
+    beta over the faces its corner cycle crosses from the anchor.
+    Entry k of a face's table row sits at the slot of the k-th edge of
+    the traversal +ab, +bc, -ac of its facet [a, b, c]."""
+    beta = analysis.eo.beta
+    label = {}
+    for cyc in analysis.cycles:
+        w = 0
+        for corner, (f, _) in zip(cyc.corners, cyc.crossings):
+            label[corner] = w
+            w ^= beta[f]
+        assert w == 0, "omega does not close around an edge"
+    incidences = []
+    for (t, fs), face in zip(analysis.coor.below, analysis.face_edges):
+        a, b, c = FACE_VERTICES[fs]
+        slots = [SLOT_OF_PAIR[pair] for pair in ((a, b), (b, c), (a, c))]
+        incidences.append([(e, exp, -coef if label[(t, slot)] else coef)
+                           for slot, (e, exp, _, coef) in zip(slots, face)])
+    return incidences
+
+
+def test_theta_is_the_omega_twisted_alexander_polynomial():
+    # the paper's main theorem: theta is the Alexander polynomial
+    # twisted by omega.  The twisted matrix satisfies the tetrahedron
+    # relations with the bottom faces also carrying (-1)^beta[f]; with
+    # the untwisted signs the relation fails on the 14-tet entry, and
+    # without the twist the gcd is delta, which differs from theta
+    bases, covers = small_analyses_and_covers()
+    analyses = bases + covers + [Analysis(parse_taut_sig(FOURTEEN))]
+    assert len(analyses) == len(sample_sigs()) + len(covers)
+    untwisted_fails, delta_differs = [], 0
+    for analysis in analyses:
+        twisted = omega_twisted_incidences(analysis)
+        signs = [(1, 1 if b else -1) for b in analysis.eo.beta]
+        assert _tetrahedron_relations_hold(analysis, twisted, signs), \
+            analysis.ts.sig
+        if not _tetrahedron_relations_hold(analysis, twisted,
+                                           [(1, -1)] * len(signs)):
+            untwisted_fails.append(analysis.ts.sig)
+        mat = analysis.tree_reduced(_presentation_matrix(analysis, twisted))
+        assert normalize_unit(fitting_gcd(mat)) == analysis.theta, \
+            analysis.ts.sig
+        delta_differs += normalize_unit(analysis.delta) != analysis.theta
+    assert untwisted_fails == [FOURTEEN]
+    assert delta_differs > 100
 
 
 # -- presentation invariance --------------------------------------------------
