@@ -10,6 +10,7 @@ containing it, with the coorientation sign.
 """
 
 import math
+import numbers
 
 from .census_io import CensusError
 from .homology import AbelianQuotient, H1Data, smith_normal_form
@@ -115,11 +116,17 @@ def vertex_links(ts, coor, cycles, h1):
 
 class FillingSpec:
     """Slopes per filled cusp index, in that cusp's (a, b) basis, in
-    increasing cusp index."""
+    increasing cusp index.  Indices and coordinates must be integers
+    other than bools; anything else raises CensusError."""
 
     __slots__ = ("slopes",)
 
     def __init__(self, slopes):
+        for j, (x, y) in slopes.items():
+            if not all(isinstance(v, numbers.Integral)
+                       and not isinstance(v, bool) for v in (j, x, y)):
+                raise CensusError("slope %r on cusp %r is not a pair of "
+                                  "integers" % ((x, y), j))
         clean = {}
         for j, (x, y) in sorted(slopes.items()):
             x, y = int(x), int(y)
@@ -181,13 +188,14 @@ def _egcd(a, b):
 
 class FilledHomology:
     """Homology of the Dehn filling N, the induced map on free homology,
-    and the core-curve classes."""
+    and the core-curve classes.  n_quot and slope_coords (per filled cusp,
+    a relation of n_quot) are in the base's ``H1Data`` kernel basis."""
 
     __slots__ = ("h1", "filled", "k", "boundary_empty", "n_quot", "s",
-                 "i_star", "slope_face_vec", "cores", "sigma_N")
+                 "i_star", "slope_coords", "cores", "sigma_N")
 
     def __init__(self, h1, filled, boundary_empty, n_quot, i_star,
-                 slope_face_vec, cores):
+                 slope_coords, cores):
         self.h1 = h1
         self.filled = filled
         self.k = len(filled)
@@ -195,7 +203,7 @@ class FilledHomology:
         self.n_quot = n_quot
         self.s = n_quot.rank
         self.i_star = i_star
-        self.slope_face_vec = slope_face_vec
+        self.slope_coords = slope_coords
         self.cores = cores
         self.sigma_N = None
 
@@ -219,14 +227,14 @@ def filled_homology(h1, cusps, spec, eo):
         if order != 0:
             lift = quot.generator_lift(p)
             columns.append([order * x for x in lift])
-    slope_face_vec = {}
+    slope_coords = {}
     for j in filled:
         x, y = spec.slopes[j]
         za, zb = cusps[j].basis
         z = [x * a + y * b for a, b in zip(za, zb)]
-        vec = cross_section_to_faces(cusps[j], z)
-        slope_face_vec[j] = vec
-        columns.append(h1.cycle_kernel_coords(vec))
+        slope_coords[j] = h1.cycle_kernel_coords(
+            cross_section_to_faces(cusps[j], z))
+        columns.append(slope_coords[j])
     n_quot = AbelianQuotient(q, columns)
     s = n_quot.rank
     i_star = None
@@ -252,7 +260,7 @@ def filled_homology(h1, cusps, spec, eo):
         cores[j] = {"ell_free": tuple(ell_free),
                     "nontrivial": any(e != 0 for e in ell_free)}
     fh = FilledHomology(h1, filled, len(filled) == len(cusps), n_quot,
-                        i_star, slope_face_vec, cores)
+                        i_star, slope_coords, cores)
     fh.sigma_N = vN_edge_orientable(eo, fh)
     return fh
 
@@ -266,17 +274,14 @@ def vN_edge_orientable(eo, fh):
     torsion of H_1(N)."""
     if not eo.sigma_exists:
         return None
-    for j in fh.filled:
-        if eo.omega_of_cycle_vec(fh.slope_face_vec[j]) != 0:
-            return None
-
-    def omega(p):
-        return eo.omega_of_cycle_vec(
-            fh.h1.kernel_to_cycle(fh.n_quot.generator_lift(p)))
-
-    if any(omega(p) for p in fh.n_quot.torsion_positions):
+    if any(eo.omega(fh.slope_coords[j]) for j in fh.filled):
         return None
-    return tuple(-1 if omega(p) else 1 for p in fh.n_quot.free_positions)
+    # the filled quotient lives on the base's kernel coordinates
+    lift = fh.n_quot.generator_lift
+    if any(eo.omega(lift(p)) for p in fh.n_quot.torsion_positions):
+        return None
+    return tuple(-1 if eo.omega(lift(p)) else 1
+                 for p in fh.n_quot.free_positions)
 
 
 def specialise_under_filling(poly, fh):

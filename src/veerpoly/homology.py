@@ -72,6 +72,14 @@ class SNFResult:
         self.V = V
 
 
+def _add_row(rows, i, j, c):
+    """rows[i] += c * rows[j], over the nonzero entries of rows[j]."""
+    target = rows[i]
+    for k, x in enumerate(rows[j]):
+        if x:
+            target[k] += c * x
+
+
 def smith_normal_form(A, ncols=None):
     """Compute the Smith normal form of an integer matrix.
 
@@ -82,6 +90,13 @@ def smith_normal_form(A, ncols=None):
     (``_d1_pivots``) for its kernel basis, which with the quotient's
     transforms fixes the basis of each cusp link, and so the slope
     coordinates of ``fill`` records.
+
+    D and U are the rows of one matrix [D | U], and Uinv and V are kept
+    transposed, so each step is a row operation: a row operation E on D
+    is E on [D | U], E^-1 from the right on Uinv is a row operation on
+    Uinv^T, and a column operation on D is one on V^T.  The elimination
+    loops write ``_add_row`` out, as a call per operation makes the
+    Smith form about 5% slower.
 
     Two early exits keep the transforms identical to a full scan.  The
     pivot search stops at the first entry with |x| = 1, since no entry
@@ -95,55 +110,20 @@ def smith_normal_form(A, ncols=None):
     n = len(A[0]) if m else (0 if ncols is None else ncols)
     if m and ncols is not None:
         assert n == ncols
-    D = [list(row) for row in A]
-    U, Uinv = int_identity(m), int_identity(m)
-    V = int_identity(n)
+    DU = [list(row) + e for row, e in zip(A, int_identity(m))]
+    UinvT = int_identity(m)
+    VT = int_identity(n)
 
-    # Row/column operations, mirrored onto the transforms.  For U' = E*U the
-    # inverse picks up E^-1 on the right, which is the corresponding column
-    # operation on Uinv.
     def swap_rows(i, j):
-        if i == j:
-            return
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Uinv:
-            row[i], row[j] = row[j], row[i]
+        DU[i], DU[j] = DU[j], DU[i]
+        UinvT[i], UinvT[j] = UinvT[j], UinvT[i]
 
     def swap_cols(i, j):
         if i == j:
             return
-        for M in (D, V):
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j, over the nonzero entries of the source only
-        if c == 0:
-            return
-        for M in (D, U):
-            Mi = M[i]
-            for k, x in enumerate(M[j]):
-                if x:
-                    Mi[k] += c * x
-        for row in Uinv:
-            if row[i]:
-                row[j] -= c * row[i]
-
-    def add_col(j, i, c):
-        # col_j += c * col_i, over the nonzero entries of the source only
-        if c == 0:
-            return
-        for M in (D, V):
-            for row in M:
-                if row[i]:
-                    row[j] += c * row[i]
-
-    def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
-        for row in Uinv:
-            row[i] = -row[i]
+        for row in DU:
+            row[i], row[j] = row[j], row[i]
+        VT[i], VT[j] = VT[j], VT[i]
 
     k = 0
     limit = min(m, n)
@@ -152,7 +132,7 @@ def smith_normal_form(A, ncols=None):
         piv = None
         best = None
         for i in range(k, m):
-            row = D[i]
+            row = DU[i]
             for j in range(k, n):
                 x = row[j]
                 if x and (best is None or abs(x) < best):
@@ -169,10 +149,19 @@ def smith_normal_form(A, ncols=None):
         while True:
             restart = False
             for i in range(k + 1, m):
-                if D[i][k]:
-                    q = D[i][k] // D[k][k]
-                    add_row(i, k, -q)
-                    if D[i][k]:
+                if DU[i][k]:
+                    q = DU[i][k] // DU[k][k]
+                    if q:
+                        # _add_row(DU, i, k, -q), _add_row(UinvT, k, i, q)
+                        target = DU[i]
+                        for col, x in enumerate(DU[k]):
+                            if x:
+                                target[col] -= q * x
+                        target = UinvT[k]
+                        for col, x in enumerate(UinvT[i]):
+                            if x:
+                                target[col] += q * x
+                    if DU[i][k]:
                         # remainder is strictly smaller; make it the pivot
                         swap_rows(k, i)
                         restart = True
@@ -180,22 +169,30 @@ def smith_normal_form(A, ncols=None):
             if restart:
                 continue
             for j in range(k + 1, n):
-                if D[k][j]:
-                    q = D[k][j] // D[k][k]
-                    add_col(j, k, -q)
-                    if D[k][j]:
+                if DU[k][j]:
+                    q = DU[k][j] // DU[k][k]
+                    if q:
+                        # col_j -= q * col_k, then _add_row(VT, j, k, -q)
+                        for row in DU:
+                            if row[k]:
+                                row[j] -= q * row[k]
+                        target = VT[j]
+                        for col, x in enumerate(VT[k]):
+                            if x:
+                                target[col] -= q * x
+                    if DU[k][j]:
                         swap_cols(k, j)
                         restart = True
                         break
             if restart:
                 continue
             # enforce the divisibility chain: pull any offending row up
-            piv_val = D[k][k]
+            piv_val = DU[k][k]
             if piv_val in (1, -1):
                 break
             bad = None
             for i in range(k + 1, m):
-                row = D[i]
+                row = DU[i]
                 for j in range(k + 1, n):
                     if row[j] % piv_val:
                         bad = i
@@ -203,18 +200,22 @@ def smith_normal_form(A, ncols=None):
                 if bad is not None:
                     break
             if bad is not None:
-                add_row(k, bad, 1)
+                _add_row(DU, k, bad, 1)
+                _add_row(UinvT, bad, k, -1)
                 continue
             break
-        if D[k][k] < 0:
-            negate_row(k)
+        if DU[k][k] < 0:
+            DU[k] = [-x for x in DU[k]]
+            UinvT[k] = [-x for x in UinvT[k]]
         k += 1
 
-    diag = [D[i][i] for i in range(limit)]
+    diag = [DU[i][i] for i in range(limit)]
     rank = sum(1 for d in diag if d)
-    res = SNFResult(diag, rank, U, Uinv, V)
+    res = SNFResult(diag, rank, [row[n:] for row in DU],
+                    [list(col) for col in zip(*UinvT)],
+                    [list(col) for col in zip(*VT)])
     if __debug__:
-        _check_snf(A, D, res)
+        _check_snf(A, [row[:n] for row in DU], res)
     return res
 
 
@@ -307,9 +308,9 @@ class H1Data:
     that ``smith_normal_form`` would reach, rho the rank of d1, found
     without any transform: ``_d1_pivots`` replays its pivot rule and
     keeps only the pivot faces, a spanning forest, and the other faces
-    in final column order (``kernel_faces``).  V changes only through
-    swap_cols(k, j) with j >= k and add_col(j, k, c) with j > k, so each
-    column p of V is e_sigma(p) plus multiples of e_sigma(k) for pivot
+    in final column order (``kernel_faces``).  V changes only by
+    swapping column k with a column j >= k and adding multiples of
+    column k to columns j > k, so each column p of V is e_sigma(p) plus multiples of e_sigma(k) for pivot
     positions k < p, sigma the final column order.  Hence
     V[kernel_faces, rho:] = I, and row kernel_faces[i] of V is
     e_(rho + i), so (Vinv z)[rho:] = z[kernel_faces] for every z.  A

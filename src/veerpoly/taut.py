@@ -32,54 +32,45 @@ _NEXT_EXIT = tuple(tuple(b if enter == a else a if enter == b else None
 
 
 class Coorientation:
-    """Choice, per tetrahedron, of which diagonal is on top, together
-    with the induced below/above tetrahedron of every face."""
+    """Choice, per tetrahedron, of which diagonal is on top (choice[t]
+    indexes the digit's pair of opposite slots), the top and bottom
+    diagonal slots it picks, and per face the (tet, facet) side below
+    it and the side above it."""
 
-    def __init__(self, ts, choice):
-        table = ts.table
-        self.choice = list(choice)
-        self.top_slot = [PI_SLOTS[d][choice[t]]
-                         for t, d in enumerate(ts.digits)]
-        self.bot_slot = [OPPOSITE_SLOT[s] for s in self.top_slot]
-        below = self.below = [None] * len(table.faces)
-        above = self.above = [None] * len(table.faces)
-        for idx, sides in enumerate(table.faces):
-            for side in sides:
-                t, fs = side
-                # an upper face of t has t below it
-                ends = below if fs in VERTEX_PAIRS[self.bot_slot[t]] \
-                    else above
-                if ends[idx] is not None:
-                    raise CensusError(
-                        "taut structure is not transverse at face %d" % idx)
-                ends[idx] = side
-        for idx in range(len(table.faces)):
-            if self.below[idx] is None or self.above[idx] is None:
-                raise CensusError(
-                    "taut structure is not transverse at face %d" % idx)
+    __slots__ = ("choice", "top_slot", "bot_slot", "below", "above")
+
+    def __init__(self, choice, top_slot, bot_slot, below, above):
+        self.choice = choice
+        self.top_slot = top_slot
+        self.bot_slot = bot_slot
+        self.below = below
+        self.above = above
 
 
 def derive_coorientation(ts):
     """Propagate the top/bottom choice across faces: a face must be an
     upper face on one side and a lower face on the other.  The seed
-    makes the diagonal of tetrahedron 0 through vertex 0 the top one."""
+    makes the diagonal of tetrahedron 0 through vertex 0 the top one.
+
+    Each facet is recorded as its face's below side if it is an upper
+    face of its tetrahedron, else as the above side.  As every gluing is
+    checked, each face then has one side of each kind."""
     table = ts.table
+    face_index = table.face_index
+    below = [None] * len(table.faces)
+    above = [None] * len(table.faces)
     choice = {0: 0}
     queue = [0]
     for t in queue:
-        top = PI_SLOTS[ts.digits[t]][choice[t]]
-        bot_pair = VERTEX_PAIRS[OPPOSITE_SLOT[top]]
+        # the bottom pair under choice c is the (1 - c)-th pi slot
+        bot_pair = VERTEX_PAIRS[PI_SLOTS[ts.digits[t]][1 - choice[t]]]
         for fs in range(4):
             t2, p = table.gluings[t][fs]
-            fs2 = p[fs]
-            f_top_in_t = fs in bot_pair
-            d2 = ts.digits[t2]
-            # bottom pair of t2 under choice c is the (1-c)-th pi slot
-            in_first = fs2 in VERTEX_PAIRS[PI_SLOTS[d2][1]]
-            # f must be a top face on exactly one side
-            need_top_in_t2 = not f_top_in_t
-            forced = (0 if need_top_in_t2 else 1) if in_first else \
-                     (1 if need_top_in_t2 else 0)
+            upper = fs in bot_pair
+            (below if upper else above)[face_index[(t, fs)]] = (t, fs)
+            # the face is upper in t2 exactly when it is lower in t
+            forced = int(upper == (p[fs] in VERTEX_PAIRS[
+                PI_SLOTS[ts.digits[t2]][1]]))
             if t2 not in choice:
                 choice[t2] = forced
                 queue.append(t2)
@@ -87,7 +78,10 @@ def derive_coorientation(ts):
                 raise CensusError("taut structure is not transverse")
     if len(choice) != table.n_tet:
         raise CensusError("triangulation is disconnected")
-    return Coorientation(ts, [choice[t] for t in range(table.n_tet)])
+    choice = [choice[t] for t in range(table.n_tet)]
+    top_slot = [PI_SLOTS[d][c] for d, c in zip(ts.digits, choice)]
+    return Coorientation(choice, top_slot,
+                         [OPPOSITE_SLOT[s] for s in top_slot], below, above)
 
 
 def derive_colouring(ts):
@@ -283,39 +277,33 @@ def face_disagreement(ts, coor, orientations):
 class EdgeOrientationData:
     """The obstruction data of the edge-orientation double cover.
 
-    omega evaluates the face cochain beta on homology classes (as 0/1);
-    edge_orientable says it vanishes identically, sigma_exists that it
-    vanishes on torsion, in which case sigma lists the signs it takes on
-    the free generators of H1.
+    omega is the face cochain beta on homology, as 0/1: of a class with
+    kernel coordinates y (``H1Data``), the parity of y summed over
+    odd_kernel, where beta is odd on the kernel basis cycle.
+    omega_positions holds omega of each diagonal generator of H1;
+    edge_orientable says omega vanishes, sigma_exists that it vanishes
+    on torsion, in which case sigma lists its signs on the free ones.
     """
 
-    __slots__ = ("beta", "omega_positions", "edge_orientable",
+    __slots__ = ("beta", "odd_kernel", "omega_positions", "edge_orientable",
                  "sigma_exists", "sigma")
 
     def __init__(self, beta, h1):
         self.beta = beta
         quot = h1.quot
-        # The generator at position i is represented by the cycle
-        # V[:, rho:] * Uinv[:, i], so omega_i = (beta * V[:, rho:]) *
-        # Uinv[:, i] mod 2: one row bv for all positions, which H1Data
-        # reads off tree potentials.
-        bv = h1.cochain_on_kernel(beta)
-        odd = [quot.snf.Uinv[k] for k, x in enumerate(bv) if x % 2]
-        omega_positions = [sum(row[i] for row in odd) % 2
-                           for i in range(h1.q)]
-        self.omega_positions = omega_positions
-        self.edge_orientable = all(o == 0 for o in omega_positions)
-        self.sigma_exists = all(omega_positions[i] == 0
-                                for i in quot.torsion_positions)
-        if self.sigma_exists:
-            self.sigma = tuple(-1 if omega_positions[i] else 1
-                               for i in quot.free_positions)
-        else:
-            self.sigma = None
+        self.odd_kernel = [k for k, x in enumerate(h1.cochain_on_kernel(beta))
+                           if x % 2]
+        self.omega_positions = omega = [self.omega(quot.generator_lift(i))
+                                        for i in range(h1.q)]
+        self.edge_orientable = not any(omega)
+        self.sigma_exists = not any(omega[i] for i in quot.torsion_positions)
+        self.sigma = tuple(-1 if omega[i] else 1
+                           for i in quot.free_positions) \
+            if self.sigma_exists else None
 
-    def omega_of_cycle_vec(self, z):
-        """beta paired with a face vector z, mod 2."""
-        return sum(self.beta[f] * zf for f, zf in enumerate(z)) % 2
+    def omega(self, y):
+        """omega of the class with kernel coordinates y, as 0/1."""
+        return sum(y[k] for k in self.odd_kernel) % 2
 
 
 def edge_orientation_data(ts, coor, colours, cycles, h1):

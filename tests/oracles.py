@@ -605,9 +605,11 @@ def reference_corner_cycles(ts, coor, corner_rank=0):
 
 def flipped_coorientation(ts):
     """The coorientation opposite to ``derive_coorientation``'s: the
-    other diagonal of every tetrahedron on top."""
+    other diagonal of every tetrahedron on top, so the top and bottom
+    slots trade places and so do the sides below and above each face."""
     coor = derive_coorientation(ts)
-    return Coorientation(ts, [1 - b for b in coor.choice])
+    return Coorientation([1 - b for b in coor.choice], coor.bot_slot,
+                         coor.top_slot, coor.above, coor.below)
 
 
 def reanchored(ts, rank):

@@ -19,7 +19,8 @@ from veerpoly.taut import build_double_cover
 from veerpoly.invariants import (Analysis, build_taut_matrix,
                                  build_alexander_matrix, fitting_gcd)
 from veerpoly.filling import (FilledHomology, FillingSpec, parse_slopes,
-                              vertex_links, filled_homology,
+                              cross_section_to_faces, vertex_links,
+                              filled_homology,
                               specialise_under_filling,
                               predict_filled_alexander,
                               orientable_class_parity)
@@ -236,6 +237,35 @@ def test_fibre_slope_is_where_sigma_n_lives():
                 assert fh.sigma_N == (-1,)
 
 
+def test_sigma_n_matches_beta_on_filled_cycles():
+    # vN_edge_orientable reads omega off kernel coordinates; pairing
+    # beta with the slope's face vector and with each filled generator's
+    # rebuilt face cycle must give the same sigma_N
+    cases = [(M003, (x, y)) for x in range(-2, 3) for y in range(-2, 3)
+             if math.gcd(x, y) == 1]
+    cases += [(sig, (1, 0)) for sig in sample_sigs(30) + [FOURTEEN]]
+    cases += [(bundle_sig("RRLL", 1), None), (bundle_sig("RLL", -1), None)]
+    for sig, slope in cases:
+        a, cusps = analyse(sig)
+        beta = a.eo.beta
+        slopes = {j: slope or fibre_slope(cusps[0])
+                  for j in range(len(cusps))}
+        fh = filled_homology(a.h1, cusps, FillingSpec(slopes), eo=a.eo)
+        factors = a.eo.sigma_exists
+        for j, (x, y) in slopes.items():
+            za, zb = cusps[j].basis
+            vec = cross_section_to_faces(
+                cusps[j], [x * p + y * q for p, q in zip(za, zb)])
+            assert fh.slope_coords[j] == a.h1.cycle_kernel_coords(vec)
+            factors &= sum(b * v for b, v in zip(beta, vec)) % 2 == 0
+        omega = [sum(b * z for b, z in zip(beta, a.h1.kernel_to_cycle(
+            fh.n_quot.generator_lift(p)))) % 2 for p in range(a.h1.q)]
+        factors &= not any(omega[p] for p in fh.n_quot.torsion_positions)
+        want = tuple(-1 if omega[p] else 1
+                     for p in fh.n_quot.free_positions) if factors else None
+        assert fh.sigma_N == want, (sig, slopes)
+
+
 def test_slope_sign_robustness():
     a, cusps = analyse(M003)
     theta = fitting_gcd(build_taut_matrix(a))
@@ -420,6 +450,25 @@ def test_non_primitive_slope_rejected():
         FillingSpec({0: (2, 4)})
     with pytest.raises(CensusError, match="not primitive"):
         FillingSpec({0: (0, 0)})
+
+
+@pytest.mark.parametrize("slopes", [
+    {0: (1.5, 2)}, {0: (1, 2.0)}, {0: ("3", " 2")}, {0: (True, 0)},
+    {0: (1, False)}, {"0": (1, 2)}, {0.0: (1, 2)}, {True: (1, 0)},
+    {0: (1, 0), 1: (None, 1)}])
+def test_non_integer_slope_rejected(slopes):
+    # library input: nothing is rounded, parsed or read as a bool
+    with pytest.raises(CensusError, match="not a pair of integers"):
+        FillingSpec(slopes)
+
+
+def test_integral_slopes_kept_as_ints():
+    class Two(int):
+        pass
+    spec = FillingSpec({1: (Two(2), -1), 0: (0, 1)})
+    assert spec.slopes == {0: (0, 1), 1: (2, -1)}
+    assert list(spec.slopes) == [0, 1]
+    assert type(spec.slopes[1][0]) is int
 
 
 def test_unknown_cusp_index_rejected():

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from veerpoly import filling, homology
+from veerpoly import filling, homology, invariants
+from veerpoly.cli import main
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.filling import vertex_links
 from veerpoly.homology import (AbelianQuotient, H1Data, SNFResult,
@@ -274,6 +275,28 @@ def test_snf_transforms_match_full_scan_on_bundle_links(monkeypatch):
             smith_normal_form(d1, ncols=len(face_ends)), d1, len(face_ends))
         shapes.append((n_cells, len(face_ends)))
     assert (80, 120) in shapes
+
+
+def test_snf_transforms_match_full_scan_on_batch_traffic(monkeypatch,
+                                                       tmp_path):
+    # every Smith form that batch --verify takes over the sample census:
+    # one H1 quotient per entry, and the 14-tet entry's double cover with
+    # the check of its pushforward
+    results = []
+
+    def recording_snf(A, ncols=None):
+        A = [list(r) for r in A]
+        results.append((A, ncols, smith_normal_form(A, ncols=ncols)))
+        return results[-1][2]
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording_snf)
+    monkeypatch.setattr(invariants, "smith_normal_form", recording_snf)
+    assert main(["batch", DATA, "--verify", "--jobs", "1",
+                 "--out", str(tmp_path / "out.jsonl")]) == 0
+    monkeypatch.undo()
+    assert len(results) == 243 + 2
+    for A, ncols, res in results:
+        assert same_as_full_scan(res, A, ncols)
 
 
 # -- abelian quotients -------------------------------------------------------

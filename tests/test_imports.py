@@ -1,5 +1,6 @@
-"""Modules of the package import only public names from each other, and
-define nothing that only the tests read."""
+"""Modules of the package import only public names from each other,
+import nothing from the benchmark or the tests, and define nothing that
+only the tests read."""
 
 import ast
 import os
@@ -7,7 +8,8 @@ import os
 from veerpoly import cli
 
 PACKAGE = os.path.dirname(cli.__file__)
-PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PERFBENCH = os.path.join(TESTS, os.pardir, "perfbench")
 # the paper's parity criterion, a library feature the README lists
 UNREAD_ALLOWED = {"orientable_class_parity"}
 
@@ -29,6 +31,28 @@ def test_no_private_names_imported_across_modules():
                             for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_of_the_benchmark_or_tests_imported():
+    # the benchmark and the test suite put their directories on sys.path,
+    # so a package module could import spans, workloads, oracles, ...
+    outside = {"perfbench", "tests"}
+    for directory in (PERFBENCH, TESTS):
+        outside.update(fname[:-3] for fname, _ in parsed_modules(directory))
+    assert {"spans", "workloads", "oracles", "bundles", "conftest"} <= outside
+    found = []
+    for fname, tree in parsed_modules(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += ["%s:%d: %s" % (fname, node.lineno, name)
+                      for name in modules
+                      if name.split(".")[0] in outside]
+    assert found == []
 
 
 def names_read():

@@ -18,6 +18,8 @@ from veerpoly.invariants import Analysis, verify_identities
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 REFERENCE = os.path.join(PERFBENCH, "reference")
+FOURTEEN_RECORD = os.path.join(os.path.dirname(__file__), "data",
+                               "fourteen_tet_verify.jsonl")
 M003 = "cPcbbbdxm_10"
 TWO_TET_EO = "cPcbbbiht_12"
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
@@ -51,6 +53,19 @@ def test_batch_writer_matches_reference(tmp_path, name, flags):
     assert main(["batch", str(census), "--jobs", "1", "--out", str(out)]
                 + flags) == 0
     with open(os.path.join(REFERENCE, name + ".jsonl"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_fourteen_tet_record_replays_byte_for_byte(tmp_path):
+    # the sample's only b1 = 2 entry and its only delta_hat: the bytes
+    # pin theta, delta and delta_hat in the H1 basis the Smith form's U
+    # fixes, which the tests that match them up to GL(2, Z) would not
+    census = tmp_path / "census.txt"
+    census.write_text(FOURTEEN + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["batch", str(census), "--verify", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    with open(FOURTEEN_RECORD, "rb") as fh:
         assert out.read_bytes() == fh.read()
 
 

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 
 import pytest
 
@@ -69,16 +70,21 @@ def test_coorientation_rejects_non_transverse_digits():
 
 
 def test_every_face_has_below_and_above():
+    # for the derived coorientation and its flip alike
     for sig in sample_sigs(40):
         ts = parse_taut_sig(sig)
-        coor = derive_coorientation(ts)
-        for idx in range(len(ts.table.faces)):
-            t_b, fs_b = coor.below[idx]
-            t_a, fs_a = coor.above[idx]
-            assert {(t_b, fs_b), (t_a, fs_a)} == set(ts.table.faces[idx])
-            # below side: the facet is an upper face of its tetrahedron
-            assert fs_b in VERTEX_PAIRS[coor.bot_slot[t_b]]
-            assert fs_a not in VERTEX_PAIRS[coor.bot_slot[t_a]]
+        for coor in (derive_coorientation(ts), flipped_coorientation(ts)):
+            assert coor.top_slot == [PI_SLOTS[d][c] for d, c in
+                                     zip(ts.digits, coor.choice)]
+            assert coor.bot_slot == [OPPOSITE_SLOT[s] for s in coor.top_slot]
+            for idx in range(len(ts.table.faces)):
+                t_b, fs_b = coor.below[idx]
+                t_a, fs_a = coor.above[idx]
+                assert {(t_b, fs_b), (t_a, fs_a)} == \
+                    set(ts.table.faces[idx])
+                # below side: the facet is an upper face of its tetrahedron
+                assert fs_b in VERTEX_PAIRS[coor.bot_slot[t_b]]
+                assert fs_a not in VERTEX_PAIRS[coor.bot_slot[t_a]]
 
 
 # -- colouring ----------------------------------------------------------------
@@ -254,6 +260,12 @@ def test_sigma_signs_on_known_entries():
         assert eo.sigma_exists and eo.sigma == want
 
 
+def beta_pairing(beta, z):
+    """beta paired with a face vector z, mod 2: the route to omega that
+    does not go through kernel coordinates."""
+    return sum(b * x for b, x in zip(beta, z)) % 2
+
+
 def test_omega_vanishes_on_boundaries():
     # the obstruction evaluates to zero on every dual 2-cell boundary
     for sig in sample_sigs(20):
@@ -266,18 +278,25 @@ def test_omega_vanishes_on_boundaries():
         _, d2 = dense_chain_complex(ts, coor, cycles)
         for e in range(len(ts.table.edges)):
             col = [d2[f][e] for f in range(len(ts.table.faces))]
-            assert eo.omega_of_cycle_vec(col) == 0
+            assert beta_pairing(eo.beta, col) == 0
+            assert eo.omega(h1.cycle_kernel_coords(col)) == 0
 
 
 def test_omega_positions_match_per_position_cycles():
-    # EdgeOrientationData pairs beta with V[:, rho:] once; the result
-    # must equal beta paired with each position's representative cycle
+    # EdgeOrientationData pairs beta with V[:, rho:] once; omega of a
+    # kernel vector, and so each omega_positions entry, must equal beta
+    # paired with the cycle that vector stands for
+    rng = random.Random(43)
     for sig in sample_sigs():
         analysis = Analysis(parse_taut_sig(sig))
         analyses = [analysis]
         if not analysis.eo.edge_orientable:
             analyses.append(Analysis(analysis.cover))
         for a in analyses:
-            want = [a.eo.omega_of_cycle_vec(a.h1.w_position_representative(i))
+            want = [beta_pairing(a.eo.beta, a.h1.w_position_representative(i))
                     for i in range(a.h1.q)]
             assert a.eo.omega_positions == want, a.ts.sig
+            for _ in range(3):
+                y = [rng.randint(-3, 3) for _ in range(a.h1.q)]
+                assert a.eo.omega(y) == \
+                    beta_pairing(a.eo.beta, a.h1.kernel_to_cycle(y))
