@@ -199,7 +199,7 @@ class GluingTable:
         assert len(faces) == 2 * n
         self.face_index = face_index
         self.faces = faces
-        self.vertex_index, self.vertices = _classes(4 * n, vertex_pairs, 4)
+        _, self.vertices = _classes(4 * n, vertex_pairs, 4)
 
     @cached_property
     def _edge_classes(self):

@@ -45,11 +45,10 @@ from . import taut
 class Analysis:
     """Everything derived from one taut structure.  Computed on
     construction: what every record reads, the homology and the
-    edge-orientation data, with the coorientation, colours and corner
-    cycles they rest on; the face tracks, whose asserts check every
-    face; and the dual spanning tree ``tree`` and face cocycle
-    ``cocycle``.  Everything else is computed on first use and then
-    kept.
+    edge-orientation data, with the coorientation (whose asserts check
+    every face's large slots), colours and corner cycles they rest on;
+    and the dual spanning tree ``tree`` and face cocycle ``cocycle``.
+    Everything else is computed on first use and then kept.
 
     Lazy members: ``exponents`` and ``face_edges`` (the corner data and
     face table of the presentations), ``theta`` and ``delta`` (the taut
@@ -73,7 +72,6 @@ class Analysis:
                          [cyc.crossings for cyc in self.cycles])
         self.eo = taut.edge_orientation_data(ts, coor, self.colours,
                                              self.cycles, self.h1)
-        self.tracks = taut.track_slots(ts, coor)
         self.tree = dual_spanning_tree(table.n_tet, self.face_ends)
         self.cocycle = face_cocycle(self.h1)
 
@@ -87,16 +85,18 @@ class Analysis:
         """Per face, its three edges at the tetrahedron below in the
         traversal +ab, +bc, -ac of its facet [a, b, c] (a < b < c), as
         (edge index, corner exponent, taut coefficient, Alexander
-        coefficient): +1 at the upper-large edge and -1 at the small
-        ones; the traversal sign times the facet's sign in the boundary
-        of the tetrahedron times the agreement of the traversal with
-        the edge's reference orientation (``EdgeCycle.dirs``)."""
+        coefficient): +1 at the upper-large edge
+        (``Coorientation.upper_large``) and -1 at the small ones; the
+        traversal sign times the facet's sign in the boundary of the
+        tetrahedron times the agreement of the traversal with the
+        edge's reference orientation (``EdgeCycle.dirs``)."""
         edge_index = self.ts.table.edge_index
         exponents = self.exponents
         dirs = {corner: dirpair for cyc in self.cycles
                 for corner, dirpair in zip(cyc.corners, cyc.dirs)}
         table = []
-        for (t, fs), (_, upper_large) in zip(self.coor.below, self.tracks):
+        for (t, fs), upper_large in zip(self.coor.below,
+                                        self.coor.upper_large):
             a, b, c = FACE_VERTICES[fs]
             face_sign = -1 if fs % 2 else 1
             entries = []

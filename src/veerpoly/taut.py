@@ -1,5 +1,5 @@
-"""Transverse taut structure: coorientations, colours, tracks, and the
-edge-orientation double cover.
+"""Transverse taut structure: coorientations, colours, corner cycles, and
+the edge-orientation double cover.
 
 Conventions.  Within a tetrahedron the angle digit selects the opposite
 pair of "diagonal" edge slots (top and bottom); the other four slots are
@@ -7,14 +7,14 @@ pair of "diagonal" edge slots (top and bottom); the other four slots are
 lower face of the one above it; the facet indices of the upper faces are
 exactly the endpoints of the bottom diagonal.  The dual track of a face
 has one large end (at the face's upper-large edge: the bottom diagonal
-of the tetrahedron above) and two small ends; a side choice for the
-track orients the face's three edges as source -> sink along the large
-edge with the apex as a pass-through vertex.
+of the tetrahedron above, ``Coorientation.upper_large``) and two small
+ends; a side choice for the track orients the face's three edges as
+source -> sink along the large edge with the apex as a pass-through
+vertex.
 """
 
-from .census_io import (CensusError, FACE_SLOTS, GluingTable, ISOSIG_PERMS,
-                        OPPOSITE_SLOT, PERM_INDEX, PERM_INVERSE,
-                        PERM_SLOT_IMAGES, PI_SLOTS, SLOT_OF_PAIR,
+from .census_io import (CensusError, FACE_SLOTS, GluingTable, OPPOSITE_SLOT,
+                        PERM_INDEX, PERM_SLOT_IMAGES, PI_SLOTS, SLOT_OF_PAIR,
                         TautStructure, VERTEX_PAIRS)
 
 
@@ -32,19 +32,19 @@ _NEXT_EXIT = tuple(tuple(b if enter == a else a if enter == b else None
 
 
 class Coorientation:
-    """Choice, per tetrahedron, of which diagonal is on top (choice[t]
-    indexes the digit's pair of opposite slots), the top and bottom
-    diagonal slots it picks, and per face the (tet, facet) side below
-    it and the side above it."""
+    """The top and bottom diagonal slots of every tetrahedron, and per
+    face the (tet, facet) side below it, the side above it, and its
+    upper-large slot: the bottom diagonal of the tetrahedron above, in
+    the labels of the tetrahedron below."""
 
-    __slots__ = ("choice", "top_slot", "bot_slot", "below", "above")
+    __slots__ = ("top_slot", "bot_slot", "below", "above", "upper_large")
 
-    def __init__(self, choice, top_slot, bot_slot, below, above):
-        self.choice = choice
+    def __init__(self, top_slot, bot_slot, below, above, upper_large):
         self.top_slot = top_slot
         self.bot_slot = bot_slot
         self.below = below
         self.above = above
+        self.upper_large = upper_large
 
 
 def derive_coorientation(ts):
@@ -54,34 +54,49 @@ def derive_coorientation(ts):
 
     Each facet is recorded as its face's below side if it is an upper
     face of its tetrahedron, else as the above side.  As every gluing is
-    checked, each face then has one side of each kind."""
+    checked, each face then has one side of each kind.  Filing a below
+    side also records the face's upper-large slot, read through the
+    partner gluing from the tetrahedron above, and asserts that it and
+    the lower-large slot (the top diagonal below) are two edges of the
+    face."""
     table = ts.table
-    face_index = table.face_index
+    gluings, face_index = table.gluings, table.face_index
     below = [None] * len(table.faces)
     above = [None] * len(table.faces)
+    upper_large = [None] * len(table.faces)
     choice = {0: 0}
     queue = [0]
     for t in queue:
-        # the bottom pair under choice c is the (1 - c)-th pi slot
-        bot_pair = VERTEX_PAIRS[PI_SLOTS[ts.digits[t]][1 - choice[t]]]
+        # choice c puts the c-th pi slot on top, the other at the bottom
+        pi = PI_SLOTS[ts.digits[t]]
+        top = pi[choice[t]]
+        bot_pair = VERTEX_PAIRS[pi[1 - choice[t]]]
         for fs in range(4):
-            t2, p = table.gluings[t][fs]
+            t2, p = gluings[t][fs]
+            pi2 = PI_SLOTS[ts.digits[t2]]
             upper = fs in bot_pair
-            (below if upper else above)[face_index[(t, fs)]] = (t, fs)
             # the face is upper in t2 exactly when it is lower in t
-            forced = int(upper == (p[fs] in VERTEX_PAIRS[
-                PI_SLOTS[ts.digits[t2]][1]]))
+            forced = int(upper == (p[fs] in VERTEX_PAIRS[pi2[1]]))
             if t2 not in choice:
                 choice[t2] = forced
                 queue.append(t2)
             elif choice[t2] != forced:
                 raise CensusError("taut structure is not transverse")
+            f = face_index[(t, fs)]
+            if not upper:
+                above[f] = (t, fs)
+                continue
+            below[f] = (t, fs)
+            # t2's bottom diagonal, carried back by the partner gluing
+            _, p_inv = gluings[t2][p[fs]]
+            upper_large[f] = large = \
+                PERM_SLOT_IMAGES[PERM_INDEX[p_inv]][pi2[1 - forced]]
+            assert top != large and {top, large} <= set(FACE_SLOTS[fs])
     if len(choice) != table.n_tet:
         raise CensusError("triangulation is disconnected")
-    choice = [choice[t] for t in range(table.n_tet)]
-    top_slot = [PI_SLOTS[d][c] for d, c in zip(ts.digits, choice)]
-    return Coorientation(choice, top_slot,
-                         [OPPOSITE_SLOT[s] for s in top_slot], below, above)
+    top_slot = [PI_SLOTS[d][choice[t]] for t, d in enumerate(ts.digits)]
+    return Coorientation(top_slot, [OPPOSITE_SLOT[s] for s in top_slot],
+                         below, above, upper_large)
 
 
 def derive_colouring(ts):
@@ -171,30 +186,6 @@ def edge_corner_cycles(ts, coor):
         assert len(corners) == len(cls) and len(set(corners)) == len(corners)
         cycles.append(EdgeCycle(corners, dirs, crossings, exits))
     return cycles
-
-
-def track_slots(ts, coor):
-    """Per face: (lower-large, upper-large) edge slots in below-tet labels.
-
-    The lower-large edge is the top diagonal of the tetrahedron below;
-    the upper-large edge is the bottom diagonal of the tetrahedron
-    above, pulled back through the gluing.
-    """
-    table = ts.table
-    out = []
-    for idx in range(len(table.faces)):
-        t_b, fs_b = coor.below[idx]
-        t_a, fs_a = coor.above[idx]
-        lower_large = coor.top_slot[t_b]
-        t2, p = table.gluings[t_b][fs_b]
-        assert (t2, p[fs_b]) == (t_a, fs_a)
-        upper_large = PERM_SLOT_IMAGES[PERM_INVERSE[PERM_INDEX[p]]][
-            coor.bot_slot[t_a]]
-        assert lower_large in FACE_SLOTS[fs_b]
-        assert upper_large in FACE_SLOTS[fs_b]
-        assert lower_large != upper_large
-        out.append((lower_large, upper_large))
-    return out
 
 
 def _orientation_template(top):
@@ -333,7 +324,7 @@ def build_double_cover(ts, coor, beta):
         t_b, fs_b = coor.below[idx]
         t_a, fs_a = coor.above[idx]
         _, p = table.gluings[t_b][fs_b]
-        p_inv = ISOSIG_PERMS[PERM_INVERSE[PERM_INDEX[p]]]
+        _, p_inv = table.gluings[t_a][fs_a]
         for sheet in (0, 1):
             sheet2 = sheet ^ beta[idx]
             gluings[t_b + sheet * n][fs_b] = (t_a + sheet2 * n, p)

@@ -21,7 +21,7 @@ from unittest import mock
 
 from veerpoly import taut
 from veerpoly.census_io import (CensusError, FACE_SLOTS, TautStructure,
-                                VERTEX_PAIRS, compose, perm_sign,
+                                VERTEX_PAIRS, compose, invert, perm_sign,
                                 slot_image)
 from veerpoly.homology import AbelianQuotient, int_matmul
 from veerpoly.invariants import Analysis, fitting_gcd
@@ -104,13 +104,16 @@ def _summed_matrix(analysis, incidences):
 def reference_taut_matrix(analysis):
     """The earlier face walk of ``build_taut_matrix``, kept as an
     oracle: per face, its three slots at the tetrahedron below in
-    ``FACE_SLOTS`` order, +1 at the upper-large edge of
-    ``analysis.tracks`` and -1 elsewhere.  Returns the row lists."""
-    table = analysis.ts.table
+    ``FACE_SLOTS`` order, +1 at the upper-large edge and -1 elsewhere.
+    The upper-large edge is found from the gluing, not read from
+    ``Coorientation.upper_large``: the bottom diagonal of the
+    tetrahedron above, pulled back by the inverse gluing.  Returns the
+    row lists."""
+    table, coor = analysis.ts.table, analysis.coor
     incidences = []
-    for idx in range(len(table.faces)):
-        t_b, fs_b = analysis.coor.below[idx]
-        upper_large = analysis.tracks[idx][1]
+    for (t_b, fs_b), (t_a, _) in zip(coor.below, coor.above):
+        upper_large = slot_image(invert(table.gluings[t_b][fs_b][1]),
+                                 coor.bot_slot[t_a])
         incidences.append([
             (table.edge_index[(t_b, es)], analysis.exponents[(t_b, es)],
              1 if es == upper_large else -1)
@@ -501,7 +504,7 @@ class TwoSidedGluingTable:
                 for v in range(4):
                     if v != f:
                         uf.union(4 * t + v, 4 * t2 + p[v])
-        self.vertex_index, self.vertices = uf.classes(4)
+        _, self.vertices = uf.classes(4)
 
 
 class _UnionFind:
@@ -606,10 +609,15 @@ def reference_corner_cycles(ts, coor, corner_rank=0):
 def flipped_coorientation(ts):
     """The coorientation opposite to ``derive_coorientation``'s: the
     other diagonal of every tetrahedron on top, so the top and bottom
-    slots trade places and so do the sides below and above each face."""
+    slots trade places and so do the sides below and above each face.
+    Each face's upper-large slot is then the derived top diagonal of
+    the tetrahedron below it, carried across the gluing into the labels
+    of the tetrahedron above, which is below it now."""
     coor = derive_coorientation(ts)
-    return Coorientation([1 - b for b in coor.choice], coor.bot_slot,
-                         coor.top_slot, coor.above, coor.below)
+    upper_large = [slot_image(ts.table.gluings[t][fs][1], coor.top_slot[t])
+                   for t, fs in coor.below]
+    return Coorientation(coor.bot_slot, coor.top_slot, coor.above,
+                         coor.below, upper_large)
 
 
 def reanchored(ts, rank):

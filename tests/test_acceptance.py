@@ -247,7 +247,7 @@ def test_criterion_7_presentation_invariance():
         perm = list(range(n_tet))
         rng.shuffle(perm)
         flipped = variant_analysis(ts, flip=True)
-        assert flipped.coor.choice == [1 - b for b in base.coor.choice]
+        assert flipped.coor.top_slot == base.coor.bot_slot
         variants = [
             Analysis(permuted_structure(ts, perm, [(0, 1, 2, 3)] * n_tet)),
             coboundary_variant(ts),

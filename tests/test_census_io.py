@@ -146,8 +146,7 @@ def test_sample_census_parses():
 
 # -- gluing tables against the two-sided builder -------------------------------
 
-TABLE_ATTRS = ("faces", "face_index", "edges", "edge_index", "vertices",
-               "vertex_index")
+TABLE_ATTRS = ("faces", "face_index", "edges", "edge_index", "vertices")
 
 
 def build_outcome(builder, gluings):

@@ -1,6 +1,7 @@
 """Modules of the package import only public names from each other,
 import nothing from the benchmark or the tests, and define nothing that
-only the tests read."""
+only the tests read: no function, class, module constant or data
+member."""
 
 import ast
 import os
@@ -100,3 +101,59 @@ def test_every_module_constant_is_read_outside_the_tests():
     assert assigned
     read = names_read()
     assert sorted(where for name, where in assigned if name not in read) == []
+
+
+def attributes_read():
+    """Every attribute the package or the benchmark reads, other than
+    as the callee of a call: ``rng.choice(...)`` reads no member."""
+    read = set()
+    for directory in (PACKAGE, PERFBENCH):
+        for _, tree in parsed_modules(directory):
+            callees = {id(node.func) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)}
+            read.update(node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and id(node) not in callees)
+    return read
+
+
+def data_members():
+    """(class, member, where) of every ``__slots__`` entry and every
+    ``self.X`` store in the methods of a package class."""
+    members = []
+    for fname, tree in parsed_modules(PACKAGE):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(target, ast.Name)
+                        and target.id == "__slots__"
+                        for target in node.targets):
+                    names = ast.literal_eval(node.value)
+                elif isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Store) and \
+                        isinstance(node.value, ast.Name) and \
+                        node.value.id == "self":
+                    names = [node.attr]
+                else:
+                    continue
+                members += [(cls.name, name, "%s:%d" % (fname, node.lineno))
+                            for name in names]
+    return members
+
+
+def test_every_data_member_is_read_outside_the_tests():
+    # each data member of a package class is read as an attribute
+    # somewhere in the package or the benchmark
+    members = data_members()
+    # one member of each kind: a __slots__ entry and a self.X store
+    assert {("Coorientation", "below"), ("GluingTable", "faces")} <= \
+        {(cls, name) for cls, name, _ in members}
+    read = attributes_read()
+    unread = {}
+    for cls, name, where in members:
+        if name not in read:
+            unread.setdefault("%s.%s" % (cls, name), where)
+    assert sorted(unread.items()) == []

@@ -297,11 +297,12 @@ def test_tree_reduced_cover_pushforward_equals_all_columns_route():
 
 
 def taut_signs_from_tracks(analysis):
-    """Signs of the taut tetrahedron relation, found from the tracks
-    rather than the colours: with t's top diagonal uv and bottom
-    diagonal xy (x < y), the top face opposite y has sign +1, the one
-    opposite x -1, and the bottom face through the upper-large edge of
-    the +1 top face has sign +1."""
+    """Signs of the taut tetrahedron relation, found from the faces'
+    upper-large slots (``Coorientation.upper_large``) rather than the
+    colours: with t's top diagonal uv and bottom diagonal xy (x < y),
+    the top face opposite y has sign +1, the one opposite x -1, and the
+    bottom face through the upper-large edge of the +1 top face has
+    sign +1."""
     coor, table = analysis.coor, analysis.ts.table
     signs = {}
     for t in range(table.n_tet):
@@ -310,7 +311,7 @@ def taut_signs_from_tracks(analysis):
         signs[(t, y)], signs[(t, x)] = 1, -1
         f = table.face_index[(t, y)]
         assert coor.below[f] == (t, y)
-        large = set(VERTEX_PAIRS[analysis.tracks[f][1]])
+        large = set(VERTEX_PAIRS[analysis.coor.upper_large[f]])
         assert x in large
         apex = (large - {x}).pop()
         other = v if apex == u else u
@@ -593,7 +594,7 @@ def test_relabelled_tables_match_two_sided_builder():
             table = permuted_structure(ts, perm, relabels).table
             oracle = TwoSidedGluingTable(table.gluings)
             for attr in ("faces", "face_index", "edges", "edge_index",
-                         "vertices", "vertex_index"):
+                         "vertices"):
                 assert getattr(table, attr) == getattr(oracle, attr), attr
 
 
@@ -633,8 +634,7 @@ def test_polynomials_invariant_under_internal_choices():
         for var in variants[:2]:
             assert any(cyc.corners[0] != base.corners[0]
                        for cyc, base in zip(var.cycles, base_a.cycles))
-        assert variants[2].coor.choice == \
-            [1 - b for b in base_a.coor.choice]
+        assert variants[2].coor.top_slot == base_a.coor.bot_slot
         for var in variants:
             theta = fitting_gcd(build_taut_matrix(var))
             delta = fitting_gcd(build_alexander_matrix(var))

@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from veerpoly.census_io import (CensusError, GluingTable, OPPOSITE_SLOT,
-                                PI_SLOTS, TautStructure, VERTEX_PAIRS,
-                                parse_taut_sig)
-from veerpoly.taut import (Coorientation, build_double_cover,
-                           derive_colouring, derive_coorientation,
-                           edge_corner_cycles, edge_orientation_data,
-                           face_disagreement, tet_edge_orientations,
-                           track_slots, FACE_SLOTS)
+from veerpoly.census_io import (CensusError, FACE_SLOTS, GluingTable,
+                                OPPOSITE_SLOT, PI_SLOTS, TautStructure,
+                                VERTEX_PAIRS, invert, parse_taut_sig,
+                                slot_image)
+from veerpoly.taut import (build_double_cover, derive_colouring,
+                           derive_coorientation, edge_corner_cycles,
+                           edge_orientation_data, face_disagreement,
+                           tet_edge_orientations)
 from veerpoly.invariants import Analysis
 from bundles import bundle_sig, both_letter_words
 from oracles import (dense_chain_complex, flipped_coorientation,
@@ -25,6 +25,18 @@ def sample_sigs(limit=None):
         lines = [ln.strip() for ln in fh
                  if ln.strip() and not ln.startswith("#")]
     return lines[:limit] if limit else lines
+
+
+def sample_and_covers():
+    """Every sample entry, each followed by its edge-orientation double
+    cover if it is not edge-orientable."""
+    structures = []
+    for sig in sample_sigs():
+        analysis = Analysis(parse_taut_sig(sig))
+        structures.append(analysis.ts)
+        if not analysis.eo.edge_orientable:
+            structures.append(analysis.cover)
+    return structures
 
 
 def _choice_is_transverse(ts, choice):
@@ -56,8 +68,9 @@ def test_coorientation_exhaustive_oracle():
                  if _choice_is_transverse(ts, choice)]
         assert len(valid) == 2
         assert valid[0] == tuple(1 - c for c in valid[1])
-        derived = tuple(derive_coorientation(ts).choice)
-        assert derived in valid
+        tops = [[PI_SLOTS[d][c] for d, c in zip(ts.digits, choice)]
+                for choice in valid]
+        assert derive_coorientation(ts).top_slot in tops
 
 
 def test_coorientation_rejects_non_transverse_digits():
@@ -74,8 +87,8 @@ def test_every_face_has_below_and_above():
     for sig in sample_sigs(40):
         ts = parse_taut_sig(sig)
         for coor in (derive_coorientation(ts), flipped_coorientation(ts)):
-            assert coor.top_slot == [PI_SLOTS[d][c] for d, c in
-                                     zip(ts.digits, coor.choice)]
+            assert all(s in PI_SLOTS[d]
+                       for d, s in zip(ts.digits, coor.top_slot))
             assert coor.bot_slot == [OPPOSITE_SLOT[s] for s in coor.top_slot]
             for idx in range(len(ts.table.faces)):
                 t_b, fs_b = coor.below[idx]
@@ -138,17 +151,12 @@ def test_corner_walk_matches_reference_walk():
     # sorted class: on every sample entry and on the double cover of
     # every entry that is not edge-orientable, under both
     # coorientations, with each class listed from its member 0, 1 or 2
-    structures = []
-    for sig in sample_sigs():
-        analysis = Analysis(parse_taut_sig(sig))
-        structures.append(analysis.ts)
-        if not analysis.eo.edge_orientable:
-            structures.append(analysis.cover)
+    structures = sample_and_covers()
     assert any(ts.sig.endswith(":double") for ts in structures)
     for ts in structures:
         coor = derive_coorientation(ts)
         flipped = flipped_coorientation(ts)
-        assert flipped.choice == [1 - b for b in coor.choice]
+        assert flipped.top_slot == coor.bot_slot != coor.top_slot
         for c in (coor, flipped):
             for rank in (0, 1, 2):
                 cycles = edge_corner_cycles(reanchored(ts, rank), c)
@@ -186,14 +194,51 @@ def test_chain_complex_composes_to_zero():
 
 
 def test_track_slots_known_and_flip_swaps():
+    # the lower-large slot of a face is the top diagonal of the
+    # tetrahedron below, the upper-large slot the bottom diagonal of the
+    # one above, pulled back by the gluing: two distinct edges of the
+    # face.  Flipping the coorientation swaps them, carried across the
+    # gluing to the other side.
     for sig in sample_sigs(25):
         ts = parse_taut_sig(sig)
         coor = derive_coorientation(ts)
-        tracks = track_slots(ts, coor)
-        for idx, (lo, hi) in enumerate(tracks):
-            fs_b = coor.below[idx][1]
-            assert lo in FACE_SLOTS[fs_b] and hi in FACE_SLOTS[fs_b]
-            assert lo != hi
+        flipped = flipped_coorientation(ts)
+        for f, ((t_b, fs_b), (t_a, fs_a)) in enumerate(zip(coor.below,
+                                                           coor.above)):
+            p = ts.table.gluings[t_b][fs_b][1]
+            lower, upper = coor.top_slot[t_b], coor.upper_large[f]
+            assert upper == slot_image(invert(p), coor.bot_slot[t_a])
+            assert lower in FACE_SLOTS[fs_b] and upper in FACE_SLOTS[fs_b]
+            assert lower != upper
+            assert flipped.below[f] == (t_a, fs_a)
+            assert flipped.top_slot[t_a] == slot_image(p, upper)
+            assert flipped.upper_large[f] == slot_image(p, lower)
+
+
+def test_upper_large_is_the_equatorial_edge_coloured_like_the_top():
+    # build_taut_matrix's colour rule: the upper-large edge of a face is
+    # its equatorial edge, at the tetrahedron below, of that
+    # tetrahedron's top-diagonal colour.  On every sample entry, the
+    # edge-orientation covers and bundles of 4-32 tets of both signs.
+    structures = sample_and_covers()
+    rng = random.Random(20)
+    for n in range(4, 33):
+        for eps in (1, -1):
+            word = "RL" + "".join(rng.choice("RL") for _ in range(n - 2))
+            structures.append(parse_taut_sig(bundle_sig(word, eps)))
+    faces = 0
+    for ts in structures:
+        coor = derive_coorientation(ts)
+        colours = derive_colouring(ts)
+        edge_index = ts.table.edge_index
+        for (t, fs), upper in zip(coor.below, coor.upper_large):
+            top = coor.top_slot[t]
+            top_colour = colours[edge_index[(t, top)]]
+            coloured = [s for s in FACE_SLOTS[fs] if s != top
+                        and colours[edge_index[(t, s)]] == top_colour]
+            assert coloured == [upper], ts.sig
+            faces += 1
+    assert faces > 8000
 
 
 # -- edge orientations and the double cover -----------------------------------
