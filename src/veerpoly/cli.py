@@ -82,10 +82,9 @@ def cmd_fill(args):
     import json
     from .census_io import CensusError, parse_taut_sig
     from .filling import (filled_homology, parse_slopes,
-                          predict_filled_alexander, specialise_under_filling,
-                          vertex_links)
+                          predict_filled_alexander, vertex_links)
     from .invariants import Analysis
-    from .laurent import poly_to_json
+    from .laurent import poly_to_json, specialize
     spec = parse_slopes(args.slopes)
     ts = parse_taut_sig(args.sig)
     analysis = Analysis(ts)
@@ -103,8 +102,8 @@ def cmd_fill(args):
         "boundary_empty": fh.boundary_empty,
         "i_star": fh.i_star,
         "sigma_N": list(fh.sigma_N) if fh.sigma_N is not None else None,
-        "i_theta": poly_to_json(specialise_under_filling(analysis.theta, fh)),
-        "i_delta": poly_to_json(specialise_under_filling(analysis.delta, fh)),
+        "i_theta": poly_to_json(specialize(analysis.theta, fh.i_star)),
+        "i_delta": poly_to_json(specialize(analysis.delta, fh.i_star)),
         "cores": {("c%d" % j): {"ell_free": list(c["ell_free"]),
                                 "nontrivial": c["nontrivial"]}
                   for j, c in fh.cores.items()},

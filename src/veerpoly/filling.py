@@ -171,34 +171,20 @@ def parse_slopes(text):
     return FillingSpec(slopes)
 
 
-def _egcd(a, b):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_u, u = u, old_u - qt * u
-        old_v, v = v, old_v - qt * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 class FilledHomology:
-    """Homology of the Dehn filling N, the induced map on free homology,
-    and the core-curve classes.  n_quot and slope_coords (per filled cusp,
-    a relation of n_quot) are in the base's ``H1Data`` kernel basis."""
+    """Homology of the Dehn filling N, the induced map i_star on free
+    homology (None when s = b_1(N) is 0), and the core-curve classes of
+    the filled cusps, listed in increasing index in filled.  n_quot and
+    slope_coords (per filled cusp, a relation of n_quot) are in the
+    base's ``H1Data`` kernel basis."""
 
-    __slots__ = ("h1", "filled", "k", "boundary_empty", "n_quot", "s",
+    __slots__ = ("h1", "filled", "boundary_empty", "n_quot", "s",
                  "i_star", "slope_coords", "cores", "sigma_N")
 
     def __init__(self, h1, filled, boundary_empty, n_quot, i_star,
                  slope_coords, cores):
         self.h1 = h1
         self.filled = filled
-        self.k = len(filled)
         self.boundary_empty = boundary_empty
         self.n_quot = n_quot
         self.s = n_quot.rank
@@ -213,7 +199,9 @@ def filled_homology(h1, cusps, spec, eo):
 
     The quotient is taken in the kernel-coordinate ambient Z^q: the
     base's diagonalised relations plus one slope class per filled cusp.
-    sigma_N is resolved from the base's edge-orientation data eo.
+    Each core's class is that of a dual slope, one with intersection
+    determinant 1 against the filled slope.  sigma_N is read off the
+    base's edge-orientation data eo (``vN_edge_orientable``).
     """
     filled = list(spec.slopes)
     for j in filled:
@@ -246,12 +234,13 @@ def filled_homology(h1, cusps, spec, eo):
         snf = smith_normal_form(i_star, ncols=len(cols))
         assert snf.rank == s and all(d == 1 for d in snf.diag[:s]), \
             "induced map on free homology is not surjective"
-    # core-curve classes: a dual slope with unit intersection determinant
+    # core-curve classes: any dual slope gives the same class, as two
+    # of them differ by a multiple of the filled slope, which dies in N
     cores = {}
     for j in filled:
         x, y = spec.slopes[j]
-        g, u, v = _egcd(x, y)
-        assert g == 1
+        u = pow(x, -1, abs(y)) if y else x
+        v = (1 - x * u) // y if y else 0
         delta = (-v, u)     # det [[x, -v], [y, u]] = x*u + v*y = 1
         za, zb = cusps[j].basis
         z = [delta[0] * a + delta[1] * b for a, b in zip(za, zb)]
@@ -266,31 +255,16 @@ def filled_homology(h1, cusps, spec, eo):
 
 
 def vN_edge_orientable(eo, fh):
-    """sigma_N when the edge-orientation homomorphism factors through
-    the filled manifold's free homology, else None.
+    """sigma_N when the edge-orientation homomorphism omega factors
+    through the filled manifold's free homology, else None.
 
-    Factoring requires: the base factorization exists, every filled
-    slope is orientation-preserving (omega = 0), and omega kills the
-    torsion of H_1(N)."""
-    if not eo.sigma_exists:
-        return None
+    omega is defined on H_1(N) when every filled slope is
+    orientation-preserving (omega = 0), and then ``sign_vector`` reads
+    sigma_N off N's quotient.  The base's torsion maps into N's, so a
+    sigma_N implies the base's sigma."""
     if any(eo.omega(fh.slope_coords[j]) for j in fh.filled):
         return None
-    # the filled quotient lives on the base's kernel coordinates
-    lift = fh.n_quot.generator_lift
-    if any(eo.omega(lift(p)) for p in fh.n_quot.torsion_positions):
-        return None
-    return tuple(-1 if eo.omega(lift(p)) else 1
-                 for p in fh.n_quot.free_positions)
-
-
-def specialise_under_filling(poly, fh):
-    """Push a polynomial over the base's free homology into the filled
-    manifold's: the monomial substitution along i_star."""
-    if fh.s == 0:
-        raise CensusError("filled manifold has no free homology "
-                          "(b_1(N) = 0); specialisation undefined")
-    return specialize(poly, fh.i_star)
+    return eo.sign_vector(fh.n_quot)
 
 
 class PredictedAlexander:
@@ -338,8 +312,7 @@ def predict_filled_alexander(theta, fh):
             case, e = "II(a)", 0
         else:
             case, e = "II(b)", 1
-    i_theta = specialise_under_filling(theta, fh)
-    numer = i_theta
+    numer = specialize(theta, fh.i_star)
     if e:
         h_factor = LaurentPoly(s, {
             tuple(1 if i == 0 else 0 for i in range(s)): 1,
@@ -369,12 +342,13 @@ def _equality_conditions(fh):
     signs exactly in four situations."""
     generates = {j: fh.s == 1 and fh.cores[j]["ell_free"] in ((1,), (-1,))
                  for j in fh.filled}
-    if fh.k == 0:
+    k = len(fh.filled)
+    if k == 0:
         return True
-    if fh.s == 1 and not fh.boundary_empty and fh.k == 1 and \
+    if fh.s == 1 and not fh.boundary_empty and k == 1 and \
             all(generates.values()):
         return True
-    if fh.s == 1 and fh.boundary_empty and fh.k == 2 and \
+    if fh.s == 1 and fh.boundary_empty and k == 2 and \
             all(generates.values()):
         return True
     if fh.h1.rank == 1 and fh.boundary_empty and all(generates.values()):

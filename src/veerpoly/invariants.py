@@ -45,9 +45,11 @@ from . import taut
 class Analysis:
     """Everything derived from one taut structure.  Computed on
     construction: what every record reads, the homology and the
-    edge-orientation data, with the coorientation (whose asserts check
-    every face's large slots), colours and corner cycles they rest on;
-    and the dual spanning tree ``tree`` and face cocycle ``cocycle``.
+    edge-orientation data, with the colours, coorientation (whose
+    asserts check every face's large slots) and corner cycles they rest
+    on; and the dual spanning tree ``tree`` and face cocycle
+    ``cocycle``.  The colours come first, so that non-veering input is
+    rejected as input before an assert of the coorientation fails on it.
     Everything else is computed on first use and then kept.
 
     Lazy members: ``exponents`` and ``face_edges`` (the corner data and
@@ -63,16 +65,16 @@ class Analysis:
     def __init__(self, ts):
         self.ts = ts
         table = ts.table
-        self.coor = coor = taut.derive_coorientation(ts)
         self.colours = taut.derive_colouring(ts)
+        self.coor = coor = taut.derive_coorientation(ts)
         self.cycles = taut.edge_corner_cycles(ts, coor)
-        self.face_ends = [(below[0], above[0])
-                          for below, above in zip(coor.below, coor.above)]
-        self.h1 = H1Data(table.n_tet, self.face_ends,
+        self.h1 = H1Data(table.n_tet,
+                         [(below[0], above[0])
+                          for below, above in zip(coor.below, coor.above)],
                          [cyc.crossings for cyc in self.cycles])
         self.eo = taut.edge_orientation_data(ts, coor, self.colours,
                                              self.cycles, self.h1)
-        self.tree = dual_spanning_tree(table.n_tet, self.face_ends)
+        self.tree = dual_spanning_tree(table.n_tet, self.h1.face_ends)
         self.cocycle = face_cocycle(self.h1)
 
     @cached_property

@@ -494,8 +494,9 @@ def specialize(p, exp_map, sign_source=None):
     sign twist.
 
     ``exp_map`` is an s x r integer matrix A (list of s rows).  A sign
-    character (+-1 per variable) may be supplied on the source (applied as
-    prod(chi_i^v_i)).  The result lives in s variables.
+    character (+-1 per variable, one per variable of p) may be supplied
+    on the source (applied as prod(chi_i^v_i)).  The result lives in s
+    variables.
     """
     rows = [tuple(r) for r in exp_map]
     s = len(rows)
@@ -503,6 +504,9 @@ def specialize(p, exp_map, sign_source=None):
     for row in rows:
         if len(row) != r:
             raise ValueError("exponent map has wrong shape")
+    if sign_source is not None and len(sign_source) != r:
+        raise ValueError("sign source %r has length %d, expected %d"
+                         % (sign_source, len(sign_source), r))
     out = {}
     for exp, coef in p.terms.items():
         img = tuple(sum(a * e for a, e in zip(row, exp)) for row in rows)

@@ -91,7 +91,8 @@ def derive_coorientation(ts):
             _, p_inv = gluings[t2][p[fs]]
             upper_large[f] = large = \
                 PERM_SLOT_IMAGES[PERM_INDEX[p_inv]][pi2[1 - forced]]
-            assert top != large and {top, large} <= set(FACE_SLOTS[fs])
+            assert top != large and {top, large} <= set(FACE_SLOTS[fs]), \
+                "large slots of face %d are not two distinct edges of it" % f
     if len(choice) != table.n_tet:
         raise CensusError("triangulation is disconnected")
     top_slot = [PI_SLOTS[d][choice[t]] for t, d in enumerate(ts.digits)]
@@ -272,8 +273,9 @@ class EdgeOrientationData:
     kernel coordinates y (``H1Data``), the parity of y summed over
     odd_kernel, where beta is odd on the kernel basis cycle.
     omega_positions holds omega of each diagonal generator of H1;
-    edge_orientable says omega vanishes, sigma_exists that it vanishes
-    on torsion, in which case sigma lists its signs on the free ones.
+    edge_orientable says omega vanishes.  sigma is ``sign_vector`` of
+    H1 itself: omega's signs on the free generators, or None when omega
+    is odd on torsion; sigma_exists says it is not None.
     """
 
     __slots__ = ("beta", "odd_kernel", "omega_positions", "edge_orientable",
@@ -287,14 +289,22 @@ class EdgeOrientationData:
         self.omega_positions = omega = [self.omega(quot.generator_lift(i))
                                         for i in range(h1.q)]
         self.edge_orientable = not any(omega)
-        self.sigma_exists = not any(omega[i] for i in quot.torsion_positions)
-        self.sigma = tuple(-1 if omega[i] else 1
-                           for i in quot.free_positions) \
-            if self.sigma_exists else None
+        self.sigma = self.sign_vector(quot)
+        self.sigma_exists = self.sigma is not None
 
     def omega(self, y):
         """omega of the class with kernel coordinates y, as 0/1."""
         return sum(y[k] for k in self.odd_kernel) % 2
+
+    def sign_vector(self, quot):
+        """omega's signs (-1 where odd) on the free generators of quot, a
+        quotient of the kernel coordinates whose relations omega vanishes
+        on; None when omega is odd on a torsion generator of quot."""
+        lift = quot.generator_lift
+        if any(self.omega(lift(p)) for p in quot.torsion_positions):
+            return None
+        return tuple(-1 if self.omega(lift(p)) else 1
+                     for p in quot.free_positions)
 
 
 def edge_orientation_data(ts, coor, colours, cycles, h1):

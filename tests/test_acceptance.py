@@ -25,10 +25,9 @@ from veerpoly.invariants import (Analysis, build_alexander_matrix,
                                  build_taut_matrix, fitting_gcd,
                                  verify_identities)
 from veerpoly.filling import (FillingSpec, filled_homology,
-                              predict_filled_alexander,
-                              specialise_under_filling, vertex_links)
+                              predict_filled_alexander, vertex_links)
 from veerpoly.laurent import (LaurentPoly, determinant, normalize_unit,
-                              sign_twist)
+                              sign_twist, specialize)
 
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 M003 = "cPcbbbdxm_10"
@@ -281,8 +280,8 @@ def test_criterion_8_filling_cross_route():
         assert fh.sigma_N is not None, (word, eps)
         theta = fitting_gcd(build_taut_matrix(analysis))
         delta = fitting_gcd(build_alexander_matrix(analysis))
-        i_theta = specialise_under_filling(theta, fh)
-        i_delta = specialise_under_filling(delta, fh)
+        i_theta = specialize(theta, fh.i_star)
+        i_delta = specialize(delta, fh.i_star)
         assert normalize_unit(i_theta) == \
             normalize_unit(sign_twist(i_delta, fh.sigma_N)), (word, eps)
         pred = predict_filled_alexander(theta, fh)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from veerpoly.census_io import (CensusError, GluingTable, ISOSIG_PERMS,
-                                OPPOSITE_SLOT, PI_SLOTS, VERTEX_PAIRS, _classes,
-                                compose, decode_isosig, invert,
-                                parse_taut_sig, perm_sign, slot_image)
+from veerpoly.census_io import (ALPHABET, CensusError, GluingTable,
+                                ISOSIG_PERMS, OPPOSITE_SLOT, PI_SLOTS,
+                                VERTEX_PAIRS, _classes, compose,
+                                decode_isosig, invert, parse_taut_sig,
+                                perm_sign, slot_image)
 from veerpoly.invariants import Analysis
 from veerpoly.taut import build_double_cover
 from bundles import bundle_sig, encode_isosig
@@ -91,7 +92,10 @@ def test_extra_whitespace_fields_ignored():
 
 # -- malformed input ----------------------------------------------------------
 
-@pytest.mark.parametrize("line,fragment", [
+# Lines parse_taut_sig rejects, with a fragment of each message: one per
+# CensusError branch of decode_isosig that an input reaches, the
+# non-orientable check of _orient_all_odd, and the angle checks.
+MALFORMED = [
     ("", "missing angle digits"),
     ("!!bad_10", "invalid signature character"),
     ("cPcbbbdxm", "missing angle digits"),
@@ -102,11 +106,65 @@ def test_extra_whitespace_fields_ignored():
     ("cPcbbbdxm_12", "angle sum"),
     ("cPcbbb_10", "wrong length"),
     ("aa_0", "empty triangulation"),
-])
+    ("_10", "empty signature"),
+    ("-abc_10", "63 or more tetrahedra"),
+    ("c_10", "truncated in type sequence"),
+    ("c9cbbpe_12", "invalid gluing event type"),
+    ("Pbbphe_12", "boundary faces"),
+    ("cPbbpIe_12", "invalid permutation index 34"),
+    ("cQcaaaagbaa_10", "disconnected or incomplete"),
+    ("cPbbbih_12", "too many tetrahedra"),
+    ("cPbcbhe_12", "destination 2 not yet seen"),
+    ("dLQbbcchhxc_120", "glued to itself"),
+    ("cPbbbpe_12", "facet (1,1) glued twice"),
+    ("cPcbbbbph_12", "non-orientable"),
+]
+
+
+@pytest.mark.parametrize("line,fragment", MALFORMED)
 def test_malformed_input_rejected(line, fragment):
     with pytest.raises(CensusError) as err:
         parse_taut_sig(line)
     assert fragment in str(err.value)
+
+
+def edited_line(rng, line):
+    """line with one character edited: a quarter of edits insert or
+    delete any character, the others substitute a signature character
+    or an angle digit by another of its kind, so that many edited lines
+    still decode."""
+    i = rng.randrange(len(line))
+    if rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return line[:i] + rng.choice(ALPHABET + "_") + line[i:]
+        return line[:i] + line[i + 1:]
+    cut = line.rfind("_")
+    if i == cut:
+        return line
+    return line[:i] + rng.choice("012" if i > cut else ALPHABET) + \
+        line[i + 1:]
+
+
+def test_edited_signatures_build_or_are_rejected():
+    # every census line enters through decode_isosig: a line one or two
+    # edits away from a sample entry either builds an Analysis or is
+    # rejected as input, never by a failed internal check
+    with open(DATA) as fh:
+        lines = [ln.strip() for ln in fh
+                 if ln.strip() and not ln.startswith("#")]
+    rng = random.Random(29)
+    built = rejected = 0
+    for _ in range(3000):
+        line = rng.choice(lines)
+        for _ in range(rng.randint(1, 2)):
+            line = edited_line(rng, line)
+        try:
+            Analysis(parse_taut_sig(line))
+        except CensusError:
+            rejected += 1
+        else:
+            built += 1
+    assert built and rejected
 
 
 # -- re-encoding round trip ---------------------------------------------------

@@ -21,10 +21,10 @@ from veerpoly.invariants import (Analysis, build_taut_matrix,
 from veerpoly.filling import (FilledHomology, FillingSpec, parse_slopes,
                               cross_section_to_faces, vertex_links,
                               filled_homology,
-                              specialise_under_filling,
                               predict_filled_alexander,
                               orientable_class_parity)
-from veerpoly.laurent import LaurentPoly, normalize_unit, sign_twist
+from veerpoly.laurent import (LaurentPoly, normalize_unit, sign_twist,
+                              specialize)
 
 M003 = "cPcbbbdxm_10"
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
@@ -160,7 +160,7 @@ def test_filled_homology_matches_presentation_oracle():
         assert fh.n_quot.rank == rank, (sig, slopes)
         assert list(fh.n_quot.torsion) == torsion, (sig, slopes)
         assert fh.s == rank
-        assert fh.k == len(slopes)
+        assert fh.filled == sorted(slopes)
         assert fh.boundary_empty == (len(slopes) == len(cusps))
 
 
@@ -214,7 +214,7 @@ def test_fibre_filling_prediction_matches_characteristic_polynomial():
         # core generates H1(N)/torsion here, so exact equality holds
         assert fh.cores[0]["ell_free"] in ((1,), (-1,))
         assert pred.equality_expected
-        i_theta = specialise_under_filling(theta, fh)
+        i_theta = specialize(theta, fh.i_star)
         assert normalize_unit(sign_twist(pred.candidate, fh.sigma_N)) == \
             normalize_unit(i_theta), (word, eps)
 
@@ -289,7 +289,7 @@ def test_empty_filling_recovers_sign_twist_identity():
         theta = fitting_gcd(build_taut_matrix(a))
         delta = fitting_gcd(build_alexander_matrix(a))
         fh = filled_homology(a.h1, cusps, FillingSpec({}), eo=a.eo)
-        assert fh.k == 0 and fh.s == a.h1.rank
+        assert fh.filled == [] and fh.s == a.h1.rank
         assert not fh.boundary_empty
         pred = predict_filled_alexander(theta, fh)
         assert pred.case == "II(a)"
@@ -482,8 +482,6 @@ def test_rank_zero_filling_rejected():
     theta = fitting_gcd(build_taut_matrix(a))
     fh = filled_homology(a.h1, cusps, FillingSpec({0: (1, 0)}), eo=a.eo)
     assert fh.s == 0
-    with pytest.raises(CensusError, match="no free homology"):
-        specialise_under_filling(theta, fh)
     with pytest.raises(CensusError, match="positive rank"):
         predict_filled_alexander(theta, fh)
 

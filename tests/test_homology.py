@@ -502,7 +502,8 @@ def test_dual_spanning_tree_is_bfs_from_tet_zero_in_face_order():
             analyses.append(Analysis(analysis.cover))
             covers += 1
         for a in analyses:
-            assert a.tree == bfs_tree_faces(a.ts.table.n_tet, a.face_ends)
+            assert a.tree == bfs_tree_faces(a.ts.table.n_tet,
+                                            a.h1.face_ends)
     assert covers > 100
 
 
@@ -566,7 +567,7 @@ def pivot_forest(h1):
 
 def assert_cocycle_matches_dense(analysis):
     h1 = analysis.h1
-    want = dense_face_cocycle(h1, analysis.face_ends, *pivot_forest(h1))
+    want = dense_face_cocycle(h1, h1.face_ends, *pivot_forest(h1))
     assert analysis.cocycle == want
     assert face_cocycle(h1) == want
 

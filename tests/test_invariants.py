@@ -609,7 +609,7 @@ def coboundary_variant(ts):
            for t in range(ts.table.n_tet)]
     assert len(set(phi)) > 1
     cocycle = [tuple(x + pa - pb for x, pa, pb in zip(c, phi[a], phi[b]))
-               for c, (b, a) in zip(var.cocycle, var.face_ends)]
+               for c, (b, a) in zip(var.cocycle, var.h1.face_ends)]
     assert cocycle != var.cocycle
     var.cocycle = cocycle
     var.exponents = corner_exponents(var.cycles, cocycle, r)

@@ -345,6 +345,18 @@ def test_sign_twist_involution():
         assert sign_twist(sign_twist(p, sigma), sigma) == p
 
 
+def test_sign_source_of_the_wrong_length_rejected():
+    # the twist is zipped with each exponent, so a short or long sign
+    # vector would silently twist only some of the variables
+    x0, x1 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    assert sign_twist(x0 + x1, (-1, 1)) == -x0 + x1
+    for sigma in ((-1,), (-1, 1, 1), ()):
+        with pytest.raises(ValueError, match="sign source"):
+            sign_twist(x0 + x1, sigma)
+        with pytest.raises(ValueError, match="sign source"):
+            specialize(x0 + x1, [[1, 1]], sign_source=sigma)
+
+
 # -- serialization -----------------------------------------------------------
 
 def test_json_round_trip():

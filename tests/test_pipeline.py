@@ -4,6 +4,8 @@ expensive stages an entry runs, the shape of every matrix the Fitting
 gcd sees, and a check that every function the benchmark traces is still
 called."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,8 @@ import sys
 
 import pytest
 
+from test_census_io import MALFORMED
+from test_taut import NOT_VEERING
 from veerpoly import census_io, homology, invariants, taut
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.cli import entry_record, main
@@ -79,15 +83,29 @@ def test_fill_records_match_reference(capsys):
         assert capsys.readouterr().out == line + "\n", rec["sig"]
 
 
+# Rejected lines, run through compute: each gives one JSON line of its
+# exit code and stderr.
+REJECTED = [line for line, _ in MALFORMED] + list(NOT_VEERING)
+
+
+def compute_outcome(line):
+    """[exit code, stderr] of ``veerpoly compute`` on line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["compute", "--", line])
+    return [code, err.getvalue()]
+
+
 # Prints the records of the census_scan, census_verify and fill_bundles
-# references, as batch, batch --verify and fill write them, from an
-# interpreter whose __debug__ is off.
+# references, as batch, batch --verify and fill write them, and then the
+# outcome of compute on each rejected line, from an interpreter whose
+# __debug__ is off.
 OPTIMIZED_REPLAY = """
-import json, sys
+import contextlib, io, json, sys
 from veerpoly.cli import entry_record, main
 if __debug__:
     sys.exit("expected python -O")
-scan, verify, fill = sys.argv[1:]
+scan, verify, fill, rejected = sys.argv[1:]
 for path, with_polynomials in ((scan, False), (verify, True)):
     with open(path) as fh:
         for line in fh:
@@ -99,13 +117,19 @@ with open(fill) as fh:
         rec = json.loads(line)
         slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
         main(["fill", rec["sig"], "--slopes", slopes])
+for line in json.loads(rejected):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["compute", "--", line])
+    print(json.dumps([code, err.getvalue()]))
 """
 
 
 def test_records_are_the_same_under_python_O():
     # the __debug__ checks (SNF transforms, boundaries inside the kernel
     # of d1, checked edge by edge, tetrahedron relations, the
-    # edge-orientation cocycle) must not change any output they guard
+    # edge-orientation cocycle) must not change any output they guard,
+    # nor how compute rejects bad input
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -114,10 +138,12 @@ def test_records_are_the_same_under_python_O():
         [sys.executable, "-O", "-c", OPTIMIZED_REPLAY,
          os.path.join(REFERENCE, "census_scan.jsonl"),
          os.path.join(REFERENCE, "census_verify.jsonl"),
-         os.path.join(REFERENCE, "fill_bundles.jsonl")],
+         os.path.join(REFERENCE, "fill_bundles.jsonl"),
+         json.dumps(REJECTED)],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     want = reference_lines("census_scan") + \
-        reference_lines("census_verify") + reference_lines("fill_bundles")
+        reference_lines("census_verify") + reference_lines("fill_bundles") + \
+        [json.dumps(compute_outcome(line)) for line in REJECTED]
     assert out.stdout.splitlines() == want
 
 

@@ -110,6 +110,17 @@ def test_colouring_rejects_taut_not_veering():
             derive_colouring(ts)    # ...but not veering
 
 
+# Taut structures that are not veering and on which the coorientation's
+# large-slot assert fails: Analysis must reject them as input.
+NOT_VEERING = ("fLMPcbcdeeexxxxbo_10011", "gLMzQbcdefffhhhdhld_122102")
+
+
+@pytest.mark.parametrize("sig", NOT_VEERING)
+def test_non_veering_input_is_an_input_error(sig):
+    with pytest.raises(CensusError, match="taut structure is not veering"):
+        Analysis(parse_taut_sig(sig))
+
+
 def test_colouring_equatorial_split():
     # within each tetrahedron the four equatorial edges split into two
     # opposite pairs of constant colour, and the pairs have different
