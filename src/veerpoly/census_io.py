@@ -244,7 +244,7 @@ def _undoes(entry, t, p):
 def decode_isosig(sig):
     """Decode a signature string into an all-odd-permutation GluingTable.
 
-    The returned table carries `relabelled`, a per-tetrahedron flag
+    Returns (table, relabelled): relabelled is a per-tetrahedron flag
     saying whether vertices 2 and 3 were swapped to reach the all-odd
     convention (needed to reinterpret per-tetrahedron annotations).
     """
@@ -330,9 +330,7 @@ def decode_isosig(sig):
                           "of %d tetrahedra" % n)
 
     relabelled = _orient_all_odd(gluings)
-    table = GluingTable(gluings)
-    table.relabelled = relabelled
-    return table
+    return GluingTable(gluings), relabelled
 
 
 def _orient_all_odd(gluings):
@@ -396,7 +394,7 @@ def parse_taut_sig(line):
     if "_" not in token:
         raise CensusError("missing angle digits in %r" % token)
     sig, digit_str = token.rsplit("_", 1)
-    table = decode_isosig(sig)
+    table, relabelled = decode_isosig(sig)
     if len(digit_str) != table.n_tet:
         raise CensusError(
             "expected %d angle digits, got %d" % (table.n_tet,
@@ -406,7 +404,7 @@ def parse_taut_sig(line):
         if ch not in "012":
             raise CensusError("invalid angle digit %r" % ch)
         digits.append(int(ch))
-    digits = [_DIGIT_RELABEL[d] if table.relabelled[t] else d
+    digits = [_DIGIT_RELABEL[d] if relabelled[t] else d
               for t, d in enumerate(digits)]
     # angle sums: each edge class needs exactly two pi corners
     pi_count = [0] * len(table.edges)

@@ -6,8 +6,9 @@ Each command imports only the modules it runs: ``compute`` and
 none of the package's other modules.  Without bytecode caches every
 module loaded is compiled on each start, so this keeps start-up short.
 
-Exit codes: 0 success, 1 input error, 2 internal assertion failure (in
-``batch``: any entry with an internal error).
+Exit codes: 0 success, 1 input error (a usage error included), 2
+internal assertion failure (in ``batch``: any entry with an internal
+error).
 Batch output is JSONL in input order, independent of the worker count.
 """
 
@@ -228,8 +229,18 @@ def cmd_batch(args):
     return 2 if summary["internal_errors"] else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors: it prints
+    the usage and exits 1, not argparse's 2.  Subparsers are built from
+    the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="veerpoly",
         description="Taut and Alexander polynomials of veering "
                     "triangulations from census signatures.")

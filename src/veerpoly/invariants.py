@@ -33,7 +33,7 @@ from functools import cached_property
 from math import prod
 from operator import sub
 
-from .census_io import FACE_VERTICES, SLOT_OF_PAIR, VERTEX_PAIRS
+from .census_io import FACE_VERTICES, SLOT_OF_PAIR
 from .homology import (H1Data, dual_spanning_tree, face_cocycle,
                        smith_normal_form)
 from .laurent import (LaurentMatrix, LaurentPoly,
@@ -45,11 +45,12 @@ from . import taut
 class Analysis:
     """Everything derived from one taut structure.  Computed on
     construction: what every record reads, the homology and the
-    edge-orientation data, with the colours, coorientation (whose
-    asserts check every face's large slots) and corner cycles they rest
-    on; and the dual spanning tree ``tree`` and face cocycle
-    ``cocycle``.  The colours come first, so that non-veering input is
-    rejected as input before an assert of the coorientation fails on it.
+    edge-orientation data, with the coorientation (whose asserts check
+    every face's large slots), vertex orders ``orders`` (read from the
+    colours, ``taut.vertex_orders``) and corner cycles they rest on; and
+    the dual spanning tree ``tree`` and face cocycle ``cocycle``.  The
+    colours come first, so that non-veering input is rejected as input
+    before an assert of the coorientation fails on it.
     Everything else is computed on first use and then kept.
 
     Lazy members: ``exponents`` and ``face_edges`` (the corner data and
@@ -65,14 +66,15 @@ class Analysis:
     def __init__(self, ts):
         self.ts = ts
         table = ts.table
-        self.colours = taut.derive_colouring(ts)
+        colours = taut.derive_colouring(ts)
         self.coor = coor = taut.derive_coorientation(ts)
+        self.orders = taut.vertex_orders(ts, coor, colours)
         self.cycles = taut.edge_corner_cycles(ts, coor)
         self.h1 = H1Data(table.n_tet,
                          [(below[0], above[0])
                           for below, above in zip(coor.below, coor.above)],
                          [cyc.crossings for cyc in self.cycles])
-        self.eo = taut.edge_orientation_data(ts, coor, self.colours,
+        self.eo = taut.edge_orientation_data(ts, coor, self.orders,
                                              self.cycles, self.h1)
         self.tree = dual_spanning_tree(table.n_tet, self.h1.face_ends)
         self.cocycle = face_cocycle(self.h1)
@@ -216,20 +218,20 @@ def build_taut_matrix(analysis):
     edge, -monomial at its two small edges (the taut coefficient of
     ``Analysis.face_edges``), coincident rows summed.
 
-    Tetrahedron relation.  Let t have top diagonal uv and bottom
-    diagonal xy with x < y.  Veering makes opposite equatorial edges
-    share a colour and adjacent ones differ; say xu and yv have the
-    colour of uv.  The upper-large edge of a top face is its equatorial
-    edge of that colour, and of a bottom face it is xy, so in t's frame
-    the columns read [uvx] = xu - uv - xv, [uvy] = yv - uv - yu,
+    Tetrahedron relation.  Let t have the vertex order (x, u, v, y) of
+    ``Analysis.orders``: bottom diagonal xy with x < y, top diagonal uv,
+    and uy coloured like uv.  Veering makes opposite equatorial edges
+    share a colour and adjacent ones differ, so xv has the colour of uv
+    too.  The upper-large edge of a top face is its equatorial edge of
+    that colour, and of a bottom face it is xy, so in t's frame the
+    columns read [uvx] = xv - uv - xu, [uvy] = yu - uv - yv,
     [xyu] = xy - xu - yu and [xyv] = xy - xv - yv, whence
-    [uvx] - [uvy] + [xyu] - [xyv] = 0.  The signs pair up (+, -) within
-    the top faces and within the bottom faces: a face of t has sign +1
-    exactly when its equatorial edge coloured like uv ends at x.  This is
-    the dependence among the four face relations of a tetrahedron in
-    Landry-Minsky-Taylor's taut module, on which Parlak's computation
-    (arXiv 2009.13558) also drops the faces of a dual spanning tree;
-    asserted on every build unless run with -O."""
+    [uvx] - [uvy] + [xyv] - [xyu] = 0.  By facet, the faces opposite x,
+    u, v and y have the signs -1, +1, -1, +1.  This is the dependence
+    among the four face relations of a tetrahedron in Landry-Minsky-
+    Taylor's taut module, on which Parlak's computation (arXiv
+    2009.13558) also drops the faces of a dual spanning tree; asserted
+    on every build unless run with -O."""
     incidences = [[(e, exp, coef) for e, exp, coef, _ in face]
                   for face in analysis.face_edges]
     assert _tetrahedron_relations_hold(
@@ -240,20 +242,14 @@ def build_taut_matrix(analysis):
 
 def _taut_relation_signs(analysis):
     """Per face, its signs in the taut relations of the tetrahedra below
-    and above it, by the rule of ``build_taut_matrix``: facet y has +1,
-    facet x -1, facet v (which holds xu) +1 exactly when xu has the
-    colour of uv, and facet u the other sign."""
-    coor, colours = analysis.coor, analysis.colours
-    edge_index = analysis.ts.table.edge_index
+    and above it, by the rule of ``build_taut_matrix``: facets x, u, v
+    and y of the vertex order have -1, +1, -1 and +1."""
     by_facet = []
-    for t, (top, bottom) in enumerate(zip(coor.top_slot, coor.bot_slot)):
-        (u, v), (x, y) = VERTEX_PAIRS[top], VERTEX_PAIRS[bottom]
-        xu = SLOT_OF_PAIR[(min(x, u), max(x, u))]
-        s = 1 if colours[edge_index[(t, xu)]] == \
-            colours[edge_index[(t, top)]] else -1
+    for x, u, v, y in analysis.orders:
         signs = [0] * 4
-        signs[x], signs[y], signs[u], signs[v] = -1, 1, -s, s
+        signs[x], signs[u], signs[v], signs[y] = -1, 1, -1, 1
         by_facet.append(signs)
+    coor = analysis.coor
     return [(by_facet[t_b][fs_b], by_facet[t_a][fs_a])
             for (t_b, fs_b), (t_a, fs_a) in zip(coor.below, coor.above)]
 

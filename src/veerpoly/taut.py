@@ -10,7 +10,11 @@ has one large end (at the face's upper-large edge: the bottom diagonal
 of the tetrahedron above, ``Coorientation.upper_large``) and two small
 ends; a side choice for the track orients the face's three edges as
 source -> sink along the large edge with the apex as a pass-through
-vertex.
+vertex.  One vertex order per tetrahedron, (x, u, v, y) of
+``vertex_orders``, holds the colour decision: the canonical local edge
+orientation runs from earlier to later vertices, beta compares the
+orders of the two sides of each face, and the taut tetrahedron relation
+(``invariants.build_taut_matrix``) signs the facets by position.
 """
 
 from .census_io import (CensusError, FACE_SLOTS, GluingTable, OPPOSITE_SLOT,
@@ -189,80 +193,57 @@ def edge_corner_cycles(ts, coor):
     return cycles
 
 
-def _orientation_template(top):
-    """For top diagonal slot uv and bottom diagonal xy (x < y): the
-    orientations of the five edges other than uv, (u, v), and the slots
-    of uy, vy and xu."""
+def _order_table(top):
+    """For top diagonal slot uv (u < v) and bottom diagonal xy (x < y):
+    the vertex orders (x, u, v, y) and (x, v, u, y), and the slots of
+    uy, vy and xu."""
     u, v = VERTEX_PAIRS[top]
     x, y = VERTEX_PAIRS[OPPOSITE_SLOT[top]]
-    orient = {OPPOSITE_SLOT[top]: (x, y)}
-    for apex in (u, v):
-        orient[_slot(x, apex)] = (x, apex)
-        orient[_slot(apex, y)] = (apex, y)
-    return orient, (u, v), _slot(u, y), _slot(v, y), _slot(x, u)
+    return (x, u, v, y), (x, v, u, y), _slot(u, y), _slot(v, y), _slot(x, u)
 
 
-_ORIENTATION_TEMPLATES = tuple(_orientation_template(top)
-                               for top in range(6))
+_ORDER_TABLE = tuple(_order_table(top) for top in range(6))
 
 
-def tet_edge_orientations(ts, coor, colours):
-    """The canonical local edge orientation of each tetrahedron.
-
-    Orient the bottom diagonal from its lower-numbered vertex; each
-    lower face then forces its two equatorial edges (source -> apex ->
-    sink along the bottom diagonal); the top diagonal is forced by the
-    pattern of the upper faces, whose large edge is the equatorial edge
-    sharing the top diagonal's colour.  Returns, per tetrahedron, a map
-    edge slot -> directed vertex pair, each a copy of its top slot's
-    template with the top diagonal added.
-    """
+def vertex_orders(ts, coor, colours):
+    """The vertex order (x, u, v, y) of each tetrahedron: xy is the
+    bottom diagonal with x < y, uv the top diagonal, and uy has the top
+    diagonal's colour.  The canonical local edge orientation points every
+    edge from its earlier vertex to its later one.  That is the
+    orientation each face's track forces, source -> apex -> sink along
+    its large edge: xy on the lower faces, and on the upper faces the
+    equatorial edge coloured like uv, uy opposite x and xv opposite y.
+    The asserts check that uy and vy differ in colour and that xu, the
+    edge opposite vy, agrees with uy on the direction of uv."""
     edge_index = ts.table.edge_index
-    orientations = []
+    orders = []
     for t, top in enumerate(coor.top_slot):
-        template, (u, v), uy, vy, xu = _ORIENTATION_TEMPLATES[top]
-        orient = dict(template)
+        forward, backward, uy, vy, xu = _ORDER_TABLE[top]
         top_col = colours[edge_index[(t, top)]]
-        col_uy = colours[edge_index[(t, uy)]]
-        col_vy = colours[edge_index[(t, vy)]]
-        assert col_uy != col_vy, "equatorial edges at a corner share colour"
-        # upper face opposite x has edges {uv, uy, vy}; its large edge is
-        # the equatorial one coloured like the top diagonal
-        if col_uy == top_col:
-            orient[top] = (u, v)    # large u->y, apex v: u->v->y
-        else:
-            orient[top] = (v, u)    # large v->y, apex u: v->u->y
-        # cross-check with the upper face opposite y ({uv, xu, xv})
-        col_xu = colours[edge_index[(t, xu)]]
-        if col_xu == top_col:
-            # large x->u, apex v: x->v, v->u
-            assert orient[top] == (v, u)
-        else:
-            assert orient[top] == (u, v)
-        assert len(orient) == 6
-        orientations.append(orient)
-    return orientations
+        uy_top = colours[edge_index[(t, uy)]] == top_col
+        assert uy_top != (colours[edge_index[(t, vy)]] == top_col), \
+            "equatorial edges at a corner share colour"
+        assert uy_top != (colours[edge_index[(t, xu)]] == top_col), \
+            "the upper faces disagree on the top diagonal's direction"
+        orders.append(forward if uy_top else backward)
+    return orders
 
 
-def face_disagreement(ts, coor, orientations):
+def face_disagreement(ts, coor, orders):
     """beta[f] = 1 when the canonical orientations of the tetrahedra
-    below and above f disagree on f's edges (they agree on all three
-    edges or on none)."""
-    table = ts.table
+    below and above f disagree on f's edges.  The face's vertices, in
+    the order of the tetrahedron below, are carried by the gluing and
+    ranked in the order of the one above: increasing ranks mean all
+    three edges agree (0), decreasing ranks that none does (1)."""
+    gluings = ts.table.gluings
     beta = []
-    for idx in range(len(table.faces)):
-        t_b, fs_b = coor.below[idx]
-        t_a, fs_a = coor.above[idx]
-        _, p = table.gluings[t_b][fs_b]
-        images = PERM_SLOT_IMAGES[PERM_INDEX[p]]
-        agrees = []
-        for es in FACE_SLOTS[fs_b]:
-            a, b = orientations[t_b][es]
-            mapped = (p[a], p[b])
-            agrees.append(mapped == orientations[t_a][images[es]])
-        assert all(agrees) or not any(agrees), \
+    for (t_b, fs_b), (t_a, _) in zip(coor.below, coor.above):
+        p = gluings[t_b][fs_b][1]
+        rank = orders[t_a].index
+        a, b, c = [rank(p[w]) for w in orders[t_b] if w != fs_b]
+        assert a < b < c or a > b > c, \
             "face sides disagree on a proper subset of edges"
-        beta.append(0 if agrees[0] else 1)
+        beta.append(0 if a < b else 1)
     return beta
 
 
@@ -307,11 +288,10 @@ class EdgeOrientationData:
                      for p in quot.free_positions)
 
 
-def edge_orientation_data(ts, coor, colours, cycles, h1):
+def edge_orientation_data(ts, coor, orders, cycles, h1):
     """EdgeOrientationData, with beta asserted to be a cocycle: its sum
     over each edge's face crossings (all signs +-1) is even."""
-    orientations = tet_edge_orientations(ts, coor, colours)
-    beta = face_disagreement(ts, coor, orientations)
+    beta = face_disagreement(ts, coor, orders)
     eo = EdgeOrientationData(beta, h1)
     for cyc in cycles:
         assert sum(beta[f] for f, _ in cyc.crossings) % 2 == 0, \

@@ -6,9 +6,11 @@ for two-generator one-relator groups.  None of it shares code paths with the
 package's production pipeline, except ``all_columns_fitting_gcd``.  The
 earlier gluing-table builder, corner walk, face walks of the two
 presentation matrices, dense face cocycle, dense chain complex and
-dense ``H1Data`` are kept here too; they use the package's permutation
-helpers, ``AbelianQuotient``, ``H1Data.cycle_class_free`` and the
-corner data of ``Analysis``.  The dense ``H1Data`` takes the Smith form
+dense ``H1Data`` are kept here too, and so are the per-tetrahedron
+orientation templates, the edge-by-edge face comparison and the colour
+rule of the taut relation signs; they use the package's permutation
+helpers, ``AbelianQuotient``, ``H1Data.cycle_class_free``, the colours
+of ``taut.derive_colouring`` and the corner data of ``Analysis``.  The dense ``H1Data`` takes the Smith form
 of d1, both column transforms included, from ``full_scan_snf`` rather
 than the package's.  ``variant_analysis`` builds the package's
 ``Analysis`` in another presentation of the same structure.
@@ -20,13 +22,14 @@ from itertools import combinations
 from unittest import mock
 
 from veerpoly import taut
-from veerpoly.census_io import (CensusError, FACE_SLOTS, TautStructure,
-                                VERTEX_PAIRS, compose, invert, perm_sign,
-                                slot_image)
+from veerpoly.census_io import (CensusError, FACE_SLOTS, OPPOSITE_SLOT,
+                                SLOT_OF_PAIR, TautStructure, VERTEX_PAIRS,
+                                compose, invert, perm_sign, slot_image)
 from veerpoly.homology import AbelianQuotient, int_matmul
 from veerpoly.invariants import Analysis, fitting_gcd
 from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
-from veerpoly.taut import Coorientation, derive_coorientation
+from veerpoly.taut import (Coorientation, derive_colouring,
+                           derive_coorientation)
 
 
 def cofactor_determinant(entries):
@@ -715,3 +718,88 @@ class DenseH1Data:
         self.quot = AbelianQuotient(self.q, columns)
         self.rank = self.quot.rank
         self.torsion = self.quot.torsion
+
+
+def _slot(a, b):
+    return SLOT_OF_PAIR[(a, b) if a < b else (b, a)]
+
+
+def _orientation_template(top):
+    """For top diagonal slot uv and bottom diagonal xy (x < y): the
+    orientations of the five edges other than uv, (u, v), and the slots
+    of uy, vy and xu."""
+    u, v = VERTEX_PAIRS[top]
+    x, y = VERTEX_PAIRS[OPPOSITE_SLOT[top]]
+    orient = {OPPOSITE_SLOT[top]: (x, y)}
+    for apex in (u, v):
+        orient[_slot(x, apex)] = (x, apex)
+        orient[_slot(apex, y)] = (apex, y)
+    return orient, (u, v), _slot(u, y), _slot(v, y), _slot(x, u)
+
+
+_ORIENTATION_TEMPLATES = tuple(_orientation_template(top)
+                               for top in range(6))
+
+
+def reference_edge_orientations(ts, coor):
+    """The earlier ``taut.tet_edge_orientations``, kept as an oracle: per
+    tetrahedron, a map edge slot -> directed vertex pair.  The bottom
+    diagonal runs low -> high, each lower face forces its two
+    equatorial edges, and the top diagonal is forced by the upper face
+    opposite x, whose large edge is the equatorial one coloured like the
+    top diagonal; the upper face opposite y cross-checks it."""
+    colours = derive_colouring(ts)
+    edge_index = ts.table.edge_index
+    orientations = []
+    for t, top in enumerate(coor.top_slot):
+        template, (u, v), uy, vy, xu = _ORIENTATION_TEMPLATES[top]
+        orient = dict(template)
+        top_col = colours[edge_index[(t, top)]]
+        col_uy = colours[edge_index[(t, uy)]]
+        assert col_uy != colours[edge_index[(t, vy)]]
+        orient[top] = (u, v) if col_uy == top_col else (v, u)
+        if colours[edge_index[(t, xu)]] == top_col:
+            assert orient[top] == (v, u)
+        else:
+            assert orient[top] == (u, v)
+        orientations.append(orient)
+    return orientations
+
+
+def reference_face_disagreement(ts, coor, orientations):
+    """The earlier ``taut.face_disagreement``, kept as an oracle: each
+    face's three edges at the tetrahedron below, oriented there, carried
+    one by one through the gluing and compared with the orientation of
+    the tetrahedron above.  beta[f] = 1 where they disagree."""
+    table = ts.table
+    beta = []
+    for (t_b, fs_b), (t_a, _) in zip(coor.below, coor.above):
+        p = table.gluings[t_b][fs_b][1]
+        agrees = []
+        for es in FACE_SLOTS[fs_b]:
+            a, b = orientations[t_b][es]
+            agrees.append((p[a], p[b]) == orientations[t_a][slot_image(p, es)])
+        assert all(agrees) or not any(agrees)
+        beta.append(0 if agrees[0] else 1)
+    return beta
+
+
+def reference_taut_relation_signs(analysis):
+    """The earlier colour rule of ``invariants._taut_relation_signs``,
+    kept as an oracle: with top diagonal uv (u < v) and bottom diagonal
+    xy (x < y), facet y has +1, facet x -1, facet v +1 exactly when xu
+    has the colour of uv, and facet u the other sign.  Per face, its
+    signs at the tetrahedra below and above it."""
+    coor, ts = analysis.coor, analysis.ts
+    colours = derive_colouring(ts)
+    edge_index = ts.table.edge_index
+    by_facet = []
+    for t, (top, bottom) in enumerate(zip(coor.top_slot, coor.bot_slot)):
+        (u, v), (x, y) = VERTEX_PAIRS[top], VERTEX_PAIRS[bottom]
+        s = 1 if colours[edge_index[(t, _slot(x, u))]] == \
+            colours[edge_index[(t, top)]] else -1
+        signs = [0] * 4
+        signs[x], signs[y], signs[u], signs[v] = -1, 1, -s, s
+        by_facet.append(signs)
+    return [(by_facet[t_b][fs_b], by_facet[t_a][fs_a])
+            for (t_b, fs_b), (t_a, fs_a) in zip(coor.below, coor.above)]

@@ -353,7 +353,7 @@ def test_lazy_edge_classes_equal_an_eager_run():
         cover, connected = build_double_cover(ts, analysis.coor,
                                               analysis.eo.beta)
         covers += connected
-        decoded = decode_isosig(sig.split("_")[0])
+        decoded, _ = decode_isosig(sig.split("_")[0])
         for table in (decoded, cover.table):
             assert "edges" not in vars(table)
             assert "edge_index" not in vars(table)

@@ -346,6 +346,31 @@ def test_batch_missing_file_exits_one(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "-abc_10"],
+    ["compute"],
+    ["batch", "census.txt", "--jobs", "abc"],
+])
+def test_usage_errors_exit_one(capsys, argv):
+    # a usage error is an input error, like a bad signature: exit 1,
+    # not argparse's 2, which the CLI keeps for internal errors
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: veerpoly %s" % argv[0])
+    assert "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["batch", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: veerpoly")
+
+
 # ------------------------------------------------------------ loading
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")

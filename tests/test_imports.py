@@ -1,7 +1,7 @@
 """Modules of the package import only public names from each other,
-import nothing from the benchmark or the tests, and define nothing that
-only the tests read: no function, class, module constant or data
-member."""
+import nothing from the benchmark or the tests, define nothing that
+only the tests read (no function, class, module constant or data
+member), and store no attribute that no package class declares."""
 
 import ast
 import os
@@ -157,3 +157,19 @@ def test_every_data_member_is_read_outside_the_tests():
         if name not in read:
             unread.setdefault("%s.%s" % (cls, name), where)
     assert sorted(unread.items()) == []
+
+
+def test_every_stored_attribute_is_a_declared_member():
+    # the package stores attributes only under names that some package
+    # class declares (a __slots__ entry or a self.X store), so no object
+    # gains a member from outside that its class does not list
+    declared = {name for _, name, _ in data_members()}
+    stored = []
+    for fname, tree in parsed_modules(PACKAGE):
+        stored += ["%s:%d %s.%s" % (fname, node.lineno,
+                                    ast.unparse(node.value), node.attr)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Store)
+                   and node.attr not in declared]
+    assert stored == []

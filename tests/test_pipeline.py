@@ -166,16 +166,18 @@ def count_calls(monkeypatch, target):
 
 @pytest.mark.parametrize("sig, covers", [(TWO_TET_EO, 0), (M003, 1)])
 def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
-    # the tree and the cocycle, which the benchmark traces, are built
-    # with every Analysis; the corner exponents only for the
-    # polynomials, and a record without them never unions the edge
-    # slots of the double cover it counts the cusps of
+    # the vertex orders, and the tree and the cocycle, which the
+    # benchmark traces, are built once with every Analysis; the corner
+    # exponents only for the polynomials, and a record without them
+    # never unions the edge slots of the double cover it counts the
+    # cusps of
     n = parse_taut_sig(sig).table.n_tet
     for with_polynomials in (False, True):
         built = count_analyses(monkeypatch)
         cover_calls = count_calls(monkeypatch, taut.build_double_cover)
         trees = count_calls(monkeypatch, homology.dual_spanning_tree)
         cocycles = count_calls(monkeypatch, homology.face_cocycle)
+        orders = count_calls(monkeypatch, taut.vertex_orders)
         exponents = count_calls(monkeypatch, invariants.corner_exponents)
         unions = []
         classes = census_io._classes
@@ -189,7 +191,7 @@ def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
         monkeypatch.undo()
         assert built.count(sig) == 1
         assert len(cover_calls) == covers
-        assert len(trees) == len(cocycles) == len(built)
+        assert len(orders) == len(trees) == len(cocycles) == len(built)
         if with_polynomials:
             assert rec["verify"]["passed"]
             assert len(exponents) == len(built)

@@ -11,11 +11,13 @@ from veerpoly.census_io import (CensusError, FACE_SLOTS, GluingTable,
 from veerpoly.taut import (build_double_cover, derive_colouring,
                            derive_coorientation, edge_corner_cycles,
                            edge_orientation_data, face_disagreement,
-                           tet_edge_orientations)
-from veerpoly.invariants import Analysis
+                           vertex_orders)
+from veerpoly.invariants import Analysis, _taut_relation_signs
 from bundles import bundle_sig, both_letter_words
 from oracles import (dense_chain_complex, flipped_coorientation,
-                     reanchored, reference_corner_cycles)
+                     reanchored, reference_corner_cycles,
+                     reference_edge_orientations, reference_face_disagreement,
+                     reference_taut_relation_signs)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 
@@ -258,10 +260,9 @@ def test_beta_is_a_mod_two_cocycle():
     for sig in sample_sigs(25):
         ts = parse_taut_sig(sig)
         coor = derive_coorientation(ts)
-        colours = derive_colouring(ts)
+        orders = vertex_orders(ts, coor, derive_colouring(ts))
         cycles = edge_corner_cycles(ts, coor)
-        orientations = tet_edge_orientations(ts, coor, colours)
-        beta = face_disagreement(ts, coor, orientations)
+        beta = face_disagreement(ts, coor, orders)
         assert all(b in (0, 1) for b in beta)
         _, d2 = dense_chain_complex(ts, coor, cycles)
         for e in range(len(ts.table.edges)):
@@ -269,26 +270,60 @@ def test_beta_is_a_mod_two_cocycle():
 
 
 def test_orientations_give_each_slot_a_direction():
+    # each vertex order is a permutation of the four vertices that
+    # starts and ends with the bottom diagonal, low -> high, so that it
+    # directs every edge slot
     for sig in sample_sigs(25):
         ts = parse_taut_sig(sig)
         coor = derive_coorientation(ts)
-        colours = derive_colouring(ts)
-        for t, orient in enumerate(tet_edge_orientations(ts, coor, colours)):
-            assert set(orient) == set(range(6))
+        orders = vertex_orders(ts, coor, derive_colouring(ts))
+        assert len(orders) == ts.table.n_tet
+        for t, order in enumerate(orders):
+            assert sorted(order) == [0, 1, 2, 3]
+            assert (order[0], order[3]) == VERTEX_PAIRS[coor.bot_slot[t]]
+            assert {order[1], order[2]} == set(VERTEX_PAIRS[coor.top_slot[t]])
+
+
+def orientation_structures():
+    """Every sample entry with the edge-orientation cover of each one
+    that is not edge-orientable, and the bundles of every both-letter
+    word of length 2-8, both signs."""
+    structures = sample_and_covers()
+    for n in range(2, 9):
+        for word in both_letter_words(n):
+            for eps in (1, -1):
+                structures.append(parse_taut_sig(bundle_sig(word, eps)))
+    return structures
+
+
+def test_vertex_orders_match_reference_orientations():
+    # the vertex order directs every edge as the per-tetrahedron
+    # templates do; beta from ranking the face vertices equals the
+    # edge-by-edge comparison through each gluing; and the taut
+    # relation signs read by position equal the colour rule
+    structures = orientation_structures()
+    assert len(structures) == 1355
+    for ts in structures:
+        analysis = Analysis(ts)
+        coor = analysis.coor
+        orientations = reference_edge_orientations(ts, coor)
+        for order, orient in zip(analysis.orders, orientations):
             for s, (a, b) in orient.items():
-                assert {a, b} == set(VERTEX_PAIRS[s])
-            # the bottom diagonal is oriented low -> high
-            assert orient[coor.bot_slot[t]] == VERTEX_PAIRS[coor.bot_slot[t]]
+                assert order.index(a) < order.index(b), ts.sig
+        assert analysis.eo.beta == \
+            reference_face_disagreement(ts, coor, orientations), ts.sig
+        assert _taut_relation_signs(analysis) == \
+            reference_taut_relation_signs(analysis), ts.sig
 
 
 def test_cover_connected_iff_not_edge_orientable():
     for sig in sample_sigs(30):
         ts = parse_taut_sig(sig)
         coor = derive_coorientation(ts)
-        colours = derive_colouring(ts)
+        orders = vertex_orders(ts, coor, derive_colouring(ts))
         cycles = edge_corner_cycles(ts, coor)
         h1 = Analysis(ts).h1
-        eo = edge_orientation_data(ts, coor, colours, cycles, h1)
+        eo = edge_orientation_data(ts, coor, orders, cycles, h1)
         cover, connected = build_double_cover(ts, coor, eo.beta)
         assert connected == (not eo.edge_orientable)
         if connected:
@@ -309,10 +344,10 @@ def test_sigma_signs_on_known_entries():
     for sig, want in (("cPcbbbdxm_10", (-1,)), ("cPcbbbiht_12", (1,))):
         ts = parse_taut_sig(sig)
         coor = derive_coorientation(ts)
-        colours = derive_colouring(ts)
+        orders = vertex_orders(ts, coor, derive_colouring(ts))
         cycles = edge_corner_cycles(ts, coor)
         h1 = Analysis(ts).h1
-        eo = edge_orientation_data(ts, coor, colours, cycles, h1)
+        eo = edge_orientation_data(ts, coor, orders, cycles, h1)
         assert eo.sigma_exists and eo.sigma == want
 
 
@@ -327,10 +362,10 @@ def test_omega_vanishes_on_boundaries():
     for sig in sample_sigs(20):
         ts = parse_taut_sig(sig)
         coor = derive_coorientation(ts)
-        colours = derive_colouring(ts)
+        orders = vertex_orders(ts, coor, derive_colouring(ts))
         cycles = edge_corner_cycles(ts, coor)
         h1 = Analysis(ts).h1
-        eo = edge_orientation_data(ts, coor, colours, cycles, h1)
+        eo = edge_orientation_data(ts, coor, orders, cycles, h1)
         _, d2 = dense_chain_complex(ts, coor, cycles)
         for e in range(len(ts.table.edges)):
             col = [d2[f][e] for f in range(len(ts.table.faces))]
