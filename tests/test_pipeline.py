@@ -1,5 +1,6 @@
 """One Analysis per entry: records replayed against the benchmark's
-reference outputs, with and without the __debug__ checks, counts of the
+reference outputs, with and without the __debug__ checks, and against
+the 14-tet entry's fill reference, counts of the
 expensive stages an entry runs, the shape of every matrix the Fitting
 gcd sees, and a check that every function the benchmark traces is still
 called."""
@@ -24,6 +25,8 @@ PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 REFERENCE = os.path.join(PERFBENCH, "reference")
 FOURTEEN_RECORD = os.path.join(os.path.dirname(__file__), "data",
                                "fourteen_tet_verify.jsonl")
+FOURTEEN_FILLS = os.path.join(os.path.dirname(__file__), "data",
+                              "fourteen_tet_fill.jsonl")
 M003 = "cPcbbbdxm_10"
 TWO_TET_EO = "cPcbbbiht_12"
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
@@ -81,6 +84,22 @@ def test_fill_records_match_reference(capsys):
         slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
         assert main(["fill", rec["sig"], "--slopes", slopes]) == 0
         assert capsys.readouterr().out == line + "\n", rec["sig"]
+
+
+def test_fourteen_tet_fills_replay_byte_for_byte(capsys):
+    # the sample's only entry with two cusps: each cusp alone at every
+    # primitive slope with |x|, |y| <= 2, and both cusps on a grid of
+    # slope pairs; each line holds the exit code, stdout and stderr of
+    # ``veerpoly fill`` on its slopes
+    with open(FOURTEEN_FILLS) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 96
+    for line in lines:
+        rec = json.loads(line)
+        code = main(["fill", rec["sig"], "--slopes", rec["slopes"]])
+        out, err = capsys.readouterr()
+        assert [code, out, err] == \
+            [rec["code"], rec["stdout"], rec["stderr"]], rec["slopes"]
 
 
 # Rejected lines, run through compute: each gives one JSON line of its
