@@ -186,7 +186,9 @@ def _batch_jobs(args):
 def cmd_batch(args):
     import json
     jobs = _batch_jobs(args)
-    with open(args.census) as fh:
+    # bytes that are not UTF-8 are kept as lone surrogates, as Python
+    # decodes argv, so such a line gets compute's error record
+    with open(args.census, encoding="utf-8", errors="surrogateescape") as fh:
         lines = [line.strip() for line in fh]
     work = [(sig, args.verify) for sig in lines
             if sig and not sig.startswith("#")]

@@ -4,112 +4,101 @@ polynomial invariants under filling.
 The cross-section of a cusp is the triangulated surface whose triangles
 are the tetrahedron corners at that ideal vertex and whose sides are the
 face corners between them.  Its first homology is computed with the
-same dual-spine machinery as the manifold's, and mapping a cross-section
-cycle to the manifold means crossing, for each side, the manifold face
-containing it, with the coorientation sign.
+same dual-spine machinery as the manifold's.  Each of its two basis
+cycles is carried to the manifold once, crossing for each side the
+manifold face containing it, with the coorientation sign, and is kept
+in the manifold's kernel coordinates; every slope and dual slope is an
+integer combination of the two.
 """
 
 import math
 import numbers
 
-from .census_io import CensusError
+from .census_io import FACE_VERTICES, CensusError
 from .homology import AbelianQuotient, H1Data, smith_normal_form
 from .laurent import LaurentPoly, exact_div, sign_twist, specialize
 
 
 class CuspData:
-    """One ideal vertex: its link surface, a homology basis of the link,
-    and the peripheral images in the manifold's homology.
+    """One ideal vertex: its corners, a homology basis (a, b) of its
+    link torus, and the classes of a and b in the manifold's homology.
 
-    basis holds two side-space cycle vectors (a, b) spanning the free
-    first homology of the link torus; the basis is the deterministic
-    one induced by Smith normal form.  Any basis of a torus has
-    intersection number +-1; the sign is an internal convention (slope
-    coordinates are only meaningful relative to this artifact's basis).
+    basis holds a and b in the manifold's ``H1Data`` kernel coordinates,
+    and periph_class their ``quot.class_coords`` (free part, torsion
+    part).  The basis is the deterministic one induced by the link's
+    Smith normal form.  Any basis of a torus has intersection number
+    +-1; the sign is an internal convention (slope coordinates are only
+    meaningful relative to this artifact's basis).
     """
 
-    __slots__ = ("corners", "side_faces", "n_manifold_faces", "basis",
-                 "periph_class")
+    __slots__ = ("corners", "basis", "periph_class")
 
-    def __init__(self, corners, side_faces, n_manifold_faces, basis):
+    def __init__(self, corners, basis, periph_class):
         self.corners = corners
-        self.side_faces = side_faces
-        self.n_manifold_faces = n_manifold_faces
         self.basis = basis
-        self.periph_class = None
-
-
-def _side_partner(table, key):
-    t, v, fs = key
-    t2, p = table.gluings[t][fs]
-    return (t2, p[v], p[fs])
-
-
-def cross_section_to_faces(cusp, z):
-    """Manifold face vector of a link cycle: crossing a side in its
-    reference direction crosses the face containing it, from below when
-    the side's home triangle sits on the below side."""
-    vec = [0] * cusp.n_manifold_faces
-    for si, zval in enumerate(z):
-        if zval:
-            fidx, sgn = cusp.side_faces[si]
-            vec[fidx] += zval * sgn
-    return vec
+        self.periph_class = periph_class
 
 
 def vertex_links(ts, coor, cycles, h1):
-    """One CuspData per ideal vertex.  Asserts each link is a torus.
+    """One CuspData per ideal vertex, in ``table.vertices`` order.
+    Asserts each link is a torus.
 
-    A link's ``H1Data`` has its triangles as cells, each side as a face
-    from its own (canonical-key) triangle to the partner's, and as edges
-    the link vertices (manifold edge ends), bounded by the fan of sides
-    the corner cycle crosses, +1 leaving through a side's own triangle."""
+    A link's ``H1Data`` has its triangles as cells, in corner order; as
+    faces its sides, in order of their canonical keys (t, v, fs), the
+    smaller of the side's two (tet, vertex, facet) names, each from its
+    own triangle to the partner's; and as edges the link vertices
+    (manifold edge ends), in corner-cycle order with end 0 before end 1,
+    bounded by the fan of sides the corner cycle crosses, +1 leaving
+    through a side's own triangle.  One pass over the facets files every
+    side under its cusp and one pass over the corner cycles every fan."""
     table = ts.table
+    home = {}           # (tet, vertex) -> (cusp, triangle)
+    for index, corners in enumerate(table.vertices):
+        for i, corner in enumerate(corners):
+            home[corner] = (index, i)
+    sides = [[] for _ in table.vertices]
+    for t, row in enumerate(table.gluings):
+        for fs, (t2, p) in enumerate(row):
+            for v in FACE_VERTICES[fs]:
+                key, partner = (t, v, fs), (t2, p[v], p[fs])
+                if key < partner:
+                    sides[home[(t, v)][0]].append((key, partner))
+    side_of = {}        # side name -> (index in its cusp, sign)
+    for cusp_sides in sides:
+        cusp_sides.sort()
+        for i, (key, partner) in enumerate(cusp_sides):
+            side_of[key] = (i, 1)
+            side_of[partner] = (i, -1)
+    fans = [[] for _ in table.vertices]
+    for cyc in cycles:
+        t0 = cyc.corners[0][0]
+        for end in (0, 1):
+            fans[home[(t0, cyc.dirs[0][end])][0]].append(
+                [side_of[(t, dirpair[end], exit_fs)]
+                 for (t, _), dirpair, exit_fs in zip(cyc.corners, cyc.dirs,
+                                                     cyc.exits)])
     cusps = []
     for index, corners in enumerate(table.vertices):
-        tri_index = {c: i for i, c in enumerate(corners)}
-        side_keys = set()
-        for (t, v) in corners:
-            for fs in range(4):
-                if fs == v:
-                    continue
-                key = (t, v, fs)
-                side_keys.add(min(key, _side_partner(table, key)))
-        sides = sorted(side_keys)
-        side_index = {k: i for i, k in enumerate(sides)}
-        side_ends = [(tri_index[key[:2]],
-                      tri_index[_side_partner(table, key)[:2]])
-                     for key in sides]
-        fans = []
-        for cyc in cycles:
-            for end in (0, 1):
-                if (cyc.corners[0][0], cyc.dirs[0][end]) not in tri_index:
-                    continue
-                fan = []
-                for (t, _), dirpair, exit_fs in zip(cyc.corners, cyc.dirs,
-                                                    cyc.exits):
-                    key = (t, dirpair[end], exit_fs)
-                    canon = min(key, _side_partner(table, key))
-                    fan.append((side_index[canon], 1 if canon == key else -1))
-                fans.append(fan)
-        assert len(fans) - len(sides) + len(corners) == 0, \
+        cusp_sides = sides[index]
+        assert len(fans[index]) - len(cusp_sides) + len(corners) == 0, \
             "cusp cross-section has nonzero Euler characteristic"
-        link_h1 = H1Data(len(corners), side_ends, fans)
+        link_h1 = H1Data(
+            len(corners),
+            [(home[key[:2]][1], home[partner[:2]][1])
+             for key, partner in cusp_sides],
+            fans[index])
         if link_h1.rank != 2 or link_h1.torsion:
             raise CensusError("cusp %d cross-section is not a torus" % index)
-        basis = tuple(
-            link_h1.w_position_representative(pos)
-            for pos in link_h1.quot.free_positions)
-        side_faces = []
-        for (t, v, fs) in sides:
-            fidx = table.face_index[(t, fs)]
-            side_faces.append(
-                (fidx, 1 if coor.below[fidx] == (t, fs) else -1))
-        cusp = CuspData(corners, side_faces, len(table.faces), basis)
-        cusp.periph_class = tuple(
-            h1.cycle_class_full(cross_section_to_faces(cusp, z))
-            for z in basis)
-        cusps.append(cusp)
+        basis = []
+        for pos in link_h1.quot.free_positions:
+            vec = [0] * len(table.faces)
+            z = link_h1.w_position_representative(pos)
+            for ((t, _, fs), _), x in zip(cusp_sides, z):
+                fidx = table.face_index[(t, fs)]
+                vec[fidx] += x if coor.below[fidx] == (t, fs) else -x
+            basis.append(h1.cycle_kernel_coords(vec))
+        cusps.append(CuspData(corners, tuple(basis), tuple(
+            h1.quot.class_coords(y) for y in basis)))
     assert sum(len(c.corners) for c in cusps) == 4 * table.n_tet
     return cusps
 
@@ -122,14 +111,19 @@ class FillingSpec:
     __slots__ = ("slopes",)
 
     def __init__(self, slopes):
-        for j, (x, y) in slopes.items():
+        pairs = {}
+        for j, pair in slopes.items():
+            try:
+                x, y = pair
+            except (TypeError, ValueError):
+                x = y = None
             if not all(isinstance(v, numbers.Integral)
                        and not isinstance(v, bool) for v in (j, x, y)):
                 raise CensusError("slope %r on cusp %r is not a pair of "
-                                  "integers" % ((x, y), j))
+                                  "integers" % (pair, j))
+            pairs[j] = int(x), int(y)
         clean = {}
-        for j, (x, y) in sorted(slopes.items()):
-            x, y = int(x), int(y)
+        for j, (x, y) in sorted(pairs.items()):
             if math.gcd(x, y) != 1:
                 raise CensusError(
                     "slope %d/%d on cusp %d is not primitive" % (x, y, j))
@@ -173,35 +167,36 @@ def parse_slopes(text):
 
 class FilledHomology:
     """Homology of the Dehn filling N, the induced map i_star on free
-    homology (None when s = b_1(N) is 0), and the core-curve classes of
-    the filled cusps, listed in increasing index in filled.  n_quot and
-    slope_coords (per filled cusp, a relation of n_quot) are in the
-    base's ``H1Data`` kernel basis."""
+    homology (None when s = b_1(N) is 0), the core-curve classes of the
+    filled cusps, listed in increasing index in filled, and sigma_N
+    (None when it does not exist).  n_quot is a quotient of the base's
+    ``H1Data`` kernel coordinates."""
 
     __slots__ = ("h1", "filled", "boundary_empty", "n_quot", "s",
-                 "i_star", "slope_coords", "cores", "sigma_N")
+                 "i_star", "cores", "sigma_N")
 
-    def __init__(self, h1, filled, boundary_empty, n_quot, i_star,
-                 slope_coords, cores):
+    def __init__(self, h1, filled, boundary_empty, n_quot, i_star, cores,
+                 sigma_N):
         self.h1 = h1
         self.filled = filled
         self.boundary_empty = boundary_empty
         self.n_quot = n_quot
         self.s = n_quot.rank
         self.i_star = i_star
-        self.slope_coords = slope_coords
         self.cores = cores
-        self.sigma_N = None
+        self.sigma_N = sigma_N
 
 
 def filled_homology(h1, cusps, spec, eo):
     """H_1 data of the filled manifold.
 
     The quotient is taken in the kernel-coordinate ambient Z^q: the
-    base's diagonalised relations plus one slope class per filled cusp.
-    Each core's class is that of a dual slope, one with intersection
-    determinant 1 against the filled slope.  sigma_N is read off the
-    base's edge-orientation data eo (``vN_edge_orientable``).
+    base's diagonalised relations plus one slope class x*a + y*b per
+    filled cusp, an integer combination of the cusp's basis in kernel
+    coordinates.  Each core's class is that of a dual slope -v*a + u*b,
+    one with intersection determinant 1 against the filled slope.
+    sigma_N is read off the base's edge-orientation data eo
+    (``vN_edge_orientable``).
     """
     filled = list(spec.slopes)
     for j in filled:
@@ -215,15 +210,17 @@ def filled_homology(h1, cusps, spec, eo):
         if order != 0:
             lift = quot.generator_lift(p)
             columns.append([order * x for x in lift])
-    slope_coords = {}
+    # each filled slope (x, y) and a dual slope (-v, u):
+    # det [[x, -v], [y, u]] = x*u + v*y = 1
+    slopes, duals = [], []
     for j in filled:
         x, y = spec.slopes[j]
+        u = pow(x, -1, abs(y)) if y else x
+        v = (1 - x * u) // y if y else 0
         za, zb = cusps[j].basis
-        z = [x * a + y * b for a, b in zip(za, zb)]
-        slope_coords[j] = h1.cycle_kernel_coords(
-            cross_section_to_faces(cusps[j], z))
-        columns.append(slope_coords[j])
-    n_quot = AbelianQuotient(q, columns)
+        slopes.append([x * a + y * b for a, b in zip(za, zb)])
+        duals.append([-v * a + u * b for a, b in zip(za, zb)])
+    n_quot = AbelianQuotient(q, columns + slopes)
     s = n_quot.rank
     i_star = None
     if s:
@@ -237,34 +234,26 @@ def filled_homology(h1, cusps, spec, eo):
     # core-curve classes: any dual slope gives the same class, as two
     # of them differ by a multiple of the filled slope, which dies in N
     cores = {}
-    for j in filled:
-        x, y = spec.slopes[j]
-        u = pow(x, -1, abs(y)) if y else x
-        v = (1 - x * u) // y if y else 0
-        delta = (-v, u)     # det [[x, -v], [y, u]] = x*u + v*y = 1
-        za, zb = cusps[j].basis
-        z = [delta[0] * a + delta[1] * b for a, b in zip(za, zb)]
-        vec = cross_section_to_faces(cusps[j], z)
-        ell_free = n_quot.class_free(h1.cycle_kernel_coords(vec))
+    for j, dual in zip(filled, duals):
+        ell_free = n_quot.class_free(dual)
         cores[j] = {"ell_free": tuple(ell_free),
                     "nontrivial": any(e != 0 for e in ell_free)}
-    fh = FilledHomology(h1, filled, len(filled) == len(cusps), n_quot,
-                        i_star, slope_coords, cores)
-    fh.sigma_N = vN_edge_orientable(eo, fh)
-    return fh
+    return FilledHomology(h1, filled, len(filled) == len(cusps), n_quot,
+                          i_star, cores,
+                          vN_edge_orientable(eo, slopes, n_quot))
 
 
-def vN_edge_orientable(eo, fh):
+def vN_edge_orientable(eo, slopes, n_quot):
     """sigma_N when the edge-orientation homomorphism omega factors
     through the filled manifold's free homology, else None.
 
-    omega is defined on H_1(N) when every filled slope is
-    orientation-preserving (omega = 0), and then ``sign_vector`` reads
-    sigma_N off N's quotient.  The base's torsion maps into N's, so a
-    sigma_N implies the base's sigma."""
-    if any(eo.omega(fh.slope_coords[j]) for j in fh.filled):
+    omega is defined on H_1(N) when every filled slope (slopes, in kernel
+    coordinates) is orientation-preserving (omega = 0), and then
+    ``sign_vector`` reads sigma_N off N's quotient n_quot.  The base's
+    torsion maps into N's, so a sigma_N implies the base's sigma."""
+    if any(eo.omega(y) for y in slopes):
         return None
-    return eo.sign_vector(fh.n_quot)
+    return eo.sign_vector(n_quot)
 
 
 class PredictedAlexander:

@@ -7,12 +7,13 @@ package's production pipeline, except ``all_columns_fitting_gcd``.  The
 earlier gluing-table builder, corner walk, face walks of the two
 presentation matrices, dense face cocycle, dense chain complex and
 dense ``H1Data`` are kept here too, and so are the per-tetrahedron
-orientation templates, the edge-by-edge face comparison and the colour
-rule of the taut relation signs; they use the package's permutation
-helpers, ``AbelianQuotient``, ``H1Data.cycle_class_free``, the colours
-of ``taut.derive_colouring`` and the corner data of ``Analysis``.  The dense ``H1Data`` takes the Smith form
-of d1, both column transforms included, from ``full_scan_snf`` rather
-than the package's.  ``variant_analysis`` builds the package's
+orientation templates, the edge-by-edge face comparison, the colour
+rule of the taut relation signs and the side-space route to the cusp
+links; they use the package's permutation helpers, ``AbelianQuotient``,
+``H1Data`` (the link's, and ``cycle_class_free``), the colours of
+``taut.derive_colouring`` and the corner data of ``Analysis``.  The
+dense ``H1Data`` takes the Smith form of d1, both column transforms
+included, from ``full_scan_snf`` rather than the package's.  ``variant_analysis`` builds the package's
 ``Analysis`` in another presentation of the same structure.
 """
 
@@ -25,7 +26,7 @@ from veerpoly import taut
 from veerpoly.census_io import (CensusError, FACE_SLOTS, OPPOSITE_SLOT,
                                 SLOT_OF_PAIR, TautStructure, VERTEX_PAIRS,
                                 compose, invert, perm_sign, slot_image)
-from veerpoly.homology import AbelianQuotient, int_matmul
+from veerpoly.homology import AbelianQuotient, H1Data, int_matmul
 from veerpoly.invariants import Analysis, fitting_gcd
 from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
 from veerpoly.taut import (Coorientation, derive_colouring,
@@ -803,3 +804,91 @@ def reference_taut_relation_signs(analysis):
         by_facet.append(signs)
     return [(by_facet[t_b][fs_b], by_facet[t_a][fs_a])
             for (t_b, fs_b), (t_a, fs_a) in zip(coor.below, coor.above)]
+
+
+class ReferenceCusp:
+    """One cusp link as the earlier side-space route builds it: corners,
+    sides (the sorted canonical side keys (t, v, fs)), side_faces (per
+    side, the manifold face containing it and +1 when the side's own
+    triangle sits below that face) and basis (the two link cycles a, b
+    as side-space vectors)."""
+
+    def __init__(self, corners, sides, side_faces, basis):
+        self.corners = corners
+        self.sides = sides
+        self.side_faces = side_faces
+        self.basis = basis
+
+
+def _side_partner(table, key):
+    t, v, fs = key
+    t2, p = table.gluings[t][fs]
+    return (t2, p[v], p[fs])
+
+
+def reference_vertex_links(ts, coor, cycles):
+    """The earlier ``filling.vertex_links``, kept as an oracle: per cusp,
+    the sides are collected from its corners and their partners looked
+    up each time they are needed, every corner cycle is rescanned for
+    fans ending at the cusp, and the link's ``H1Data`` basis is kept in
+    side space."""
+    table = ts.table
+    cusps = []
+    for corners in table.vertices:
+        tri_index = {c: i for i, c in enumerate(corners)}
+        side_keys = set()
+        for (t, v) in corners:
+            for fs in range(4):
+                if fs != v:
+                    key = (t, v, fs)
+                    side_keys.add(min(key, _side_partner(table, key)))
+        sides = sorted(side_keys)
+        side_index = {k: i for i, k in enumerate(sides)}
+        side_ends = [(tri_index[key[:2]],
+                      tri_index[_side_partner(table, key)[:2]])
+                     for key in sides]
+        fans = []
+        for cyc in cycles:
+            for end in (0, 1):
+                if (cyc.corners[0][0], cyc.dirs[0][end]) not in tri_index:
+                    continue
+                fan = []
+                for (t, _), dirpair, exit_fs in zip(cyc.corners, cyc.dirs,
+                                                    cyc.exits):
+                    key = (t, dirpair[end], exit_fs)
+                    canon = min(key, _side_partner(table, key))
+                    fan.append((side_index[canon], 1 if canon == key else -1))
+                fans.append(fan)
+        link_h1 = H1Data(len(corners), side_ends, fans)
+        assert link_h1.rank == 2 and not link_h1.torsion
+        basis = tuple(link_h1.w_position_representative(pos)
+                      for pos in link_h1.quot.free_positions)
+        side_faces = []
+        for (t, v, fs) in sides:
+            fidx = table.face_index[(t, fs)]
+            side_faces.append(
+                (fidx, 1 if coor.below[fidx] == (t, fs) else -1))
+        cusps.append(ReferenceCusp(corners, sides, side_faces, basis))
+    return cusps
+
+
+def reference_face_vector(cusp, n_faces, coeffs):
+    """Manifold face vector of the link cycle coeffs[0]*a + coeffs[1]*b:
+    crossing a side in its reference direction crosses the face
+    containing it, from below when the side's own triangle is below."""
+    za, zb = cusp.basis
+    vec = [0] * n_faces
+    for (fidx, sgn), x, y in zip(cusp.side_faces, za, zb):
+        vec[fidx] += (coeffs[0] * x + coeffs[1] * y) * sgn
+    return vec
+
+
+def reference_slope_face_vectors(cusp, n_faces, slope):
+    """Face vectors of the slope x*a + y*b and of the dual slope
+    -v*a + u*b, x*u + v*y = 1, that the earlier ``filled_homology``
+    built."""
+    x, y = slope
+    u = pow(x, -1, abs(y)) if y else x
+    v = (1 - x * u) // y if y else 0
+    return (reference_face_vector(cusp, n_faces, (x, y)),
+            reference_face_vector(cusp, n_faces, (-v, u)))

@@ -296,6 +296,22 @@ def test_batch_record_names_the_parsed_signature(capsys, tmp_path):
     assert "error" in recs[1]
 
 
+def test_batch_reads_bytes_that_are_not_utf8_as_compute_does(capsys,
+                                                              tmp_path):
+    # the bad line gets the error record compute prints for the same
+    # bytes in argv, and the lines around it are still read
+    census = tmp_path / "census.txt"
+    census.write_bytes(b"%s\n\xff\xfe_10\n%s\n" % (M003.encode(),
+                                                   TWO_TET_EO.encode()))
+    rc, out, _ = run_cli(capsys, "batch", str(census))
+    assert rc == 0
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["sig"] for r in recs] == [M003, "\udcff\udcfe_10", TWO_TET_EO]
+    assert recs[1]["error"] == "invalid signature character '\\udcff'"
+    assert run_cli(capsys, "compute", "\udcff\udcfe_10")[2] == \
+        "error: %s\n" % recs[1]["error"]
+
+
 def test_fill_record_names_the_parsed_signature(capsys):
     # as in compute and batch, the extra fields of the argument are
     # left out of the record

@@ -13,16 +13,18 @@ import pytest
 
 from bundles import (bundle_sig, bundle_homology, bundle_filled_trace,
                      both_letter_words)
-from oracles import abelian_group_from_relations, vertex_classes_bfs
+from oracles import (abelian_group_from_relations, reference_face_vector,
+                     reference_slope_face_vectors, reference_vertex_links,
+                     vertex_classes_bfs)
 from veerpoly.census_io import CensusError, parse_taut_sig
 from veerpoly.taut import build_double_cover
 from veerpoly.invariants import (Analysis, build_taut_matrix,
                                  build_alexander_matrix, fitting_gcd)
 from veerpoly.filling import (FilledHomology, FillingSpec, parse_slopes,
-                              cross_section_to_faces, vertex_links,
-                              filled_homology,
+                              vertex_links, filled_homology,
                               predict_filled_alexander,
                               orientable_class_parity)
+from veerpoly.homology import int_matmul
 from veerpoly.laurent import (LaurentPoly, normalize_unit, sign_twist,
                               specialize)
 
@@ -56,6 +58,13 @@ def fibre_slope(cusp):
     return (-fb // g, fa // g)
 
 
+def slope_coords(cusp, slope):
+    """The kernel coordinates x*a + y*b of a slope (x, y) on a cusp,
+    the relation ``filled_homology`` adds for it."""
+    (x, y), (za, zb) = slope, cusp.basis
+    return [x * p + y * q for p, q in zip(za, zb)]
+
+
 def invert_vars(p):
     return LaurentPoly(p.nvars,
                        {tuple(-e for e in exp): c for exp, c in p.terms.items()})
@@ -75,10 +84,14 @@ def test_two_tet_cusp_cross_section():
     assert c.corners == a.ts.table.vertices[0]
     # one triangle per (tet, vertex) corner: 4 * 2 tets
     assert len(c.corners) == 8
-    assert len(c.side_faces) == 12
-    assert c.n_manifold_faces == 4
-    # torus: two basis curves, each classified in H1 as (free, torsion)
+    # the side-space reference: three sides on each of the 4 faces
+    ref, = reference_vertex_links(a.ts, a.coor, a.cycles)
+    assert len(ref.sides) == len(ref.side_faces) == 12
+    assert sorted(f for f, _ in ref.side_faces) == sorted(list(range(4)) * 3)
+    # torus: two basis curves, in kernel coordinates, each classified in
+    # H1 as (free, torsion)
     assert len(c.basis) == 2
+    assert all(len(y) == a.h1.q for y in c.basis)
     assert len(c.periph_class) == 2
     for free, tors in c.periph_class:
         assert len(free) == a.h1.rank
@@ -116,6 +129,105 @@ def test_fourteen_tet_has_two_cusps():
     assert len(cusps) == 2
     # cusp j, by list position, is the table's vertex class j
     assert [c.corners for c in cusps] == a.ts.table.vertices
+
+
+# ------------------------------------------ side-space reference
+
+WINDOW = [(x, y) for x in range(-2, 3) for y in range(-2, 3)
+          if math.gcd(x, y) == 1]
+# one orientation of each slope in the window
+WINDOW_UP_TO_SIGN = [(x, y) for x, y in WINDOW if (y, x) > (0, 0)]
+
+
+def reference_analyses():
+    """Analysis of every sample entry, each followed by its double cover
+    when it is not edge-orientable (the 14-tet entry's is the rank-4
+    cover with four cusps), and of the bundles of both-letter words of
+    length 2-5 in both signs that the sample does not hold."""
+    sigs = sample_sigs()
+    for sig in sigs:
+        a = Analysis(parse_taut_sig(sig))
+        yield a
+        if not a.eo.edge_orientable:
+            yield Analysis(a.cover)
+    bundles = {bundle_sig(w, eps) for length in range(2, 6)
+               for w in both_letter_words(length) for eps in (1, -1)}
+    for sig in sorted(bundles - set(sigs)):
+        yield Analysis(parse_taut_sig(sig))
+
+
+def check_filling_against_reference(a, cusps, refs, slopes):
+    """filled_homology against the earlier route: slopes and dual slopes
+    as face vectors of side-space link cycles, read in kernel
+    coordinates, and sigma_N by pairing beta with the slopes' face
+    vectors and with N's generators.  Returns the FilledHomology."""
+    h1, n_faces = a.h1, len(a.ts.table.faces)
+    fh = filled_homology(h1, cusps, FillingSpec(slopes), eo=a.eo)
+    quot = fh.n_quot
+    # the base's relations, then each slope's kernel coordinates
+    columns = [[order * x for x in h1.quot.generator_lift(p)]
+               for p, order in enumerate(h1.quot.orders) if order]
+    factors = a.eo.sigma_exists
+    for j, slope in sorted(slopes.items()):
+        vec, dual = reference_slope_face_vectors(refs[j], n_faces, slope)
+        columns.append(h1.cycle_kernel_coords(vec))
+        assert columns[-1] == slope_coords(cusps[j], slope)
+        ell = quot.class_free(h1.cycle_kernel_coords(dual))
+        assert fh.cores[j] == {"ell_free": ell, "nontrivial": any(ell)}
+        factors &= sum(b * v for b, v in zip(a.eo.beta, vec)) % 2 == 0
+    # n_quot's Smith form diagonalises exactly these columns: U * R * V
+    # is diagonal only for R = U^-1 D V^-1, n_quot's relation matrix
+    R = [[col[i] for col in columns] for i in range(h1.q)]
+    D = int_matmul(int_matmul(quot.snf.U, R), quot.snf.V)
+    assert D == [[quot.snf.diag[i] if i == k else 0
+                  for k in range(len(columns))] for i in range(h1.q)]
+    assert fh.filled == sorted(slopes)
+    lifts = [quot.class_free(h1.quot.generator_lift(p))
+             for p in h1.quot.free_positions]
+    assert fh.i_star == ([[col[i] for col in lifts]
+                          for i in range(quot.rank)] if quot.rank else None)
+    if factors:
+        omega = {p: sum(b * z for b, z in zip(a.eo.beta, h1.kernel_to_cycle(
+            quot.generator_lift(p)))) % 2
+            for p in quot.free_positions + quot.torsion_positions}
+        factors = not any(omega[p] for p in quot.torsion_positions)
+    assert fh.sigma_N == (tuple(-1 if omega[p] else 1
+                                for p in quot.free_positions)
+                          if factors else None)
+    return fh
+
+
+def test_links_and_fillings_match_side_space_reference():
+    # vertex_links carries each link basis cycle to kernel coordinates
+    # once, and filled_homology combines those; the earlier route kept
+    # the basis in side space and mapped every slope and dual slope to
+    # faces and then to kernel coordinates.  Each cusp alone is filled
+    # at every primitive slope with |x|, |y| <= 2 (one orientation of
+    # each on one-cusp structures), and all cusps of a multi-cusp
+    # structure together at slopes from that window
+    structures = fillings = 0
+    for a in reference_analyses():
+        ts, h1 = a.ts, a.h1
+        cusps = vertex_links(ts, a.coor, a.cycles, h1)
+        refs = reference_vertex_links(ts, a.coor, a.cycles)
+        assert [c.corners for c in cusps] == [r.corners for r in refs]
+        for c, r in zip(cusps, refs):
+            basis = tuple(h1.cycle_kernel_coords(
+                reference_face_vector(r, len(ts.table.faces), e))
+                for e in ((1, 0), (0, 1)))
+            assert c.basis == basis, ts.sig
+            assert c.periph_class == tuple(h1.quot.class_coords(y)
+                                           for y in basis)
+        window = WINDOW if len(cusps) > 1 else WINDOW_UP_TO_SIGN
+        cases = [{j: slope} for j in range(len(cusps)) for slope in window]
+        if len(cusps) > 1:
+            cases += [{j: WINDOW[(j + k) % len(WINDOW)]
+                       for j in range(len(cusps))} for k in range(4)]
+        for slopes in cases:
+            check_filling_against_reference(a, cusps, refs, slopes)
+        structures += 1
+        fillings += len(cases)
+    assert structures > 400 and fillings > 3000
 
 
 # ------------------------------------------------- filled homology
@@ -239,31 +351,22 @@ def test_fibre_slope_is_where_sigma_n_lives():
 
 def test_sigma_n_matches_beta_on_filled_cycles():
     # vN_edge_orientable reads omega off kernel coordinates; pairing
-    # beta with the slope's face vector and with each filled generator's
-    # rebuilt face cycle must give the same sigma_N
+    # beta with the slope's face vector (from the side-space reference)
+    # and with each filled generator's rebuilt face cycle must give the
+    # same sigma_N, here also with every cusp filled and at fibre slopes
     cases = [(M003, (x, y)) for x in range(-2, 3) for y in range(-2, 3)
              if math.gcd(x, y) == 1]
     cases += [(sig, (1, 0)) for sig in sample_sigs(30) + [FOURTEEN]]
     cases += [(bundle_sig("RRLL", 1), None), (bundle_sig("RLL", -1), None)]
+    found = 0
     for sig, slope in cases:
         a, cusps = analyse(sig)
-        beta = a.eo.beta
         slopes = {j: slope or fibre_slope(cusps[0])
                   for j in range(len(cusps))}
-        fh = filled_homology(a.h1, cusps, FillingSpec(slopes), eo=a.eo)
-        factors = a.eo.sigma_exists
-        for j, (x, y) in slopes.items():
-            za, zb = cusps[j].basis
-            vec = cross_section_to_faces(
-                cusps[j], [x * p + y * q for p, q in zip(za, zb)])
-            assert fh.slope_coords[j] == a.h1.cycle_kernel_coords(vec)
-            factors &= sum(b * v for b, v in zip(beta, vec)) % 2 == 0
-        omega = [sum(b * z for b, z in zip(beta, a.h1.kernel_to_cycle(
-            fh.n_quot.generator_lift(p)))) % 2 for p in range(a.h1.q)]
-        factors &= not any(omega[p] for p in fh.n_quot.torsion_positions)
-        want = tuple(-1 if omega[p] else 1
-                     for p in fh.n_quot.free_positions) if factors else None
-        assert fh.sigma_N == want, (sig, slopes)
+        fh = check_filling_against_reference(
+            a, cusps, reference_vertex_links(a.ts, a.coor, a.cycles), slopes)
+        found += fh.sigma_N is not None
+    assert found >= 3
 
 
 def test_slope_sign_robustness():
@@ -366,10 +469,8 @@ def synthetic_filling(r, s, filled, boundary_empty, sigma_n, ell_frees):
     i_star = [[1 if i == j else 0 for j in range(r)] for i in range(s)]
     cores = {j: {"ell_free": ell, "nontrivial": any(ell)}
              for j, ell in zip(filled, ell_frees)}
-    fh = FilledHomology(_StubH1(r), list(filled), boundary_empty,
-                        _StubQuot(s), i_star, {}, cores)
-    fh.sigma_N = sigma_n
-    return fh
+    return FilledHomology(_StubH1(r), list(filled), boundary_empty,
+                          _StubQuot(s), i_star, cores, sigma_n)
 
 
 def embed(poly, r):
@@ -455,7 +556,8 @@ def test_non_primitive_slope_rejected():
 @pytest.mark.parametrize("slopes", [
     {0: (1.5, 2)}, {0: (1, 2.0)}, {0: ("3", " 2")}, {0: (True, 0)},
     {0: (1, False)}, {"0": (1, 2)}, {0.0: (1, 2)}, {True: (1, 0)},
-    {0: (1, 0), 1: (None, 1)}])
+    {0: (1, 0), 1: (None, 1)}, {0: (1,)}, {0: 5}, {0: (1, 2, 3)},
+    {0: None}])
 def test_non_integer_slope_rejected(slopes):
     # library input: nothing is rounded, parsed or read as a bool
     with pytest.raises(CensusError, match="not a pair of integers"):

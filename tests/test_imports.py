@@ -1,7 +1,8 @@
 """Modules of the package import only public names from each other,
 import nothing from the benchmark or the tests, define nothing that
 only the tests read (no function, class, module constant or data
-member), and store no attribute that no package class declares."""
+member), store no attribute that no package class declares, and store
+attributes only inside a class body."""
 
 import ast
 import os
@@ -173,3 +174,19 @@ def test_every_stored_attribute_is_a_declared_member():
                    and isinstance(node.ctx, ast.Store)
                    and node.attr not in declared]
     assert stored == []
+
+
+def test_attributes_are_stored_only_inside_class_bodies():
+    # an object is built whole by its own class: no function outside a
+    # class body sets a member after construction (``obj.x = ...``)
+    outside = []
+    for fname, tree in parsed_modules(PACKAGE):
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+        outside += ["%s:%d %s.%s" % (fname, node.lineno,
+                                     ast.unparse(node.value), node.attr)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and id(node) not in inside]
+    assert outside == []
