@@ -6,9 +6,11 @@ permutation indices over a 64-character alphabet) and digit i in {0,1,2}
 selects which opposite pair of edges of tetrahedron i carries the two
 pi angles.
 
-Decoded tables are relabelled so that every gluing permutation is odd,
-the usual convention for coherently oriented tetrahedra; the angle
-digits are remapped alongside.  Non-orientable input is rejected.
+Decoded tables are in the all-odd labelling (every gluing permutation
+odd, the usual convention for coherently oriented tetrahedra): the
+signature's replay decides each tetrahedron's relabelling when it
+creates it, and rejects non-orientable input.  The angle digits are
+remapped alongside.
 """
 
 import itertools
@@ -65,7 +67,7 @@ def slot_image(p, slot):
 
 
 # Per permutation of ISOSIG_PERMS, by index: sign, inverse, the images
-# of the six edge slots, and composition.  GluingTable, _orient_all_odd
+# of the six edge slots, and composition.  GluingTable, decode_isosig
 # and the walks of ``taut`` look these up instead of recomputing them
 # per gluing.
 PERM_INDEX = {p: k for k, p in enumerate(ISOSIG_PERMS)}
@@ -80,6 +82,8 @@ FACE_SLOTS = tuple(tuple(s for s in range(6)
                          if fs not in VERTEX_PAIRS[s]) for fs in range(4))
 FACE_VERTICES = tuple(tuple(v for v in range(4) if v != fs)
                       for fs in range(4))
+# The relabelling of a tetrahedron: vertices 2 and 3 swapped.
+_SWAP23 = PERM_INDEX[(0, 1, 3, 2)]
 
 
 def _classes(size, pairs, width):
@@ -247,6 +251,13 @@ def decode_isosig(sig):
     Returns (table, relabelled): relabelled is a per-tetrahedron flag
     saying whether vertices 2 and 3 were swapped to reach the all-odd
     convention (needed to reinterpret per-tetrahedron annotations).
+    The replay glues every pair in that labelling at once: tetrahedron
+    0 keeps its labels, and each tetrahedron is relabelled or not when
+    it is created, so that the identity gluing that creates it is odd.
+    An explicit gluing that is then even makes the manifold
+    non-orientable; that is raised once the replay has closed, so any
+    error of the replay itself comes first.  Error messages name the
+    signature's own labels.
     """
     if not sig:
         raise CensusError("empty signature")
@@ -261,27 +272,23 @@ def decode_isosig(sig):
     if n == 0:
         raise CensusError("empty triangulation")
 
-    # Gluing events in facet order; each event accounts for the current
-    # facet and its partner, so events stop at 4n consumed facets.
+    # Gluing events in facet order, three 2-bit types per character;
+    # each event glues two of the 4n facets, so there are 2n of them.
     types = []
-    consumed = 0
-    bits_pos = pos
-    while consumed < 4 * n:
-        idx = len(types)
-        char_off, within = divmod(idx, 3)
-        if bits_pos + char_off >= len(vals):
+    for event in range(2 * n):
+        char_off, within = divmod(event, 3)
+        if pos + char_off >= len(vals):
             raise CensusError("signature truncated in type sequence")
-        ty = (vals[bits_pos + char_off] >> (2 * within)) & 3
+        ty = (vals[pos + char_off] >> (2 * within)) & 3
         if ty == 3:
             raise CensusError("invalid gluing event type")
         if ty == 0:
             raise CensusError("boundary faces are not supported")
         types.append(ty)
-        consumed += 2
-    pos = bits_pos + (len(types) + 2) // 3
+    pos += (2 * n + 2) // 3
 
     # n <= 62, so each destination is one character
-    n_explicit = sum(1 for ty in types if ty == 2)
+    n_explicit = types.count(2)
     if len(vals) - pos != 2 * n_explicit:
         raise CensusError("signature has wrong length")
     dests = vals[pos: pos + n_explicit]
@@ -290,17 +297,21 @@ def decode_isosig(sig):
         if pi >= 24:
             raise CensusError("invalid permutation index %d" % pi)
 
-    # replay the events
+    # replay the events; gluings and the glued checks are in the
+    # relabelled labels, where facet f of t is r_t(f)
     gluings = [[None] * 4 for _ in range(n)]
+    relabelled = [False] * n
     created = 1
     explicit = 0
     event = 0
+    orientable = True
     for t in range(n):
+        if t >= created:
+            raise CensusError("signature describes a disconnected "
+                              "or incomplete triangulation")
+        rt = _SWAP23 if relabelled[t] else 0
         for f in range(4):
-            if t >= created:
-                raise CensusError("signature describes a disconnected "
-                                  "or incomplete triangulation")
-            if gluings[t][f] is not None:
+            if gluings[t][ISOSIG_PERMS[rt][f]] is not None:
                 continue
             ty = types[event]
             event += 1
@@ -310,6 +321,7 @@ def decode_isosig(sig):
                 t2 = created
                 created += 1
                 k = 0               # the identity
+                relabelled[t2] = not relabelled[t]
             else:
                 t2 = dests[explicit]
                 k = perm_indices[explicit]
@@ -317,60 +329,26 @@ def decode_isosig(sig):
                 if t2 >= created:
                     raise CensusError("gluing destination %d not yet seen"
                                       % t2)
-            p = ISOSIG_PERMS[k]
-            f2 = p[f]
+                # an odd gluing joins coherently oriented tetrahedra
+                if (relabelled[t2] != relabelled[t]) != (PERM_SIGN[k] == 1):
+                    orientable = False
+            f2 = ISOSIG_PERMS[k][f]
             if (t2, f2) == (t, f):
                 raise CensusError("facet glued to itself")
-            if gluings[t2][f2] is not None:
+            rt2 = _SWAP23 if relabelled[t2] else 0
+            if gluings[t2][ISOSIG_PERMS[rt2][f2]] is not None:
                 raise CensusError("facet (%d,%d) glued twice" % (t2, f2))
-            gluings[t][f] = (t2, p)
-            gluings[t2][f2] = (t, ISOSIG_PERMS[PERM_INVERSE[k]])
+            # r_t2 . p . r_t (each swap is its own inverse), and back
+            k = PERM_COMPOSE[rt2][PERM_COMPOSE[k][rt]]
+            gluings[t][ISOSIG_PERMS[rt][f]] = (t2, ISOSIG_PERMS[k])
+            gluings[t2][ISOSIG_PERMS[rt2][f2]] = (
+                t, ISOSIG_PERMS[PERM_INVERSE[k]])
     if event != len(types) or created != n:
         raise CensusError("signature does not describe a closed gluing "
                           "of %d tetrahedra" % n)
-
-    relabelled = _orient_all_odd(gluings)
+    if not orientable:
+        raise CensusError("triangulation is non-orientable")
     return GluingTable(gluings), relabelled
-
-
-def _orient_all_odd(gluings):
-    """Relabel tetrahedra in place so every gluing permutation is odd.
-
-    Propagates a per-tetrahedron parity: crossing an odd gluing keeps
-    it, an even one flips it.  Tetrahedra with negative parity get
-    vertices 2 and 3 swapped.  An inconsistency means the underlying
-    manifold is non-orientable.
-    """
-    n = len(gluings)
-    parity = {0: 1}
-    queue = [0]
-    for t in queue:
-        for f in range(4):
-            t2, p = gluings[t][f]
-            # an odd gluing joins coherently oriented tetrahedra
-            want = -parity[t] * PERM_SIGN[PERM_INDEX[p]]
-            if t2 not in parity:
-                parity[t2] = want
-                queue.append(t2)
-            elif parity[t2] != want:
-                raise CensusError("triangulation is non-orientable")
-    swap23 = PERM_INDEX[(0, 1, 3, 2)]
-    relabelled = [parity[t] < 0 for t in range(n)]
-    if not any(relabelled):
-        return relabelled
-    new = [[None] * 4 for _ in range(n)]
-    for t in range(n):
-        rt = swap23 if relabelled[t] else 0
-        for f in range(4):
-            t2, p = gluings[t][f]
-            rt2 = swap23 if relabelled[t2] else 0
-            # conjugate: relabelled source label -> original -> original
-            # target -> relabelled target (swap23 is its own inverse)
-            k = PERM_COMPOSE[rt2][PERM_COMPOSE[PERM_INDEX[p]][rt]]
-            new[t][ISOSIG_PERMS[rt][f]] = (t2, ISOSIG_PERMS[k])
-    for t in range(n):
-        gluings[t][:] = new[t]
-    return relabelled
 
 
 # With vertices 2 and 3 swapped the pi-pair selector permutes: pairs

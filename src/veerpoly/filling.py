@@ -105,18 +105,17 @@ def vertex_links(ts, coor, cycles, h1):
 
 class FillingSpec:
     """Slopes per filled cusp index, in that cusp's (a, b) basis, in
-    increasing cusp index.  Indices and coordinates must be integers
-    other than bools; anything else raises CensusError."""
+    increasing cusp index.  Each slope is a tuple or list (x, y);
+    indices and coordinates must be integers other than bools; anything
+    else raises CensusError."""
 
     __slots__ = ("slopes",)
 
     def __init__(self, slopes):
         pairs = {}
         for j, pair in slopes.items():
-            try:
-                x, y = pair
-            except (TypeError, ValueError):
-                x = y = None
+            x, y = (pair if isinstance(pair, (tuple, list)) and len(pair) == 2
+                    else (None, None))
             if not all(isinstance(v, numbers.Integral)
                        and not isinstance(v, bool) for v in (j, x, y)):
                 raise CensusError("slope %r on cusp %r is not a pair of "

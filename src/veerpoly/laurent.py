@@ -308,23 +308,23 @@ def _poly_gcd(p, q):
 
 def _split_last(p):
     """View p in Z[x_1..x_{r-1}][y] (y = last variable): degree -> coefficient,
-    with coefficients as (r-1)-variable polynomials."""
+    with coefficients as (r-1)-variable polynomials.  Each term of p is
+    one (head, degree) pair with a nonzero coefficient, so every bucket
+    is clean and nonempty."""
     out = {}
     for exp, coef in p.terms.items():
-        d = exp[-1]
-        head = exp[:-1]
-        bucket = out.setdefault(d, {})
-        bucket[head] = bucket.get(head, 0) + coef
-    return {d: LaurentPoly(p.nvars - 1, t) for d, t in out.items()
-            if any(t.values())}
+        out.setdefault(exp[-1], {})[exp[:-1]] = coef
+    return {d: LaurentPoly._wrap(p.nvars - 1, t) for d, t in out.items()}
 
 
 def _join_last(coeffs, nvars):
+    """Inverse of ``_split_last``; the coefficients' terms are clean, and
+    distinct (degree, head) pairs give distinct exponents."""
     terms = {}
     for d, poly in coeffs.items():
         for exp, coef in poly.terms.items():
             terms[exp + (d,)] = coef
-    return LaurentPoly(nvars, terms)
+    return LaurentPoly._wrap(nvars, terms)
 
 
 def _content_pp(p):

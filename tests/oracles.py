@@ -4,7 +4,8 @@ Everything here is deliberately naive: cofactor determinants, exhaustive
 minor enumeration, rational row reduction, and a small Fox-calculus engine
 for two-generator one-relator groups.  None of it shares code paths with the
 package's production pipeline, except ``all_columns_fitting_gcd``.  The
-earlier gluing-table builder, corner walk, face walks of the two
+earlier two-pass signature decoder, gluing-table builder, corner walk,
+face walks of the two
 presentation matrices, dense face cocycle, dense chain complex and
 dense ``H1Data`` are kept here too, and so are the per-tetrahedron
 orientation templates, the edge-by-edge face comparison, the colour
@@ -23,7 +24,8 @@ from itertools import combinations
 from unittest import mock
 
 from veerpoly import taut
-from veerpoly.census_io import (CensusError, FACE_SLOTS, OPPOSITE_SLOT,
+from veerpoly.census_io import (ALPHABET, CensusError, FACE_SLOTS,
+                                GluingTable, ISOSIG_PERMS, OPPOSITE_SLOT,
                                 SLOT_OF_PAIR, TautStructure, VERTEX_PAIRS,
                                 compose, invert, perm_sign, slot_image)
 from veerpoly.homology import AbelianQuotient, H1Data, int_matmul
@@ -433,6 +435,130 @@ def vertex_classes_bfs(table):
             classes.append(sorted(comp))
     classes.sort()
     return classes
+
+
+def reference_replay(sig):
+    """The earlier signature decoder's parse and replay, in the
+    signature's own labels: (gluings, None) for a closed gluing, or
+    (the gluings made so far, message) where the replay fails.  The
+    header's errors (size, type sequence, length, permutation indices)
+    raise CensusError."""
+    if not sig:
+        raise CensusError("empty signature")
+    try:
+        vals = [ALPHABET.index(ch) for ch in sig]
+    except ValueError:
+        bad = next(ch for ch in sig if ch not in ALPHABET)
+        raise CensusError("invalid signature character %r" % bad)
+    n, pos = vals[0], 1
+    if n == 63:
+        raise CensusError("signatures for 63 or more tetrahedra "
+                          "are not supported")
+    if n == 0:
+        raise CensusError("empty triangulation")
+    types = []
+    consumed = 0
+    bits_pos = pos
+    while consumed < 4 * n:
+        char_off, within = divmod(len(types), 3)
+        if bits_pos + char_off >= len(vals):
+            raise CensusError("signature truncated in type sequence")
+        ty = (vals[bits_pos + char_off] >> (2 * within)) & 3
+        if ty == 3:
+            raise CensusError("invalid gluing event type")
+        if ty == 0:
+            raise CensusError("boundary faces are not supported")
+        types.append(ty)
+        consumed += 2
+    pos = bits_pos + (len(types) + 2) // 3
+    n_explicit = sum(1 for ty in types if ty == 2)
+    if len(vals) - pos != 2 * n_explicit:
+        raise CensusError("signature has wrong length")
+    dests = vals[pos: pos + n_explicit]
+    perm_indices = vals[pos + n_explicit:]
+    for pi in perm_indices:
+        if pi >= 24:
+            raise CensusError("invalid permutation index %d" % pi)
+
+    gluings = [[None] * 4 for _ in range(n)]
+    created = 1
+    explicit = 0
+    event = 0
+    for t in range(n):
+        for f in range(4):
+            if t >= created:
+                return gluings, ("signature describes a disconnected "
+                                 "or incomplete triangulation")
+            if gluings[t][f] is not None:
+                continue
+            ty = types[event]
+            event += 1
+            if ty == 1:
+                if created >= n:
+                    return gluings, "too many tetrahedra in signature"
+                t2 = created
+                created += 1
+                p = ISOSIG_PERMS[0]
+            else:
+                t2 = dests[explicit]
+                p = ISOSIG_PERMS[perm_indices[explicit]]
+                explicit += 1
+                if t2 >= created:
+                    return gluings, "gluing destination %d not yet seen" % t2
+            f2 = p[f]
+            if (t2, f2) == (t, f):
+                return gluings, "facet glued to itself"
+            if gluings[t2][f2] is not None:
+                return gluings, "facet (%d,%d) glued twice" % (t2, f2)
+            gluings[t][f] = (t2, p)
+            gluings[t2][f2] = (t, invert(p))
+    if event != len(types) or created != n:
+        return gluings, ("signature does not describe a closed gluing "
+                         "of %d tetrahedra" % n)
+    return gluings, None
+
+
+def reference_parities(gluings):
+    """The earlier decoder's orientation pass: a second breadth-first
+    search from tetrahedron 0 over the glued facets (a facet not yet
+    glued is passed over).  Crossing an odd gluing keeps the parity, an
+    even one flips it; returns the parity of each tetrahedron reached,
+    or raises CensusError on an inconsistency."""
+    parity = {0: 1}
+    queue = [0]
+    for t in queue:
+        for entry in gluings[t]:
+            if entry is None:
+                continue
+            t2, p = entry
+            want = -parity[t] * perm_sign(p)
+            if t2 not in parity:
+                parity[t2] = want
+                queue.append(t2)
+            elif parity[t2] != want:
+                raise CensusError("triangulation is non-orientable")
+    return parity
+
+
+def reference_decode_isosig(sig):
+    """The earlier two-pass decoder, kept as the oracle of
+    ``census_io.decode_isosig``: the replay, then the orientation
+    search over the finished table, then a relabelled copy of the table
+    with vertices 2 and 3 swapped on each tetrahedron of parity -1."""
+    gluings, error = reference_replay(sig)
+    if error is not None:
+        raise CensusError(error)
+    parity = reference_parities(gluings)
+    relabelled = [parity[t] < 0 for t in range(len(gluings))]
+    swap = (0, 1, 3, 2)
+    ident = (0, 1, 2, 3)
+    new = [[None] * 4 for _ in gluings]
+    for t, row in enumerate(gluings):
+        rt = swap if relabelled[t] else ident
+        for f, (t2, p) in enumerate(row):
+            rt2 = swap if relabelled[t2] else ident
+            new[t][rt[f]] = (t2, compose(rt2, compose(p, rt)))
+    return GluingTable(new), relabelled
 
 
 class TwoSidedGluingTable:

@@ -11,8 +11,9 @@ from veerpoly.census_io import (ALPHABET, CensusError, GluingTable,
                                 perm_sign, slot_image)
 from veerpoly.invariants import Analysis
 from veerpoly.taut import build_double_cover
-from bundles import bundle_sig, encode_isosig
-from oracles import TwoSidedGluingTable
+from bundles import both_letter_words, bundle_sig, encode_isosig
+from oracles import (TwoSidedGluingTable, reference_decode_isosig,
+                     reference_parities, reference_replay)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
@@ -93,8 +94,10 @@ def test_extra_whitespace_fields_ignored():
 # -- malformed input ----------------------------------------------------------
 
 # Lines parse_taut_sig rejects, with a fragment of each message: one per
-# CensusError branch of decode_isosig that an input reaches, the
-# non-orientable check of _orient_all_odd, and the angle checks.
+# CensusError branch of decode_isosig that an input reaches, its
+# non-orientable check among them, and the angle checks.  The last two
+# lines make an inconsistent gluing before the replay fails: the
+# replay's error must still be the one reported.
 MALFORMED = [
     ("", "missing angle digits"),
     ("!!bad_10", "invalid signature character"),
@@ -118,6 +121,8 @@ MALFORMED = [
     ("dLQbbcchhxc_120", "glued to itself"),
     ("cPbbbpe_12", "facet (1,1) glued twice"),
     ("cPcbbbbph_12", "non-orientable"),
+    ("cPcbbaiht_12", "facet (0,1) glued twice"),
+    ("cPcb1bbhe_12", "gluing destination 53 not yet seen"),
 ]
 
 
@@ -165,6 +170,81 @@ def test_edited_signatures_build_or_are_rejected():
         else:
             built += 1
     assert built and rejected
+
+
+# -- decoding against the two-pass decoder ------------------------------------
+
+def decode_outcome(decoder, sig):
+    """What a decoder makes of a signature: its table's gluings, faces
+    and vertex classes with the relabelled flags, or its CensusError
+    message."""
+    try:
+        table, relabelled = decoder(sig)
+    except CensusError as exc:
+        return "error", str(exc)
+    return "ok", table.gluings, table.faces, table.vertices, relabelled
+
+
+def edited_sig(rng, sig):
+    """sig with one character edited.  Most edits give a gluing
+    destination or a permutation index another value in range, so that
+    the replay runs and often closes on an even gluing; the others
+    insert, delete or substitute any character."""
+    n = ALPHABET.index(sig[0])
+    tail = 1 + (2 * n + 2) // 3         # the destinations, then the indices
+    half = (len(sig) - tail) // 2
+    edit = rng.random()
+    if half > 0 and edit < 0.6:
+        i = rng.randrange(tail, len(sig))
+        top = n if i < tail + half else 24
+        return sig[:i] + ALPHABET[rng.randrange(top)] + sig[i + 1:]
+    i = rng.randrange(len(sig))
+    if edit < 0.7:
+        return sig[:i] + rng.choice(ALPHABET) + sig[i:]
+    if edit < 0.8:
+        return sig[:i] + sig[i + 1:]
+    return sig[:i] + rng.choice(ALPHABET) + sig[i + 1:]
+
+
+def test_decoder_matches_two_pass_decoder():
+    # the sample, the bundles of both-letter words of length 2-8 in both
+    # signs, and one or two edits of them: the same tables, flags and
+    # messages as the replay followed by a separate orientation search.
+    # The edits reach the non-orientable raise, and a replay error after
+    # an inconsistent gluing, which must win over it
+    with open(DATA) as fh:
+        sigs = [ln.split("_")[0] for ln in fh
+                if ln.strip() and not ln.startswith("#")]
+    sigs += [bundle_sig(word, eps).split("_")[0] for length in range(2, 9)
+             for word in both_letter_words(length) for eps in (1, -1)]
+    for sig in sigs:
+        want = decode_outcome(reference_decode_isosig, sig)
+        assert want[0] == "ok"
+        assert decode_outcome(decode_isosig, sig) == want
+    rng = random.Random(0)
+    non_orientable = replay_after_inconsistent = 0
+    for _ in range(5000):
+        sig = rng.choice(sigs)
+        for _ in range(rng.randint(1, 2)):
+            sig = edited_sig(rng, sig)
+        want = decode_outcome(reference_decode_isosig, sig)
+        assert decode_outcome(decode_isosig, sig) == want, sig
+        if want[0] == "ok":
+            continue
+        if "non-orientable" in want[1]:
+            non_orientable += 1
+            continue
+        try:
+            gluings, error = reference_replay(sig)
+        except CensusError:
+            continue                    # a header error
+        if error is not None:
+            try:
+                reference_parities(gluings)
+            except CensusError:
+                replay_after_inconsistent += 1
+    assert non_orientable >= 100
+    assert replay_after_inconsistent >= 100
 
 
 # -- re-encoding round trip ---------------------------------------------------

@@ -557,7 +557,7 @@ def test_non_primitive_slope_rejected():
     {0: (1.5, 2)}, {0: (1, 2.0)}, {0: ("3", " 2")}, {0: (True, 0)},
     {0: (1, False)}, {"0": (1, 2)}, {0.0: (1, 2)}, {True: (1, 0)},
     {0: (1, 0), 1: (None, 1)}, {0: (1,)}, {0: 5}, {0: (1, 2, 3)},
-    {0: None}])
+    {0: None}, {0: {1: "x", 2: "y"}}, {0: {2, 1}}, {0: range(1, 3)}])
 def test_non_integer_slope_rejected(slopes):
     # library input: nothing is rounded, parsed or read as a bool
     with pytest.raises(CensusError, match="not a pair of integers"):
