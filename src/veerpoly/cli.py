@@ -240,6 +240,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
+    def _parse_optional(self, arg_string):
+        # "-" begins a signature of 63 or more tetrahedra: a one-dash word
+        # naming no option is the signature, which reports its own error
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and \
+                arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def build_parser():
     parser = _Parser(

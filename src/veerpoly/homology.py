@@ -360,9 +360,6 @@ class H1Data:
             raise ValueError("vector is not a cycle")
         return [z[f] for f in self.kernel_faces]
 
-    def cycle_class_free(self, z):
-        return self.quot.class_free(self.cycle_kernel_coords(z))
-
     def kernel_to_cycle(self, y):
         """The face-space cycle with kernel-basis coordinates y: y on
         kernel_faces, then leaves peeled off the forest, each forest face

@@ -27,18 +27,26 @@ a BFS tree (``Analysis.tree``), not of the pivot forest c vanishes on.
 The non-tree columns span the same module, and by Cauchy-Binet their
 maximal minors generate the same ideal: the Fitting gcd is taken over
 the T + 1 non-tree faces only.
+
+Double cover.  Over the base's group ring the cover's complex is the
+base's with coefficients in Z[H][Z/2] through omega (Shapiro's lemma),
+so each cell of the cover has a lift over the base lift of its image,
+and the cover's presentation is read off the base's face table
+(``build_cover_alexander_matrix``).  The cover's own exponents, pushed
+down, differ from the base's by a coboundary, a unit per row and per
+column, which keeps the Fitting gcd and where the unit pivots fall.
 """
 
 from functools import cached_property
+from itertools import product
 from math import prod
 from operator import sub
 
 from .census_io import FACE_VERTICES, SLOT_OF_PAIR
-from .homology import (H1Data, dual_spanning_tree, face_cocycle,
-                       smith_normal_form)
+from .homology import H1Data, dual_spanning_tree, face_cocycle
 from .laurent import (LaurentMatrix, LaurentPoly,
                       maximal_minor_gcd_bruteforce, normalize_unit,
-                      sign_twist, specialize)
+                      sign_twist)
 from . import taut
 
 
@@ -60,8 +68,8 @@ class Analysis:
     sigma exists).  Each polynomial is the Fitting gcd of an edges x
     faces presentation with the columns of the dual spanning tree
     ``tree`` dropped (``tree_reduced``), so the gcd runs on T x (T + 1)
-    matrices; for ``delta_hat`` the cover's own tree is dropped before
-    the cover's matrix is pushed down to the base."""
+    matrices; ``delta_hat`` reads the cover's presentation off the face
+    table and drops the cover's own tree (2T x (2T + 1))."""
 
     def __init__(self, ts):
         self.ts = ts
@@ -88,8 +96,8 @@ class Analysis:
     def face_edges(self):
         """Per face, its three edges at the tetrahedron below in the
         traversal +ab, +bc, -ac of its facet [a, b, c] (a < b < c), as
-        (edge index, corner exponent, taut coefficient, Alexander
-        coefficient): +1 at the upper-large edge
+        (edge slot, edge index, corner exponent, taut coefficient,
+        Alexander coefficient): +1 at the upper-large edge
         (``Coorientation.upper_large``) and -1 at the small ones; the
         traversal sign times the facet's sign in the boundary of the
         tetrahedron times the agreement of the traversal with the
@@ -108,7 +116,7 @@ class Analysis:
                 slot = SLOT_OF_PAIR[pair]
                 corner = (t, slot)
                 entries.append((
-                    edge_index[corner], exponents[corner],
+                    slot, edge_index[corner], exponents[corner],
                     1 if slot == upper_large else -1,
                     face_sign * sign * (1 if dirs[corner] == pair else -1)))
             table.append(entries)
@@ -141,13 +149,7 @@ class Analysis:
     def delta_hat(self):
         if self.eo.sigma_exists:
             return None
-        cover_analysis = Analysis(self.cover)
-        A = cover_pushforward(self, cover_analysis)
-        cover_alex = cover_analysis.tree_reduced(
-            build_alexander_matrix(cover_analysis))
-        pushed = LaurentMatrix(self.h1.rank, [
-            [specialize(p, A) for p in row] for row in cover_alex.entries])
-        return fitting_gcd(pushed)
+        return fitting_gcd(build_cover_alexander_matrix(self))
 
 
 def corner_exponents(cycles, cocycle, rank):
@@ -171,15 +173,13 @@ def corner_exponents(cycles, cocycle, rank):
     return exponents
 
 
-def _presentation_matrix(analysis, incidences):
-    """Edges x faces matrix from per-face (edge, corner exponent,
+def _presentation_matrix(rank, n_rows, incidences):
+    """n_rows x faces matrix from per-face (edge, corner exponent,
     coefficient) incidences: each adds the coefficient times the
     monomial, coincident rows summed.  The summed cells drop their
     zeros as they go, so they are wrapped as they are."""
-    table = analysis.ts.table
-    r = analysis.h1.rank
-    zero = LaurentPoly.zero(r)
-    rows = [[zero] * len(table.faces) for _ in table.edges]
+    zero = LaurentPoly.zero(rank)
+    rows = [[zero] * len(incidences) for _ in range(n_rows)]
     for idx, entries in enumerate(incidences):
         cells = {}
         for e, exp, coef in entries:
@@ -188,23 +188,21 @@ def _presentation_matrix(analysis, incidences):
             if not s:
                 del terms[exp]
         for e, terms in cells.items():
-            rows[e][idx] = LaurentPoly._wrap(r, terms)
-    return LaurentMatrix(r, rows)
+            rows[e][idx] = LaurentPoly._wrap(rank, terms)
+    return LaurentMatrix(rank, rows)
 
 
-def _tetrahedron_relations_hold(analysis, incidences, signs):
+def _tetrahedron_relations_hold(face_ends, cocycle, incidences, signs):
     """Whether, for every tetrahedron t, its four face columns sum to
     zero: +-1 times each top face (t below it), +-x^(-c(f)) times each
-    bottom face (t above it).  signs[f] = (sign of f as a top face of the
-    tetrahedron below, sign as a bottom face of the one above).  Summed
-    as {(t, edge, exponent): coefficient} on raw exponent tuples, where
-    x^(-c(f)) subtracts c(f) from the exponent."""
-    coor = analysis.coor
+    bottom face (t above it).  face_ends[f] = (tetrahedron below f, the
+    one above), cocycle[f] = c(f), and signs[f] = (sign of f as a top
+    face of the tetrahedron below, sign as a bottom face of the one
+    above).  Summed as {(t, edge, exponent): coefficient} on raw
+    exponent tuples, where x^(-c(f)) subtracts c(f) from the exponent."""
     total = {}
-    for f, entries in enumerate(incidences):
-        s_top, s_bottom = signs[f]
-        c = analysis.cocycle[f]
-        t_top, t_bottom = coor.below[f][0], coor.above[f][0]
+    for entries, (t_top, t_bottom), c, (s_top, s_bottom) in zip(
+            incidences, face_ends, cocycle, signs):
         for e, exp, coef in entries:
             key = (t_top, e, exp)
             total[key] = total.get(key, 0) + s_top * coef
@@ -232,23 +230,20 @@ def build_taut_matrix(analysis):
     Taylor's taut module, on which Parlak's computation (arXiv
     2009.13558) also drops the faces of a dual spanning tree; asserted
     on every build unless run with -O."""
-    incidences = [[(e, exp, coef) for e, exp, coef, _ in face]
+    incidences = [[(e, exp, coef) for _, e, exp, coef, _ in face]
                   for face in analysis.face_edges]
     assert _tetrahedron_relations_hold(
-        analysis, incidences, _taut_relation_signs(analysis)), \
-        "taut tetrahedron relation fails"
-    return _presentation_matrix(analysis, incidences)
+        analysis.h1.face_ends, analysis.cocycle, incidences,
+        _taut_relation_signs(analysis)), "taut tetrahedron relation fails"
+    return _presentation_matrix(analysis.h1.rank,
+                                len(analysis.ts.table.edges), incidences)
 
 
 def _taut_relation_signs(analysis):
     """Per face, its signs in the taut relations of the tetrahedra below
     and above it, by the rule of ``build_taut_matrix``: facets x, u, v
     and y of the vertex order have -1, +1, -1 and +1."""
-    by_facet = []
-    for x, u, v, y in analysis.orders:
-        signs = [0] * 4
-        signs[x], signs[u], signs[v], signs[y] = -1, 1, -1, 1
-        by_facet.append(signs)
+    by_facet = [dict(zip(order, (-1, 1, -1, 1))) for order in analysis.orders]
     coor = analysis.coor
     return [(by_facet[t_b][fs_b], by_facet[t_a][fs_a])
             for (t_b, fs_b), (t_a, fs_a) in zip(coor.below, coor.above)]
@@ -265,12 +260,44 @@ def build_alexander_matrix(analysis):
     the boundary of t's base lift vanishes.  Its top faces enter with
     sign +1; its bottom faces are oriented from the tetrahedron below
     them, against the orientation t gives them, so they enter with -1."""
-    incidences = [[(e, exp, coef) for e, exp, _, coef in face]
+    incidences = [[(e, exp, coef) for _, e, exp, _, coef in face]
                   for face in analysis.face_edges]
     assert _tetrahedron_relations_hold(
-        analysis, incidences, [(1, -1)] * len(incidences)), \
-        "Alexander tetrahedron relation fails"
-    return _presentation_matrix(analysis, incidences)
+        analysis.h1.face_ends, analysis.cocycle, incidences,
+        [(1, -1)] * len(incidences)), "Alexander tetrahedron relation fails"
+    return _presentation_matrix(analysis.h1.rank,
+                                len(analysis.ts.table.edges), incidences)
+
+
+def build_cover_alexander_matrix(analysis):
+    """The Alexander matrix of the double cover ``Analysis.cover`` over
+    the base's group ring (module docstring), without the columns of
+    the cover's BFS tree.  Rows are the cover's edges and columns its
+    faces, in the cover table's numbering.  Each cover face lifts a base
+    face f and carries f's Alexander entries (``Analysis.face_edges``),
+    base exponent and coefficient, each at the cover edge of the lifted
+    corner in the cover tetrahedron below.  The cover's tetrahedron
+    relation, with f's cocycle on the column, is asserted unless run
+    with -O."""
+    cover = analysis.cover.table
+    n = analysis.ts.table.n_tet
+    face_ends, cocycle, incidences = ([None] * len(cover.faces)
+                                      for _ in range(3))
+    for f, (t, fs) in enumerate(analysis.coor.below):
+        for lift in (t, t + n):
+            F = cover.face_index[(lift, fs)]
+            face_ends[F] = (lift, cover.gluings[lift][fs][0])
+            cocycle[F] = analysis.cocycle[f]
+            incidences[F] = [(cover.edge_index[(lift, slot)], exp, coef)
+                             for slot, _, exp, _, coef
+                             in analysis.face_edges[f]]
+    assert _tetrahedron_relations_hold(
+        face_ends, cocycle, incidences, [(1, -1)] * len(incidences)), \
+        "cover Alexander tetrahedron relation fails"
+    tree = dual_spanning_tree(2 * n, face_ends)
+    return _presentation_matrix(
+        analysis.h1.rank, len(cover.edges),
+        [col for F, col in enumerate(incidences) if F not in tree])
 
 
 def unit_pivot_reduce(mat):
@@ -327,34 +354,6 @@ def fitting_gcd(mat):
     return maximal_minor_gcd_bruteforce(LaurentMatrix(mat.nvars, residual))
 
 
-def cover_pushforward(analysis, cover_analysis):
-    """Matrix of the projection from the double cover's free first
-    homology onto the base's: project each cover generator's dual cycle
-    down to the base (face by face, signs preserved) and read off its
-    class.  The image is the kernel of omega on the free part: all of
-    it when sigma does not exist (the case ``delta_hat`` needs), and a
-    sublattice of index 2 when sigma exists."""
-    base_table = analysis.ts.table
-    cover_table = cover_analysis.ts.table
-    n = base_table.n_tet
-    cover_h1 = cover_analysis.h1
-    base_of_cover_face = [base_table.face_index[(t % n, fs)]
-                          for (t, fs), _ in cover_table.faces]
-    columns = []
-    for pos in cover_h1.quot.free_positions:
-        zhat = cover_h1.w_position_representative(pos)
-        base_z = [0] * len(base_table.faces)
-        for fc, val in enumerate(zhat):
-            base_z[base_of_cover_face[fc]] += val
-        columns.append(analysis.h1.cycle_class_free(base_z))
-    A = [[col[l] for col in columns] for l in range(analysis.h1.rank)]
-    snf = smith_normal_form(A, ncols=len(columns))
-    assert snf.rank == analysis.h1.rank and \
-        prod(snf.diag[:snf.rank]) == (2 if analysis.eo.sigma_exists else 1), \
-        "cover homology does not map onto the kernel of omega"
-    return A
-
-
 def verify_identities(analysis):
     """Check the sign-twist / cover-product identities on an analysis.
     Failures are recorded, not raised."""
@@ -368,21 +367,15 @@ def verify_identities(analysis):
         record["passed"] = theta_n == twisted and record["delta_hat_absent"]
     else:
         record["identity"] = "cover_product"
-        delta_hat = analysis.delta_hat
-        ok = delta_hat is not None and \
-            normalize_unit(delta_hat) == normalize_unit(delta * theta)
-        record["passed"] = ok
+        record["passed"] = normalize_unit(analysis.delta_hat) == \
+            normalize_unit(delta * theta)
     # parity consequence: when no plain sign change of variables turns
     # delta into theta, the torsion of H1 must have even order
     r = analysis.h1.rank
-    matched = False
     if r <= 12:
-        for mask in range(1 << r):
-            chi = tuple(-1 if (mask >> i) & 1 else 1 for i in range(r))
-            if theta_n == normalize_unit(sign_twist(delta, chi)):
-                matched = True
-                break
-        record["sign_change_match"] = matched
+        record["sign_change_match"] = matched = any(
+            theta_n == normalize_unit(sign_twist(delta, chi))
+            for chi in product((1, -1), repeat=r))
         if not matched:
             record["even_torsion"] = prod(analysis.h1.torsion) % 2 == 0
     return record

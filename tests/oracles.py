@@ -5,22 +5,26 @@ minor enumeration, rational row reduction, and a small Fox-calculus engine
 for two-generator one-relator groups.  None of it shares code paths with the
 package's production pipeline, except ``all_columns_fitting_gcd``.  The
 earlier two-pass signature decoder, gluing-table builder, corner walk,
-face walks of the two
-presentation matrices, dense face cocycle, dense chain complex and
-dense ``H1Data`` are kept here too, and so are the per-tetrahedron
-orientation templates, the edge-by-edge face comparison, the colour
-rule of the taut relation signs and the side-space route to the cusp
-links; they use the package's permutation helpers, ``AbelianQuotient``,
-``H1Data`` (the link's, and ``cycle_class_free``), the colours of
-``taut.derive_colouring`` and the corner data of ``Analysis``.  The
-dense ``H1Data`` takes the Smith form of d1, both column transforms
-included, from ``full_scan_snf`` rather than the package's.  ``variant_analysis`` builds the package's
-``Analysis`` in another presentation of the same structure.
+face walks of the two presentation matrices, dense face cocycle, dense
+chain complex and dense ``H1Data`` are kept here too, and so are the
+per-tetrahedron orientation templates, the edge-by-edge face
+comparison, the colour rule of the taut relation signs, the side-space
+route to the cusp links and the route to the double-cover polynomial
+through a second ``Analysis`` of the cover (``reference_delta_hat``);
+they use the package's permutation helpers, ``AbelianQuotient``,
+``H1Data`` (the link's, and its class of a cycle), the colours of
+``taut.derive_colouring``, the corner data of ``Analysis`` and, for the
+cover, its Alexander matrix, Smith form and Fitting gcd.  The dense
+``H1Data`` takes the Smith form of d1, both column transforms included,
+from ``full_scan_snf`` rather than the package's.  ``variant_analysis``
+builds the package's ``Analysis`` in another presentation of the same
+structure.
 """
 
 import copy
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from unittest import mock
 
 from veerpoly import taut
@@ -28,9 +32,11 @@ from veerpoly.census_io import (ALPHABET, CensusError, FACE_SLOTS,
                                 GluingTable, ISOSIG_PERMS, OPPOSITE_SLOT,
                                 SLOT_OF_PAIR, TautStructure, VERTEX_PAIRS,
                                 compose, invert, perm_sign, slot_image)
-from veerpoly.homology import AbelianQuotient, H1Data, int_matmul
-from veerpoly.invariants import Analysis, fitting_gcd
-from veerpoly.laurent import LaurentPoly, gcd, normalize_unit
+from veerpoly.homology import (AbelianQuotient, H1Data, int_matmul,
+                               smith_normal_form)
+from veerpoly.invariants import Analysis, build_alexander_matrix, fitting_gcd
+from veerpoly.laurent import (LaurentMatrix, LaurentPoly, gcd,
+                              normalize_unit, specialize)
 from veerpoly.taut import (Coorientation, derive_colouring,
                            derive_coorientation)
 
@@ -681,7 +687,7 @@ def _path_to_root(t, parent, n_faces):
 def dense_face_cocycle(h1, face_ends, tree_faces, parent):
     """The earlier face cocycle, kept as an oracle: for each non-tree
     face, the dense fundamental cycle e_f + path(a) - path(b) and its
-    class by ``h1.cycle_class_free``."""
+    class by the quotient's ``class_free`` of its kernel coordinates."""
     n_faces = len(face_ends)
     zero = (0,) * h1.rank
     c = []
@@ -695,7 +701,7 @@ def dense_face_cocycle(h1, face_ends, tree_faces, parent):
         pb = _path_to_root(b, parent, n_faces)
         for i in range(n_faces):
             z[i] += pa[i] - pb[i]
-        c.append(h1.cycle_class_free(z))
+        c.append(h1.quot.class_free(h1.cycle_kernel_coords(z)))
     return c
 
 
@@ -1018,3 +1024,49 @@ def reference_slope_face_vectors(cusp, n_faces, slope):
     v = (1 - x * u) // y if y else 0
     return (reference_face_vector(cusp, n_faces, (x, y)),
             reference_face_vector(cusp, n_faces, (-v, u)))
+
+
+def cover_pushforward(analysis, cover_analysis):
+    """The earlier route down from the double cover, kept as an oracle:
+    the matrix of the projection from the cover's free first homology
+    onto the base's.  Each cover generator's dual cycle is projected
+    down to the base (face by face, signs preserved) and its class read
+    off.  The image is the kernel of omega on the free part: all of it
+    when sigma does not exist, and a sublattice of index 2 when sigma
+    exists."""
+    base_table = analysis.ts.table
+    cover_table = cover_analysis.ts.table
+    n = base_table.n_tet
+    h1, cover_h1 = analysis.h1, cover_analysis.h1
+    base_of_cover_face = [base_table.face_index[(t % n, fs)]
+                          for (t, fs), _ in cover_table.faces]
+    columns = []
+    for pos in cover_h1.quot.free_positions:
+        zhat = cover_h1.w_position_representative(pos)
+        base_z = [0] * len(base_table.faces)
+        for fc, val in enumerate(zhat):
+            base_z[base_of_cover_face[fc]] += val
+        columns.append(h1.quot.class_free(h1.cycle_kernel_coords(base_z)))
+    A = [[col[l] for col in columns] for l in range(h1.rank)]
+    snf = smith_normal_form(A, ncols=len(columns))
+    assert snf.rank == h1.rank and \
+        prod(snf.diag[:snf.rank]) == (2 if analysis.eo.sigma_exists else 1), \
+        "cover homology does not map onto the kernel of omega"
+    return A
+
+
+def pushed_down(A, mat):
+    """mat with every entry specialised by the matrix A."""
+    return LaurentMatrix(len(A), [[specialize(p, A) for p in row]
+                                  for row in mat.entries])
+
+
+def reference_delta_hat(analysis):
+    """The earlier route to the double-cover polynomial, kept as an
+    oracle: a second ``Analysis`` of the cover, whose tree-reduced
+    Alexander matrix is pushed down by ``cover_pushforward`` entry by
+    entry; unit-normalised."""
+    cover = Analysis(analysis.cover)
+    mat = cover.tree_reduced(build_alexander_matrix(cover))
+    return normalize_unit(fitting_gcd(
+        pushed_down(cover_pushforward(analysis, cover), mat)))

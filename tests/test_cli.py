@@ -77,6 +77,23 @@ def test_compute_bad_signature_exits_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "-abc_10"],
+    ["compute", "--", "-abc_10"],
+    ["compute", "-abc_10", "--taut"],
+    ["fill", "-abc_10", "--slopes", "c0:1/0"],
+])
+def test_signature_beginning_with_a_dash_reports_its_own_error(capsys,
+                                                               argv):
+    # "-" is the isoSig digit of 63 or more tetrahedra: the word is the
+    # signature, not an unknown option, with or without "--"
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: signatures for 63 or more tetrahedra are not " \
+                  "supported\n"
+
+
 # --------------------------------------------------------------- fill
 
 def test_fill_fibre_slope(capsys):
@@ -363,7 +380,7 @@ def test_batch_missing_file_exits_one(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["compute", "-abc_10"],
+    ["compute", "--taut"],
     ["compute"],
     ["batch", "census.txt", "--jobs", "abc"],
 ])

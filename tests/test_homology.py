@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from veerpoly import filling, homology, invariants
+from veerpoly import filling, homology
 from veerpoly.cli import main
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.filling import vertex_links
@@ -280,8 +280,8 @@ def test_snf_transforms_match_full_scan_on_bundle_links(monkeypatch):
 def test_snf_transforms_match_full_scan_on_batch_traffic(monkeypatch,
                                                        tmp_path):
     # every Smith form that batch --verify takes over the sample census:
-    # one H1 quotient per entry, and the 14-tet entry's double cover with
-    # the check of its pushforward
+    # one H1 quotient per entry, the 14-tet entry's delta_hat included,
+    # which takes none
     results = []
 
     def recording_snf(A, ncols=None):
@@ -290,11 +290,10 @@ def test_snf_transforms_match_full_scan_on_batch_traffic(monkeypatch,
         return results[-1][2]
 
     monkeypatch.setattr(homology, "smith_normal_form", recording_snf)
-    monkeypatch.setattr(invariants, "smith_normal_form", recording_snf)
     assert main(["batch", DATA, "--verify", "--jobs", "1",
                  "--out", str(tmp_path / "out.jsonl")]) == 0
     monkeypatch.undo()
-    assert len(results) == 243 + 2
+    assert len(results) == 243
     for A, ncols, res in results:
         assert same_as_full_scan(res, A, ncols)
 
@@ -346,7 +345,7 @@ def test_h1_single_loop():
     # one tet, one face glued to itself front-to-back: dual circle
     h1 = H1Data(1, [(0, 0)], [])
     assert h1.rank == 1 and h1.torsion == []
-    assert h1.cycle_class_free([1]) in ((1,), (-1,))
+    assert h1.quot.class_free(h1.cycle_kernel_coords([1])) in ((1,), (-1,))
 
 
 def test_h1_two_parallel_faces_with_relation():
@@ -431,7 +430,7 @@ def test_face_cocycle_reproduces_cycle_classes():
             coeffs = [rng.randint(-3, 3) for _ in range(h1.q)]
             z = [sum(V[f][rho + i] * coeffs[i] for i in range(h1.q))
                  for f in range(n_faces)]
-            direct = h1.cycle_class_free(z)
+            direct = h1.quot.class_free(h1.cycle_kernel_coords(z))
             summed = [0] * h1.rank
             for f in range(n_faces):
                 for i in range(h1.rank):

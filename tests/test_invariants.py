@@ -1,25 +1,25 @@
 import os
 import random
 
-from veerpoly.census_io import (FACE_VERTICES, GluingTable, SLOT_OF_PAIR,
-                                TautStructure, VERTEX_PAIRS, parse_taut_sig,
-                                perm_sign)
+from veerpoly.census_io import (GluingTable, TautStructure, VERTEX_PAIRS,
+                                parse_taut_sig, perm_sign)
 from veerpoly.invariants import (Analysis, _presentation_matrix,
                                  _tetrahedron_relations_hold,
-                                 build_alexander_matrix, build_taut_matrix,
-                                 corner_exponents, cover_pushforward,
+                                 build_alexander_matrix,
+                                 build_cover_alexander_matrix,
+                                 build_taut_matrix, corner_exponents,
                                  fitting_gcd, unit_pivot_reduce,
                                  verify_identities)
-from veerpoly.laurent import (LaurentMatrix, LaurentPoly, normalize_unit,
-                              specialize)
+from veerpoly.laurent import LaurentMatrix, LaurentPoly, normalize_unit
 from veerpoly.taut import build_double_cover
 from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
 from oracles import (TwoSidedGluingTable, all_columns_fitting_gcd,
-                     dense_unit_pivot_reduce, exhaustive_fitting_gcd,
-                     fox_alexander_polynomial, reference_alexander_matrix,
-                     reference_taut_matrix, tetrahedron_relation_sums,
-                     variant_analysis)
+                     cover_pushforward, dense_unit_pivot_reduce,
+                     exhaustive_fitting_gcd, fox_alexander_polynomial,
+                     pushed_down, reference_alexander_matrix,
+                     reference_delta_hat, reference_taut_matrix,
+                     tetrahedron_relation_sums, variant_analysis)
 
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
@@ -274,9 +274,9 @@ def test_tree_reduced_gcds_equal_all_columns_route():
 
 
 def test_tree_reduced_cover_pushforward_equals_all_columns_route():
-    # delta_hat drops the cover's tree columns before pushing the cover's
-    # Alexander matrix down; on entries with sigma delta_hat is None, so
-    # the push-down is compared directly on their (connected) covers
+    # the reference route to delta_hat drops the cover's tree columns
+    # before pushing the cover's Alexander matrix down; the push-down is
+    # compared directly on the (connected) covers of entries with sigma
     bases, _ = small_analyses_and_covers()
     checked = 0
     for base in bases:
@@ -284,16 +284,59 @@ def test_tree_reduced_cover_pushforward_equals_all_columns_route():
             continue
         cover = Analysis(base.cover)
         A = cover_pushforward(base, cover)
-
-        def pushed(mat):
-            return LaurentMatrix(base.h1.rank, [
-                [specialize(p, A) for p in row] for row in mat.entries])
-
         full = build_alexander_matrix(cover)
-        assert normalize_unit(fitting_gcd(pushed(cover.tree_reduced(full)))) \
-            == all_columns_fitting_gcd(pushed(full)), base.ts.sig
+        assert normalize_unit(fitting_gcd(pushed_down(
+            A, cover.tree_reduced(full)))) == \
+            all_columns_fitting_gcd(pushed_down(A, full)), base.ts.sig
         checked += 1
     assert checked >= 20
+
+
+def non_edge_orientable_sample():
+    """Analysis of every non-edge-orientable sample entry."""
+    analyses = [Analysis(parse_taut_sig(sig)) for sig in sample_sigs()]
+    return [a for a in analyses if not a.eo.edge_orientable]
+
+
+def test_cover_alexander_matrix_gives_the_reference_delta_hat():
+    # read off the base's face table, the pushed-down presentation of the
+    # double cover has the Fitting gcd of the route through a second
+    # Analysis of the cover and its pushforward, sigma or not (delta_hat
+    # is None with sigma, so the builder is called directly); it keeps
+    # the cover's 2T rows and its 2T + 1 non-tree columns
+    analyses = non_edge_orientable_sample()
+    assert len(analyses) == 124
+    assert sum(a.eo.sigma_exists for a in analyses) > 100
+    for analysis in analyses:
+        mat = build_cover_alexander_matrix(analysis)
+        n = analysis.ts.table.n_tet
+        assert (mat.nvars, mat.rows, mat.cols) == \
+            (analysis.h1.rank, 2 * n, 2 * n + 1)
+        assert normalize_unit(fitting_gcd(mat)) == \
+            reference_delta_hat(analysis), analysis.ts.sig
+
+
+def test_cover_alexander_matrix_catches_sheet_zero_edges(monkeypatch):
+    # mutation check: with every entry at the edge of the corner's
+    # sheet-0 lift, the cover's tetrahedron relation fails or the
+    # Fitting gcd differs from the reference route on every entry
+    tripped = differs = 0
+    analyses = non_edge_orientable_sample()
+    for analysis in analyses:
+        want = reference_delta_hat(analysis)
+        table, n = analysis.cover.table, analysis.ts.table.n_tet
+        sheet_zero = {(t, s): table.edge_index[(t % n, s)]
+                      for t, s in table.edge_index}
+        monkeypatch.setitem(vars(table), "edge_index", sheet_zero)
+        try:
+            got = fitting_gcd(build_cover_alexander_matrix(analysis))
+        except AssertionError:
+            tripped += 1
+        else:
+            differs += normalize_unit(got) != want
+        monkeypatch.undo()
+    assert tripped >= 1
+    assert tripped + differs == len(analyses)
 
 
 def taut_signs_from_tracks(analysis):
@@ -492,8 +535,8 @@ def omega_twisted_incidences(analysis):
     the edge-orientation character omega: each coefficient times
     (-1)^label of its corner, where a corner's label is the XOR of
     beta over the faces its corner cycle crosses from the anchor.
-    Entry k of a face's table row sits at the slot of the k-th edge of
-    the traversal +ab, +bc, -ac of its facet [a, b, c]."""
+    Each entry of a face's table row sits at its slot of the tetrahedron
+    below the face."""
     beta = analysis.eo.beta
     label = {}
     for cyc in analysis.cycles:
@@ -503,11 +546,9 @@ def omega_twisted_incidences(analysis):
             w ^= beta[f]
         assert w == 0, "omega does not close around an edge"
     incidences = []
-    for (t, fs), face in zip(analysis.coor.below, analysis.face_edges):
-        a, b, c = FACE_VERTICES[fs]
-        slots = [SLOT_OF_PAIR[pair] for pair in ((a, b), (b, c), (a, c))]
+    for (t, _), face in zip(analysis.coor.below, analysis.face_edges):
         incidences.append([(e, exp, -coef if label[(t, slot)] else coef)
-                           for slot, (e, exp, _, coef) in zip(slots, face)])
+                           for slot, e, exp, _, coef in face])
     return incidences
 
 
@@ -524,12 +565,14 @@ def test_theta_is_the_omega_twisted_alexander_polynomial():
     for analysis in analyses:
         twisted = omega_twisted_incidences(analysis)
         signs = [(1, 1 if b else -1) for b in analysis.eo.beta]
-        assert _tetrahedron_relations_hold(analysis, twisted, signs), \
+        ends, cocycle = analysis.h1.face_ends, analysis.cocycle
+        assert _tetrahedron_relations_hold(ends, cocycle, twisted, signs), \
             analysis.ts.sig
-        if not _tetrahedron_relations_hold(analysis, twisted,
+        if not _tetrahedron_relations_hold(ends, cocycle, twisted,
                                            [(1, -1)] * len(signs)):
             untwisted_fails.append(analysis.ts.sig)
-        mat = analysis.tree_reduced(_presentation_matrix(analysis, twisted))
+        mat = analysis.tree_reduced(_presentation_matrix(
+            analysis.h1.rank, len(analysis.ts.table.edges), twisted))
         assert normalize_unit(fitting_gcd(mat)) == analysis.theta, \
             analysis.ts.sig
         delta_differs += normalize_unit(analysis.delta) != analysis.theta

@@ -115,17 +115,19 @@ def compute_outcome(line):
     return [code, err.getvalue()]
 
 
-# Prints the records of the census_scan, census_verify and fill_bundles
-# references, as batch, batch --verify and fill write them, and then the
-# outcome of compute on each rejected line, from an interpreter whose
-# __debug__ is off.
+# Prints the records of the census_scan and census_verify references and
+# of the 14-tet entry's --verify reference, the one with delta_hat, as
+# batch and batch --verify write them, then those of the fill_bundles
+# reference, as fill writes them, and then the outcome of compute on
+# each rejected line, from an interpreter whose __debug__ is off.
 OPTIMIZED_REPLAY = """
 import contextlib, io, json, sys
 from veerpoly.cli import entry_record, main
 if __debug__:
     sys.exit("expected python -O")
-scan, verify, fill, rejected = sys.argv[1:]
-for path, with_polynomials in ((scan, False), (verify, True)):
+scan, verify, fourteen, fill, rejected = sys.argv[1:]
+for path, with_polynomials in ((scan, False), (verify, True),
+                               (fourteen, True)):
     with open(path) as fh:
         for line in fh:
             rec = entry_record(json.loads(line)["sig"],
@@ -146,9 +148,9 @@ for line in json.loads(rejected):
 
 def test_records_are_the_same_under_python_O():
     # the __debug__ checks (SNF transforms, boundaries inside the kernel
-    # of d1, checked edge by edge, tetrahedron relations, the
-    # edge-orientation cocycle) must not change any output they guard,
-    # nor how compute rejects bad input
+    # of d1, checked edge by edge, tetrahedron relations, the cover's
+    # included, the edge-orientation cocycle) must not change any output
+    # they guard, nor how compute rejects bad input
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -156,12 +158,15 @@ def test_records_are_the_same_under_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_REPLAY,
          os.path.join(REFERENCE, "census_scan.jsonl"),
-         os.path.join(REFERENCE, "census_verify.jsonl"),
+         os.path.join(REFERENCE, "census_verify.jsonl"), FOURTEEN_RECORD,
          os.path.join(REFERENCE, "fill_bundles.jsonl"),
          json.dumps(REJECTED)],
         env=env, capture_output=True, text=True, timeout=120, check=True)
+    with open(FOURTEEN_RECORD) as fh:
+        fourteen = fh.read().splitlines()
     want = reference_lines("census_scan") + \
-        reference_lines("census_verify") + reference_lines("fill_bundles") + \
+        reference_lines("census_verify") + fourteen + \
+        reference_lines("fill_bundles") + \
         [json.dumps(compute_outcome(line)) for line in REJECTED]
     assert out.stdout.splitlines() == want
 
@@ -183,12 +188,14 @@ def count_calls(monkeypatch, target):
     return seen
 
 
-@pytest.mark.parametrize("sig, covers", [(TWO_TET_EO, 0), (M003, 1)])
+@pytest.mark.parametrize("sig, covers", [(TWO_TET_EO, 0), (M003, 1),
+                                         (FOURTEEN, 1)])
 def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
     # the vertex orders, and the tree and the cocycle, which the
-    # benchmark traces, are built once with every Analysis; the corner
-    # exponents only for the polynomials, and a record without them
-    # never unions the edge slots of the double cover it counts the
+    # benchmark traces, are built once with the one Analysis, delta_hat
+    # (the 14-tet entry's) adding only the tree of the double cover; the
+    # corner exponents only for the polynomials, and a record without
+    # them never unions the edge slots of the double cover it counts the
     # cusps of
     n = parse_taut_sig(sig).table.n_tet
     for with_polynomials in (False, True):
@@ -208,12 +215,14 @@ def test_entry_record_builds_each_stage_once(monkeypatch, sig, covers):
         monkeypatch.setattr(census_io, "_classes", counting_classes)
         rec = entry_record(sig, with_polynomials=with_polynomials)
         monkeypatch.undo()
-        assert built.count(sig) == 1
+        assert built == [sig]
         assert len(cover_calls) == covers
-        assert len(orders) == len(trees) == len(cocycles) == len(built)
+        assert len(orders) == len(cocycles) == 1
+        cover_tree = with_polynomials and rec["delta_hat"] is not None
+        assert trees == [n] + [2 * n] * cover_tree
         if with_polynomials:
             assert rec["verify"]["passed"]
-            assert len(exponents) == len(built)
+            assert len(exponents) == 1
         else:
             assert exponents == []
             assert [size for size, width in unions if width == 6] == [6 * n]
@@ -271,7 +280,8 @@ def test_fill_takes_one_smith_form_per_quotient(monkeypatch, capsys):
 def test_fitting_gcd_runs_on_tree_reduced_matrices(monkeypatch, sig):
     # theta, delta and, for the entry without sigma, delta_hat each take
     # one Fitting gcd, on T x (T + 1) matrices: the T - 1 tree columns
-    # of the base (or, for delta_hat, of the double cover) are dropped
+    # of the base (or, for delta_hat, the 2T - 1 of the double cover's
+    # tree from its 4T faces) are dropped
     taken = count_calls(monkeypatch, invariants.fitting_gcd)
     analysis = Analysis(parse_taut_sig(sig))
     verify_identities(analysis)
