@@ -93,6 +93,7 @@ def cmd_fill(args):
     fh = filled_homology(analysis.h1, cusps, spec, eo=analysis.eo)
     if fh.s == 0:
         raise CensusError("filling kills all free homology (b_1(N) = 0)")
+    i_theta = specialize(analysis.theta, fh.i_star)
     record = {
         "sig": ts.sig,
         "slopes": {("c%d" % j): "%d/%d" % xy
@@ -103,7 +104,7 @@ def cmd_fill(args):
         "boundary_empty": fh.boundary_empty,
         "i_star": fh.i_star,
         "sigma_N": list(fh.sigma_N) if fh.sigma_N is not None else None,
-        "i_theta": poly_to_json(specialize(analysis.theta, fh.i_star)),
+        "i_theta": poly_to_json(i_theta),
         "i_delta": poly_to_json(specialize(analysis.delta, fh.i_star)),
         "cores": {("c%d" % j): {"ell_free": list(c["ell_free"]),
                                 "nontrivial": c["nontrivial"]}
@@ -119,7 +120,7 @@ def cmd_fill(args):
         "trivial_cores": [("c%d" % j) for j in trivial],
     }
     if fh.sigma_N is not None and not trivial:
-        pred = predict_filled_alexander(analysis.theta, fh)
+        pred = predict_filled_alexander(i_theta, fh)
         record["case"] = pred.case
         record["division_ok"] = pred.division_ok
         record["equality_expected"] = pred.equality_expected

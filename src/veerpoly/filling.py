@@ -16,7 +16,7 @@ import numbers
 
 from .census_io import FACE_VERTICES, CensusError
 from .homology import AbelianQuotient, H1Data, smith_normal_form
-from .laurent import LaurentPoly, exact_div, sign_twist, specialize
+from .laurent import LaurentPoly, exact_div, sign_twist
 
 
 class CuspData:
@@ -267,9 +267,10 @@ class PredictedAlexander:
         self.equality_expected = equality_expected
 
 
-def predict_filled_alexander(theta, fh):
+def predict_filled_alexander(i_theta, fh):
     """Solve the filling identity for the filled manifold's Alexander
-    polynomial (up to a unit).
+    polynomial (up to a unit), given the taut polynomial specialised by
+    ``fh.i_star`` (in ``fh.s`` variables).
 
     The specialised taut polynomial equals the sign-twisted Delta_N
     times a product of core-class factors, divided by one or two
@@ -288,6 +289,9 @@ def predict_filled_alexander(theta, fh):
                 "core curve of cusp %d is trivial in free homology; "
                 "the filling identity does not apply" % j)
     s = fh.s
+    if i_theta.nvars != s:
+        raise ValueError("i_theta has %d variables, expected s = %d"
+                         % (i_theta.nvars, s))
     if fh.h1.rank >= 2:
         if s >= 2:
             case, e = "I(a)", 0
@@ -300,13 +304,10 @@ def predict_filled_alexander(theta, fh):
             case, e = "II(a)", 0
         else:
             case, e = "II(b)", 1
-    numer = specialize(theta, fh.i_star)
-    if e:
-        h_factor = LaurentPoly(s, {
-            tuple(1 if i == 0 else 0 for i in range(s)): 1,
-            (0,) * s: -fh.sigma_N[0]})
-        for _ in range(e):
-            numer = numer * h_factor
+    h_factor = LaurentPoly(s, {
+        tuple(1 if i == 0 else 0 for i in range(s)): 1,
+        (0,) * s: -fh.sigma_N[0]})
+    numer = i_theta * h_factor ** e
     denom = LaurentPoly.one(s)
     for j in fh.filled:
         ell = fh.cores[j]["ell_free"]

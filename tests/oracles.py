@@ -4,6 +4,10 @@ Everything here is deliberately naive: cofactor determinants, exhaustive
 minor enumeration, rational row reduction, and a small Fox-calculus engine
 for two-generator one-relator groups.  None of it shares code paths with the
 package's production pipeline, except ``all_columns_fitting_gcd``.  The
+fraction-free Bareiss determinant (``bareiss_determinant``) that the
+package used before its division-free Laplace sweep is kept as the
+determinant reference at sizes that cofactor expansion cannot reach; it
+divides with the package's ``exact_div``.  The
 earlier two-pass signature decoder, gluing-table builder, corner walk,
 face walks of the two presentation matrices, dense face cocycle, dense
 chain complex and dense ``H1Data`` are kept here too, and so are the
@@ -35,8 +39,8 @@ from veerpoly.census_io import (ALPHABET, CensusError, FACE_SLOTS,
 from veerpoly.homology import (AbelianQuotient, H1Data, int_matmul,
                                smith_normal_form)
 from veerpoly.invariants import Analysis, build_alexander_matrix, fitting_gcd
-from veerpoly.laurent import (LaurentMatrix, LaurentPoly, gcd,
-                              normalize_unit, specialize)
+from veerpoly.laurent import (LaurentMatrix, LaurentPoly, _require,
+                              exact_div, gcd, normalize_unit, specialize)
 from veerpoly.taut import (Coorientation, derive_colouring,
                            derive_coorientation)
 
@@ -57,6 +61,40 @@ def cofactor_determinant(entries):
         term = top * cofactor_determinant(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def bareiss_determinant(mat):
+    """Exact determinant of a square LaurentMatrix by fraction-free
+    (Bareiss) elimination.  The empty (0 x 0) matrix has determinant 1.
+
+    Step k divides by the previous pivot, which at step 0 is 1, so that
+    step divides nothing.  The package's determinant until it became a
+    division-free Laplace sweep; the reference at sizes that cofactor
+    expansion cannot reach.
+    """
+    if mat.rows != mat.cols:
+        raise ValueError("determinant of a non-square matrix")
+    a = [row[:] for row in mat.entries]
+    nvars = mat.nvars
+    n = len(a)
+    if n == 0:
+        return LaurentPoly.one(nvars)
+    sign = 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
+        if pivot is None:
+            return LaurentPoly.zero(nvars)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = (a[k][k] * a[i][j]).sub_mul(a[i][k], a[k][j])
+                a[i][j] = num if k == 0 else _require(exact_div(num, prev))
+            a[i][k] = LaurentPoly.zero(nvars)
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 def exhaustive_fitting_gcd(mat):

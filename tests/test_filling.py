@@ -314,7 +314,8 @@ def test_fibre_filling_prediction_matches_characteristic_polynomial():
                              FillingSpec({0: fibre_slope(cusps[0])}), eo=a.eo)
         assert fh.sigma_N is not None, (word, eps)
         theta = fitting_gcd(build_taut_matrix(a))
-        pred = predict_filled_alexander(theta, fh)
+        i_theta = specialize(theta, fh.i_star)
+        pred = predict_filled_alexander(i_theta, fh)
         assert pred.case == "II(b)"
         assert pred.division_ok
         # the filled manifold fibres over the circle with torus fibre;
@@ -326,7 +327,6 @@ def test_fibre_filling_prediction_matches_characteristic_polynomial():
         # core generates H1(N)/torsion here, so exact equality holds
         assert fh.cores[0]["ell_free"] in ((1,), (-1,))
         assert pred.equality_expected
-        i_theta = specialize(theta, fh.i_star)
         assert normalize_unit(sign_twist(pred.candidate, fh.sigma_N)) == \
             normalize_unit(i_theta), (word, eps)
 
@@ -375,7 +375,8 @@ def test_slope_sign_robustness():
     preds = []
     for sl in [(1, 2), (-1, -2)]:
         fh = filled_homology(a.h1, cusps, FillingSpec({0: sl}), eo=a.eo)
-        preds.append(predict_filled_alexander(theta, fh))
+        preds.append(predict_filled_alexander(specialize(theta, fh.i_star),
+                                              fh))
     p, q = preds
     assert p.case == q.case == "II(b)"
     assert p.division_ok and q.division_ok
@@ -394,7 +395,7 @@ def test_empty_filling_recovers_sign_twist_identity():
         fh = filled_homology(a.h1, cusps, FillingSpec({}), eo=a.eo)
         assert fh.filled == [] and fh.s == a.h1.rank
         assert not fh.boundary_empty
-        pred = predict_filled_alexander(theta, fh)
+        pred = predict_filled_alexander(specialize(theta, fh.i_star), fh)
         assert pred.case == "II(a)"
         assert pred.division_ok and pred.equality_expected
         assert normalize_unit(pred.candidate) == normalize_unit(delta)
@@ -408,7 +409,7 @@ def test_empty_filling_without_sign_vector_is_rejected():
     fh = filled_homology(a.h1, cusps, FillingSpec({}), eo=a.eo)
     assert fh.sigma_N is None
     with pytest.raises(CensusError, match="sigma_N does not exist"):
-        predict_filled_alexander(theta, fh)
+        predict_filled_alexander(specialize(theta, fh.i_star), fh)
 
 
 # --------------------------------------------- rank >= 2 target
@@ -473,13 +474,6 @@ def synthetic_filling(r, s, filled, boundary_empty, sigma_n, ell_frees):
                           _StubQuot(s), i_star, cores, sigma_n)
 
 
-def embed(poly, r):
-    """View an s-variable polynomial in the first s of r variables, so
-    that the coordinate-projection i_star maps it back unchanged."""
-    return LaurentPoly(r, {exp + (0,) * (r - poly.nvars): c
-                           for exp, c in poly.terms.items()})
-
-
 def test_solver_case_one_a_recovers_planted_polynomial():
     # r = 3 -> s = 2, one filled cusp, sigma_N = (1, -1): no h-factor,
     # one core factor.  theta := sign_twist(target) * ([l] - sigma([l]))
@@ -492,8 +486,8 @@ def test_solver_case_one_a_recovers_planted_polynomial():
     ell = (1, 1)       # sigma_N([l]) = -1, so the factor is u0*u1 + 1
     denom = u0 * u1 + one
     fh = synthetic_filling(3, 2, [0], False, sigma_n, [ell])
-    theta = embed(sign_twist(target, sigma_n) * denom, 3)
-    pred = predict_filled_alexander(theta, fh)
+    i_theta = sign_twist(target, sigma_n) * denom
+    pred = predict_filled_alexander(i_theta, fh)
     assert pred.case == "I(a)"
     assert pred.division_ok
     assert not pred.equality_expected
@@ -507,7 +501,7 @@ def test_solver_case_one_b_boundary():
     one = LaurentPoly.one(1)
     i_theta = t * t + 3 * t + one
     fh = synthetic_filling(2, 1, [0], False, (-1,), [(1,)])
-    pred = predict_filled_alexander(embed(i_theta, 2), fh)
+    pred = predict_filled_alexander(i_theta, fh)
     assert pred.case == "I(b)-boundary"
     assert pred.division_ok
     # (h + 1) appears in both numerator and denominator, so the result
@@ -522,7 +516,7 @@ def test_solver_case_one_b_closed():
     one = LaurentPoly.one(1)
     i_theta = t * t + 3 * t + one
     fh = synthetic_filling(2, 1, [0, 1], True, (-1,), [(1,), (-1,)])
-    pred = predict_filled_alexander(embed(i_theta, 2), fh)
+    pred = predict_filled_alexander(i_theta, fh)
     assert pred.case == "I(b)-closed"
     assert pred.division_ok
     # denominator (t+1)(t^-1+1) = t^-1 (t+1)^2, numerator gains (t+1)^2
@@ -537,11 +531,25 @@ def test_solver_reports_failed_division():
     one = LaurentPoly.one(1)
     fh = synthetic_filling(2, 1, [0], False, (1,), [(2,)])
     # denominator t^2 - 1; numerator (t^3 + 7)(t - 1) is not divisible
-    theta = embed((t * t * t + 7 * one) * (t - one), 2)
-    pred = predict_filled_alexander(theta, fh)
+    i_theta = (t * t * t + 7 * one) * (t - one)
+    pred = predict_filled_alexander(i_theta, fh)
     assert pred.case == "I(b)-boundary"
     assert not pred.division_ok
     assert pred.candidate is None
+
+
+def test_solver_takes_the_polynomial_in_the_filled_ring():
+    # the solver reads i_star(theta), in s variables; theta itself, in
+    # r variables, is refused rather than read in the wrong ring
+    a, cusps = analyse(M003)
+    theta = fitting_gcd(build_taut_matrix(a))
+    fh = filled_homology(a.h1, cusps, FillingSpec({}), eo=a.eo)
+    assert fh.s == 1
+    assert predict_filled_alexander(specialize(theta, fh.i_star),
+                                    fh).division_ok
+    fh = synthetic_filling(3, 2, [0], False, (1, -1), [(1, 1)])
+    with pytest.raises(ValueError, match="3 variables, expected s = 2"):
+        predict_filled_alexander(LaurentPoly.one(3), fh)
 
 
 # --------------------------------------------- rejection behaviour
@@ -584,6 +592,7 @@ def test_rank_zero_filling_rejected():
     theta = fitting_gcd(build_taut_matrix(a))
     fh = filled_homology(a.h1, cusps, FillingSpec({0: (1, 0)}), eo=a.eo)
     assert fh.s == 0
+    # no i_star when s = 0: the solver refuses before reading theta
     with pytest.raises(CensusError, match="positive rank"):
         predict_filled_alexander(theta, fh)
 

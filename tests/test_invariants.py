@@ -23,12 +23,21 @@ from oracles import (TwoSidedGluingTable, all_columns_fitting_gcd,
 
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
+EXTRA = os.path.join(os.path.dirname(__file__), "data", "extra_census.txt")
 
 
 def sample_sigs():
     with open(DATA) as fh:
         return [ln.strip() for ln in fh
                 if ln.strip() and not ln.startswith("#")]
+
+
+def extra_analyses():
+    """Analysis of each entry of the extra census, which lies outside
+    the sample's layered bundle family."""
+    with open(EXTRA) as fh:
+        return [Analysis(parse_taut_sig(ln.strip())) for ln in fh
+                if ln.strip()]
 
 
 def random_laurent_matrix(rng, rows, cols, nvars, density=0.7):
@@ -266,7 +275,8 @@ def z2_covers(analysis):
 def test_tree_reduced_gcds_equal_all_columns_route():
     bases, covers = small_analyses_and_covers()
     assert len(covers) > 100
-    for analysis in bases + covers + [Analysis(parse_taut_sig(FOURTEEN))]:
+    for analysis in bases + covers + [Analysis(parse_taut_sig(FOURTEEN))] \
+            + extra_analyses():
         assert normalize_unit(analysis.theta) == all_columns_fitting_gcd(
             build_taut_matrix(analysis)), analysis.ts.sig
         assert normalize_unit(analysis.delta) == all_columns_fitting_gcd(
@@ -307,6 +317,7 @@ def test_cover_alexander_matrix_gives_the_reference_delta_hat():
     analyses = non_edge_orientable_sample()
     assert len(analyses) == 124
     assert sum(a.eo.sigma_exists for a in analyses) > 100
+    analyses += [a for a in extra_analyses() if not a.eo.edge_orientable]
     for analysis in analyses:
         mat = build_cover_alexander_matrix(analysis)
         n = analysis.ts.table.n_tet
@@ -556,11 +567,13 @@ def test_theta_is_the_omega_twisted_alexander_polynomial():
     # the paper's main theorem: theta is the Alexander polynomial
     # twisted by omega.  The twisted matrix satisfies the tetrahedron
     # relations with the bottom faces also carrying (-1)^beta[f]; with
-    # the untwisted signs the relation fails on the 14-tet entry, and
-    # without the twist the gcd is delta, which differs from theta
+    # the untwisted signs the relation fails on the 14-tet entry and on
+    # two of the extra census's three, and without the twist the gcd is
+    # delta, which differs from theta
     bases, covers = small_analyses_and_covers()
     analyses = bases + covers + [Analysis(parse_taut_sig(FOURTEEN))]
     assert len(analyses) == len(sample_sigs()) + len(covers)
+    analyses += extra_analyses()
     untwisted_fails, delta_differs = [], 0
     for analysis in analyses:
         twisted = omega_twisted_incidences(analysis)
@@ -576,7 +589,8 @@ def test_theta_is_the_omega_twisted_alexander_polynomial():
         assert normalize_unit(fitting_gcd(mat)) == analysis.theta, \
             analysis.ts.sig
         delta_differs += normalize_unit(analysis.delta) != analysis.theta
-    assert untwisted_fails == [FOURTEEN]
+    assert untwisted_fails == [FOURTEEN, "gLLAQbecdfffhhnkqnc_120012",
+                               "fLLQcbecdeepuwsua_20102"]
     assert delta_differs > 100
 
 

@@ -1,20 +1,26 @@
 import os
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from veerpoly import laurent
 from veerpoly.census_io import parse_taut_sig
 from veerpoly.invariants import (Analysis, build_alexander_matrix,
+                                 build_cover_alexander_matrix,
                                  build_taut_matrix, unit_pivot_reduce)
 from veerpoly.laurent import (LaurentMatrix, LaurentPoly, determinant,
                               exact_div, gcd,
                               maximal_minor_gcd_bruteforce, normalize_unit,
                               poly_from_json, poly_to_json, sign_twist,
                               specialize)
-from oracles import cofactor_determinant, exhaustive_fitting_gcd
+from oracles import (bareiss_determinant, cofactor_determinant,
+                     exhaustive_fitting_gcd)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
+EXTRA = os.path.join(os.path.dirname(__file__), "data", "extra_census.txt")
+FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 
 sympy = pytest.importorskip("sympy")
 
@@ -274,6 +280,75 @@ def test_determinant_alternating():
         # repeated row kills the determinant
         repeated = [entries[0], entries[0]] + entries[2:]
         assert determinant(LaurentMatrix(1, repeated)).is_zero()
+
+
+def random_square(rng, n, nvars, density):
+    return [[random_poly(rng, nvars, max_terms=2, exp_range=2)
+             if rng.random() < density else LaurentPoly.zero(nvars)
+             for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("nvars, largest", [(1, 8), (2, 5)])
+def test_determinant_matches_bareiss_on_random_matrices(nvars, largest):
+    # sizes beyond the cofactor oracle's reach, sparse to dense
+    rng = random.Random(31 + nvars)
+    for n in range(1, largest + 1):
+        for density in (0.3, 0.6, 1.0) * 3:
+            mat = LaurentMatrix(nvars, random_square(rng, n, nvars, density))
+            assert determinant(mat) == bareiss_determinant(mat), (n, density)
+
+
+def census_sigs(path):
+    with open(path) as fh:
+        return [ln.strip() for ln in fh
+                if ln.strip() and not ln.startswith("#")]
+
+
+def residual_minors(analysis):
+    """Every maximal minor of the unit-pivot residual of each
+    presentation whose Fitting gcd the analysis takes, the double
+    cover's included when there is no sigma."""
+    mats = [analysis.tree_reduced(build(analysis))
+            for build in (build_taut_matrix, build_alexander_matrix)]
+    if not analysis.eo.sigma_exists:
+        mats.append(build_cover_alexander_matrix(analysis))
+    for mat in mats:
+        residual, saw_zero_row = unit_pivot_reduce(mat)
+        assert not saw_zero_row
+        for cols in combinations(range(len(residual[0]) if residual else 0),
+                                 len(residual)):
+            yield LaurentMatrix(mat.nvars,
+                                [[row[j] for j in cols] for row in residual])
+
+
+def test_determinant_matches_bareiss_on_residual_minors():
+    # every minor the Fitting gcds of the sample, the extra census and
+    # the 14-tet entry's edge-orientation double cover (b1 = 4) take
+    analyses = [Analysis(parse_taut_sig(sig))
+                for sig in census_sigs(DATA) + census_sigs(EXTRA)]
+    fourteen, = [a for a in analyses if a.ts.sig == FOURTEEN]
+    analyses.append(Analysis(fourteen.cover))
+    shapes = set()
+    for analysis in analyses:
+        for minor in residual_minors(analysis):
+            shapes.add((minor.rows, analysis.h1.rank))
+            assert determinant(minor) == bareiss_determinant(minor), \
+                analysis.ts.sig
+    assert {(1, 1), (2, 1), (1, 2), (4, 2), (4, 4)} <= shapes
+
+
+def test_determinant_never_divides(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the determinant divided")
+
+    monkeypatch.setattr(laurent, "exact_div", refuse)
+    monkeypatch.setattr(laurent, "_poly_exact_div", refuse)
+    rng = random.Random(37)
+    for _ in range(40):
+        nvars = rng.randint(1, 2)
+        entries = random_square(rng, rng.randint(1, 5), nvars, 0.8)
+        assert determinant(LaurentMatrix(nvars, entries)) == \
+            cofactor_determinant(entries)
 
 
 def test_bruteforce_minor_gcd_matches_oracle():

@@ -1,6 +1,6 @@
 """One Analysis per entry: records replayed against the benchmark's
 reference outputs, with and without the __debug__ checks, and against
-the 14-tet entry's fill reference, counts of the
+the 14-tet entry's and the extra census's references, counts of the
 expensive stages an entry runs, the shape of every matrix the Fitting
 gcd sees, and a check that every function the benchmark traces is still
 called."""
@@ -27,6 +27,12 @@ FOURTEEN_RECORD = os.path.join(os.path.dirname(__file__), "data",
                                "fourteen_tet_verify.jsonl")
 FOURTEEN_FILLS = os.path.join(os.path.dirname(__file__), "data",
                               "fourteen_tet_fill.jsonl")
+EXTRA_CENSUS = os.path.join(os.path.dirname(__file__), "data",
+                            "extra_census.txt")
+EXTRA_RECORDS = os.path.join(os.path.dirname(__file__), "data",
+                             "extra_census_verify.jsonl")
+EXTRA_FILLS = os.path.join(os.path.dirname(__file__), "data",
+                           "extra_census_fill.jsonl")
 M003 = "cPcbbbdxm_10"
 TWO_TET_EO = "cPcbbbiht_12"
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
@@ -86,20 +92,45 @@ def test_fill_records_match_reference(capsys):
         assert capsys.readouterr().out == line + "\n", rec["sig"]
 
 
-def test_fourteen_tet_fills_replay_byte_for_byte(capsys):
-    # the sample's only entry with two cusps: each cusp alone at every
-    # primitive slope with |x|, |y| <= 2, and both cusps on a grid of
-    # slope pairs; each line holds the exit code, stdout and stderr of
-    # ``veerpoly fill`` on its slopes
-    with open(FOURTEEN_FILLS) as fh:
+def replay_fills(path, capsys):
+    """Replay a fill reference whose lines each hold the exit code,
+    stdout and stderr of ``veerpoly fill`` on their slopes; returns the
+    number of lines."""
+    with open(path) as fh:
         lines = fh.read().splitlines()
-    assert len(lines) == 96
     for line in lines:
         rec = json.loads(line)
         code = main(["fill", rec["sig"], "--slopes", rec["slopes"]])
         out, err = capsys.readouterr()
         assert [code, out, err] == \
             [rec["code"], rec["stdout"], rec["stderr"]], rec["slopes"]
+    return len(lines)
+
+
+def test_fourteen_tet_fills_replay_byte_for_byte(capsys):
+    # the sample's only entry with two cusps: each cusp alone at every
+    # primitive slope with |x|, |y| <= 2, and both cusps on a grid of
+    # slope pairs
+    assert replay_fills(FOURTEEN_FILLS, capsys) == 96
+
+
+def test_extra_census_records_replay_byte_for_byte(tmp_path):
+    # inputs outside the sample's layered bundle family: a non-layered
+    # entry without sigma (a second delta_hat record), a two-cusp b1 = 2
+    # entry with sigma and a b1 = 1 entry with torsion [2]; written by
+    # the code of their time, so they guard against change, they are
+    # not an oracle
+    out = tmp_path / "out.jsonl"
+    assert main(["batch", EXTRA_CENSUS, "--verify", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    with open(EXTRA_RECORDS, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_extra_census_fills_replay_byte_for_byte(capsys):
+    # one slope set per extra entry: case I(b)-closed, no sigma_N (the
+    # non-layered entry at its homological longitude) and II(b)
+    assert replay_fills(EXTRA_FILLS, capsys) == 3
 
 
 # Rejected lines, run through compute: each gives one JSON line of its
@@ -116,18 +147,19 @@ def compute_outcome(line):
 
 
 # Prints the records of the census_scan and census_verify references and
-# of the 14-tet entry's --verify reference, the one with delta_hat, as
-# batch and batch --verify write them, then those of the fill_bundles
-# reference, as fill writes them, and then the outcome of compute on
-# each rejected line, from an interpreter whose __debug__ is off.
+# of the 14-tet entry's and the extra census's --verify references, the
+# ones with delta_hat, as batch and batch --verify write them, then those
+# of the fill_bundles and extra census fill references, as fill writes
+# them, and then the outcome of compute on each rejected line, from an
+# interpreter whose __debug__ is off.
 OPTIMIZED_REPLAY = """
 import contextlib, io, json, sys
 from veerpoly.cli import entry_record, main
 if __debug__:
     sys.exit("expected python -O")
-scan, verify, fourteen, fill, rejected = sys.argv[1:]
+scan, verify, fourteen, extra, fill, extra_fill, rejected = sys.argv[1:]
 for path, with_polynomials in ((scan, False), (verify, True),
-                               (fourteen, True)):
+                               (fourteen, True), (extra, True)):
     with open(path) as fh:
         for line in fh:
             rec = entry_record(json.loads(line)["sig"],
@@ -138,6 +170,10 @@ with open(fill) as fh:
         rec = json.loads(line)
         slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
         main(["fill", rec["sig"], "--slopes", slopes])
+with open(extra_fill) as fh:
+    for line in fh:
+        rec = json.loads(line)
+        main(["fill", rec["sig"], "--slopes", rec["slopes"]])
 for line in json.loads(rejected):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -159,14 +195,18 @@ def test_records_are_the_same_under_python_O():
         [sys.executable, "-O", "-c", OPTIMIZED_REPLAY,
          os.path.join(REFERENCE, "census_scan.jsonl"),
          os.path.join(REFERENCE, "census_verify.jsonl"), FOURTEEN_RECORD,
-         os.path.join(REFERENCE, "fill_bundles.jsonl"),
-         json.dumps(REJECTED)],
+         EXTRA_RECORDS, os.path.join(REFERENCE, "fill_bundles.jsonl"),
+         EXTRA_FILLS, json.dumps(REJECTED)],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     with open(FOURTEEN_RECORD) as fh:
         fourteen = fh.read().splitlines()
+    with open(EXTRA_RECORDS) as fh:
+        extra = fh.read().splitlines()
+    with open(EXTRA_FILLS) as fh:
+        extra_fills = [json.loads(line)["stdout"].rstrip("\n") for line in fh]
     want = reference_lines("census_scan") + \
-        reference_lines("census_verify") + fourteen + \
-        reference_lines("fill_bundles") + \
+        reference_lines("census_verify") + fourteen + extra + \
+        reference_lines("fill_bundles") + extra_fills + \
         [json.dumps(compute_outcome(line)) for line in REJECTED]
     assert out.stdout.splitlines() == want
 
