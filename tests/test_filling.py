@@ -476,7 +476,7 @@ def synthetic_filling(r, s, filled, boundary_empty, sigma_n, ell_frees):
 
 def test_solver_case_one_a_recovers_planted_polynomial():
     # r = 3 -> s = 2, one filled cusp, sigma_N = (1, -1): no h-factor,
-    # one core factor.  theta := sign_twist(target) * ([l] - sigma([l]))
+    # one core factor.  i_theta := sign_twist(target) * ([l] - sigma([l]))
     # must come back as exactly the planted target.
     u0 = LaurentPoly.variable(2, 0)
     u1 = LaurentPoly.variable(2, 1)
