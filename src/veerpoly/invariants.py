@@ -66,10 +66,10 @@ class Analysis:
     and Alexander polynomials), ``cover`` (the edge-orientation double
     cover) and ``delta_hat`` (the double-cover polynomial, None when
     sigma exists).  Each polynomial is the Fitting gcd of an edges x
-    faces presentation with the columns of the dual spanning tree
-    ``tree`` dropped (``tree_reduced``), so the gcd runs on T x (T + 1)
-    matrices; ``delta_hat`` reads the cover's presentation off the face
-    table and drops the cover's own tree (2T x (2T + 1))."""
+    faces presentation built without the columns of a dual spanning
+    tree: ``tree`` for theta and delta (T x (T + 1)), the cover's own
+    tree for ``delta_hat``, whose presentation is read off the face
+    table (2T x (2T + 1))."""
 
     def __init__(self, ts):
         self.ts = ts
@@ -122,20 +122,13 @@ class Analysis:
             table.append(entries)
         return table
 
-    def tree_reduced(self, mat):
-        """mat without the columns of the tree faces: the same Fitting
-        gcd, by the tetrahedron relations (module docstring)."""
-        keep = [f for f in range(mat.cols) if f not in self.tree]
-        return LaurentMatrix(mat.nvars, [[row[f] for f in keep]
-                                         for row in mat.entries])
-
     @cached_property
     def theta(self):
-        return fitting_gcd(self.tree_reduced(build_taut_matrix(self)))
+        return fitting_gcd(build_taut_matrix(self))
 
     @cached_property
     def delta(self):
-        return fitting_gcd(self.tree_reduced(build_alexander_matrix(self)))
+        return fitting_gcd(build_alexander_matrix(self))
 
     @cached_property
     def cover(self):
@@ -173,14 +166,17 @@ def corner_exponents(cycles, cocycle, rank):
     return exponents
 
 
-def _presentation_matrix(rank, n_rows, incidences):
-    """n_rows x faces matrix from per-face (edge, corner exponent,
-    coefficient) incidences: each adds the coefficient times the
-    monomial, coincident rows summed.  The summed cells drop their
-    zeros as they go, so they are wrapped as they are."""
+def _presentation_matrix(rank, n_rows, incidences, tree):
+    """n_rows x (faces outside tree) matrix from per-face (edge, corner
+    exponent, coefficient) incidences, in face order: each adds the
+    coefficient times the monomial, coincident rows summed.  The only
+    code that leaves out columns; the tree's are combinations of the
+    others by the tetrahedron relations (module docstring).  The summed
+    cells drop their zeros as they go, so they are wrapped as they are."""
     zero = LaurentPoly.zero(rank)
-    rows = [[zero] * len(incidences) for _ in range(n_rows)]
-    for idx, entries in enumerate(incidences):
+    columns = [col for f, col in enumerate(incidences) if f not in tree]
+    rows = [[zero] * len(columns) for _ in range(n_rows)]
+    for idx, entries in enumerate(columns):
         cells = {}
         for e, exp, coef in entries:
             terms = cells.setdefault(e, {})
@@ -229,14 +225,15 @@ def build_taut_matrix(analysis):
     among the four face relations of a tetrahedron in Landry-Minsky-
     Taylor's taut module, on which Parlak's computation (arXiv
     2009.13558) also drops the faces of a dual spanning tree; asserted
-    on every build unless run with -O."""
+    over all faces unless run with -O; T x (T + 1), no ``tree`` columns."""
     incidences = [[(e, exp, coef) for _, e, exp, coef, _ in face]
                   for face in analysis.face_edges]
     assert _tetrahedron_relations_hold(
         analysis.h1.face_ends, analysis.cocycle, incidences,
         _taut_relation_signs(analysis)), "taut tetrahedron relation fails"
     return _presentation_matrix(analysis.h1.rank,
-                                len(analysis.ts.table.edges), incidences)
+                                len(analysis.ts.table.edges), incidences,
+                                analysis.tree)
 
 
 def _taut_relation_signs(analysis):
@@ -256,29 +253,31 @@ def build_alexander_matrix(analysis):
     each edge's sign compares that traversal with the class's reference
     orientation (the Alexander coefficient of ``Analysis.face_edges``).
 
-    Tetrahedron relation (asserted unless run with -O): the boundary of
-    the boundary of t's base lift vanishes.  Its top faces enter with
-    sign +1; its bottom faces are oriented from the tetrahedron below
-    them, against the orientation t gives them, so they enter with -1."""
+    Tetrahedron relation (asserted over all faces unless run with -O):
+    the boundary of the boundary of t's base lift vanishes.  Its top
+    faces enter with sign +1; its bottom faces are oriented from the
+    tetrahedron below them, against the orientation t gives them, so
+    they enter with -1.  T x (T + 1), no ``tree`` columns."""
     incidences = [[(e, exp, coef) for _, e, exp, _, coef in face]
                   for face in analysis.face_edges]
     assert _tetrahedron_relations_hold(
         analysis.h1.face_ends, analysis.cocycle, incidences,
         [(1, -1)] * len(incidences)), "Alexander tetrahedron relation fails"
     return _presentation_matrix(analysis.h1.rank,
-                                len(analysis.ts.table.edges), incidences)
+                                len(analysis.ts.table.edges), incidences,
+                                analysis.tree)
 
 
 def build_cover_alexander_matrix(analysis):
     """The Alexander matrix of the double cover ``Analysis.cover`` over
-    the base's group ring (module docstring), without the columns of
-    the cover's BFS tree.  Rows are the cover's edges and columns its
-    faces, in the cover table's numbering.  Each cover face lifts a base
-    face f and carries f's Alexander entries (``Analysis.face_edges``),
-    base exponent and coefficient, each at the cover edge of the lifted
-    corner in the cover tetrahedron below.  The cover's tetrahedron
-    relation, with f's cocycle on the column, is asserted unless run
-    with -O."""
+    the base's group ring (module docstring): 2T x (2T + 1), without
+    the columns of the cover's BFS tree.  Rows are the cover's edges
+    and columns its faces, in the cover table's numbering.  Each cover
+    face lifts a base face f and carries f's Alexander entries
+    (``Analysis.face_edges``), base exponent and coefficient, each at
+    the cover edge of the lifted corner in the cover tetrahedron below.
+    The cover's tetrahedron relation, with f's cocycle on the column,
+    is asserted over all cover faces unless run with -O."""
     cover = analysis.cover.table
     n = analysis.ts.table.n_tet
     face_ends, cocycle, incidences = ([None] * len(cover.faces)
@@ -294,10 +293,9 @@ def build_cover_alexander_matrix(analysis):
     assert _tetrahedron_relations_hold(
         face_ends, cocycle, incidences, [(1, -1)] * len(incidences)), \
         "cover Alexander tetrahedron relation fails"
-    tree = dual_spanning_tree(2 * n, face_ends)
-    return _presentation_matrix(
-        analysis.h1.rank, len(cover.edges),
-        [col for F, col in enumerate(incidences) if F not in tree])
+    return _presentation_matrix(analysis.h1.rank, len(cover.edges),
+                                incidences,
+                                dual_spanning_tree(2 * n, face_ends))
 
 
 def unit_pivot_reduce(mat):
@@ -344,8 +342,8 @@ def fitting_gcd(mat):
     rows <= columns, unit-normalised: unit-pivot reduction, then a gcd
     over the residual's minors in deterministic column order (1 for an
     empty residual, 0 when a zero row turns up).  ``Analysis`` hands it
-    tree-reduced T x (T + 1) presentations, whose residual is
-    r x (r + 1), so at most r + 1 minors remain."""
+    T x (T + 1) presentations built without their tree columns, whose
+    residual is r x (r + 1), so at most r + 1 minors remain."""
     if mat.rows > mat.cols:
         raise ValueError("presentation matrix needs rows <= columns")
     residual, saw_zero_row = unit_pivot_reduce(mat)

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: cofactor determinants, exhaustive
 minor enumeration, rational row reduction, and a small Fox-calculus engine
 for two-generator one-relator groups.  None of it shares code paths with the
-package's production pipeline, except ``all_columns_fitting_gcd``.  The
+package's production pipeline, except ``all_columns_fitting_gcd`` and
+the cells of ``all_columns_matrices``.  The
 fraction-free Bareiss determinant (``bareiss_determinant``) that the
 package used before its division-free Laplace sweep is kept as the
 determinant reference at sizes that cofactor expansion cannot reach; it
@@ -29,6 +30,7 @@ import copy
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import sub
 from unittest import mock
 
 from veerpoly import taut
@@ -38,7 +40,8 @@ from veerpoly.census_io import (ALPHABET, CensusError, FACE_SLOTS,
                                 compose, invert, perm_sign, slot_image)
 from veerpoly.homology import (AbelianQuotient, H1Data, int_matmul,
                                smith_normal_form)
-from veerpoly.invariants import Analysis, build_alexander_matrix, fitting_gcd
+from veerpoly.invariants import (Analysis, _presentation_matrix,
+                                 build_alexander_matrix, fitting_gcd)
 from veerpoly.laurent import (LaurentMatrix, LaurentPoly, _require,
                               exact_div, gcd, normalize_unit, specialize)
 from veerpoly.taut import (Coorientation, derive_colouring,
@@ -111,9 +114,21 @@ def exhaustive_fitting_gcd(mat):
 def all_columns_fitting_gcd(mat):
     """The Fitting gcd as taken before the tree reduction: the package's
     ``fitting_gcd`` on the full edges x faces presentation, every face
-    column kept.  The one oracle here that reuses production code: it
-    checks the column drop, not the gcd."""
+    column kept (``all_columns_matrices``).  The one oracle here that
+    reuses production code: it checks the column drop, not the gcd."""
     return normalize_unit(fitting_gcd(mat))
+
+
+def all_columns_matrices(analysis):
+    """The taut and Alexander presentations with every face column, the
+    tree's included (T x 2T), in that order: the package's cell code,
+    ``_presentation_matrix`` with an empty tree, over the taut and the
+    Alexander coefficients of ``Analysis.face_edges``."""
+    rank, n_edges = analysis.h1.rank, len(analysis.ts.table.edges)
+    return [_presentation_matrix(
+        rank, n_edges, [[(e, exp, coefs[k]) for _, e, exp, *coefs in face]
+                        for face in analysis.face_edges], ())
+            for k in (0, 1)]
 
 
 def tetrahedron_relation_sums(analysis, mat, signs):
@@ -976,6 +991,37 @@ def reference_taut_relation_signs(analysis):
             for (t_b, fs_b), (t_a, fs_a) in zip(coor.below, coor.above)]
 
 
+def veering_polynomial(analysis, sides="uv xu yv"):
+    """Landry-Minsky-Taylor's veering polynomial V, kept as an oracle
+    for theta that reads no face table: det(I - A) on the edges, where
+    each tetrahedron t with vertex order (x, u, v, y)
+    (``Analysis.orders``) gives its bottom diagonal xy the row
+    sum_s x^(exponents[(t, s)] - exponents[(t, xy)]) over the edges s
+    of ``sides``.  Each edge is the bottom diagonal of exactly one
+    tetrahedron.  Theta divides V, the quotient a product of factors
+    1 +- x^v up to a unit.  The determinant is ``bareiss_determinant``."""
+    edge_index, exponents = analysis.ts.table.edge_index, analysis.exponents
+    r, n = analysis.h1.rank, len(analysis.ts.table.edges)
+    one = LaurentPoly.one(r)
+    rows = [[LaurentPoly.zero(r)] * n for _ in range(n)]
+    bottom_of = [None] * n
+    for t, order in enumerate(analysis.orders):
+        at = dict(zip("xuvy", order))
+        xy = _slot(at["x"], at["y"])
+        e = edge_index[(t, xy)]
+        assert bottom_of[e] is None, "edge is the bottom of two tetrahedra"
+        bottom_of[e] = t
+        for a, b in sides.split():
+            s = _slot(at[a], at[b])
+            exp = tuple(map(sub, exponents[(t, s)], exponents[(t, xy)]))
+            f = edge_index[(t, s)]
+            rows[e][f] = rows[e][f] - LaurentPoly(r, {exp: 1})
+    assert None not in bottom_of, "edge is the bottom of no tetrahedron"
+    for e in range(n):
+        rows[e][e] = rows[e][e] + one
+    return bareiss_determinant(LaurentMatrix(r, rows))
+
+
 class ReferenceCusp:
     """One cusp link as the earlier side-space route builds it: corners,
     sides (the sorted canonical side keys (t, v, fs)), side_faces (per
@@ -1101,10 +1147,10 @@ def pushed_down(A, mat):
 
 def reference_delta_hat(analysis):
     """The earlier route to the double-cover polynomial, kept as an
-    oracle: a second ``Analysis`` of the cover, whose tree-reduced
-    Alexander matrix is pushed down by ``cover_pushforward`` entry by
-    entry; unit-normalised."""
+    oracle: a second ``Analysis`` of the cover, whose Alexander matrix
+    (without the cover's tree columns) is pushed down by
+    ``cover_pushforward`` entry by entry; unit-normalised."""
     cover = Analysis(analysis.cover)
-    mat = cover.tree_reduced(build_alexander_matrix(cover))
+    mat = build_alexander_matrix(cover)
     return normalize_unit(fitting_gcd(
         pushed_down(cover_pushforward(analysis, cover), mat)))

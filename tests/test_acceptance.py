@@ -15,8 +15,9 @@ import numpy
 import pytest
 
 from bundles import bundle_sig, both_letter_words
-from oracles import (cofactor_determinant, exhaustive_fitting_gcd,
-                     fox_alexander_polynomial, variant_analysis)
+from oracles import (all_columns_matrices, cofactor_determinant,
+                     exhaustive_fitting_gcd, fox_alexander_polynomial,
+                     variant_analysis)
 from test_invariants import (coboundary_variant, permuted_structure,
                              random_laurent_matrix)
 from veerpoly.census_io import parse_taut_sig
@@ -172,12 +173,16 @@ def test_criterion_5_oracle_equivalence():
         cols = rng.randint(rows, 6)
         mat = random_laurent_matrix(rng, rows, cols, rng.randint(1, 2))
         assert normalize_unit(fitting_gcd(mat)) == exhaustive_fitting_gcd(mat)
-    # both 2x4 presentation matrices of the two-tet entry
+    # both presentation matrices of the two-tet entry: 2x3 as built,
+    # 2x4 with the tree's column
     analysis = Analysis(parse_taut_sig(M003))
-    for build in (build_taut_matrix, build_alexander_matrix):
+    for build, full in zip((build_taut_matrix, build_alexander_matrix),
+                           all_columns_matrices(analysis)):
         mat = build(analysis)
-        assert (len(mat.entries), len(mat.entries[0])) == (2, 4)
-        assert normalize_unit(fitting_gcd(mat)) == exhaustive_fitting_gcd(mat)
+        assert (len(mat.entries), len(mat.entries[0])) == (2, 3)
+        assert (len(full.entries), len(full.entries[0])) == (2, 4)
+        for m in (mat, full):
+            assert normalize_unit(fitting_gcd(m)) == exhaustive_fitting_gcd(m)
     # determinant versus cofactor expansion
     for _ in range(100):
         n = rng.randint(1, 4)

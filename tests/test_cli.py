@@ -69,6 +69,21 @@ def test_compute_flag_filtering(capsys):
     assert "theta" in rec and "delta" not in rec
     assert rec["verify"]["passed"] is True
 
+    # the Alexander and double-cover filters, on an entry whose
+    # delta_hat is not null
+    sig = "gLLAQbecdfffhhnkqnc_120012"
+    alex = {"b1", "delta", "edge_orientable", "runtime_ms", "sig", "sigma",
+            "verify"}
+    hat = alex - {"delta"} | {"delta_hat"}
+    for flags, want in ((["--alex"], alex), (["--hat"], hat),
+                        (["--taut", "--alex"], alex | {"theta"})):
+        rc, out, _ = run_cli(capsys, "compute", sig, *flags)
+        rec = json.loads(out)
+        assert rc == 0
+        assert set(rec) == want, flags
+        assert rec["verify"]["passed"] is True
+        assert rec.get("delta_hat", True) is not None
+
 
 def test_compute_bad_signature_exits_one(capsys):
     rc, out, err = run_cli(capsys, "compute", "!!bad")

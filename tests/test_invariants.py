@@ -1,8 +1,12 @@
 import os
 import random
+from math import prod
 
-from veerpoly.census_io import (GluingTable, TautStructure, VERTEX_PAIRS,
-                                parse_taut_sig, perm_sign)
+import pytest
+
+from veerpoly.census_io import (CensusError, GluingTable, TautStructure,
+                                VERTEX_PAIRS, parse_taut_sig, perm_sign)
+from veerpoly.filling import parse_slopes
 from veerpoly.invariants import (Analysis, _presentation_matrix,
                                  _tetrahedron_relations_hold,
                                  build_alexander_matrix,
@@ -10,16 +14,19 @@ from veerpoly.invariants import (Analysis, _presentation_matrix,
                                  build_taut_matrix, corner_exponents,
                                  fitting_gcd, unit_pivot_reduce,
                                  verify_identities)
-from veerpoly.laurent import LaurentMatrix, LaurentPoly, normalize_unit
+from veerpoly.laurent import (LaurentMatrix, LaurentPoly, determinant,
+                              exact_div, maximal_minor_gcd_bruteforce,
+                              normalize_unit, specialize)
 from veerpoly.taut import build_double_cover
 from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
 from oracles import (TwoSidedGluingTable, all_columns_fitting_gcd,
-                     cover_pushforward, dense_unit_pivot_reduce,
-                     exhaustive_fitting_gcd, fox_alexander_polynomial,
-                     pushed_down, reference_alexander_matrix,
-                     reference_delta_hat, reference_taut_matrix,
-                     tetrahedron_relation_sums, variant_analysis)
+                     all_columns_matrices, cover_pushforward,
+                     dense_unit_pivot_reduce, exhaustive_fitting_gcd,
+                     fox_alexander_polynomial, pushed_down,
+                     reference_alexander_matrix, reference_delta_hat,
+                     reference_taut_matrix, tetrahedron_relation_sums,
+                     variant_analysis, veering_polynomial)
 
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
@@ -72,16 +79,19 @@ def same_up_to_unit_and_inversion(p, q):
 def test_taut_matrix_column_sums():
     # each face column holds one positive and two negative monomials;
     # evaluating the column sum at 1 gives -1 regardless of how entries
-    # merged on shared edge rows
+    # merged on shared edge rows: on the built T x (T + 1) matrix and on
+    # every face column, the tree's included
     for sig in ("cPcbbbdxm_10", bundle_sig("RRLL", -1), FOURTEEN):
         analysis = Analysis(parse_taut_sig(sig))
         mat = build_taut_matrix(analysis)
-        assert mat.rows == analysis.ts.table.n_tet
-        assert mat.cols == 2 * mat.rows
-        for j in range(mat.cols):
-            total = sum(sum(mat.entries[i][j].terms.values())
-                        for i in range(mat.rows))
-            assert total == -1
+        full, _ = all_columns_matrices(analysis)
+        assert mat.rows == full.rows == analysis.ts.table.n_tet
+        assert (mat.cols, full.cols) == (mat.rows + 1, 2 * mat.rows)
+        for m in (mat, full):
+            for j in range(m.cols):
+                total = sum(sum(m.entries[i][j].terms.values())
+                            for i in range(m.rows))
+                assert total == -1
 
 
 def test_alexander_matrix_column_sums():
@@ -102,9 +112,10 @@ def test_alexander_matrix_column_sums():
 
 def test_matrices_equal_reference_face_walks():
     # both presentations, read off Analysis.face_edges, equal the
-    # earlier per-builder face walks cell for cell: on every sample
-    # entry, every edge-orientation double cover and bundles of 4-32
-    # tetrahedra of both signs
+    # earlier per-builder face walks cell for cell, on the columns the
+    # builders keep and, built with every face column, on the tree's
+    # too: on every sample entry, every edge-orientation double cover
+    # and bundles of 4-32 tetrahedra of both signs
     rng = random.Random(233)
     sigs = sample_sigs() + [
         bundle_sig("R" + "".join(rng.choice("RL") for _ in range(n - 2))
@@ -116,13 +127,18 @@ def test_matrices_equal_reference_face_walks():
     assert len(covers) > 100
     assert max(base.ts.table.n_tet for base in bases) == 32
     for analysis in bases + covers:
-        for build, reference in ((build_taut_matrix, reference_taut_matrix),
-                                 (build_alexander_matrix,
-                                  reference_alexander_matrix)):
+        for build, reference, full in zip(
+                (build_taut_matrix, build_alexander_matrix),
+                (reference_taut_matrix, reference_alexander_matrix),
+                all_columns_matrices(analysis)):
             mat = build(analysis)
+            want = reference(analysis)
             assert mat.nvars == analysis.h1.rank
-            assert mat.entries == reference(analysis), \
+            assert mat.entries == [[p for f, p in enumerate(row)
+                                    if f not in analysis.tree]
+                                   for row in want], \
                 (analysis.ts.sig, build.__name__)
+            assert full.entries == want, (analysis.ts.sig, build.__name__)
 
 
 # -- fitting gcd against the exhaustive oracle --------------------------------
@@ -191,13 +207,13 @@ def test_unit_pivot_reduce_matches_dense_oracle():
         assert got == dense_unit_pivot_reduce(mat)
         zero_rows += got[1]
     assert zero_rows > 20
+    # the presentations with every face column, on the sample
     for sig in sample_sigs():
         analysis = Analysis(parse_taut_sig(sig))
-        for build in (build_taut_matrix, build_alexander_matrix):
-            mat = build(analysis)
+        for mat in all_columns_matrices(analysis):
             assert unit_pivot_reduce(mat) == dense_unit_pivot_reduce(mat), \
-                (sig, build.__name__)
-    # the tree-reduced presentations fitting_gcd sees, on the
+                sig
+    # the T x (T + 1) presentations fitting_gcd sees, on the
     # edge-orientation covers (all b1 = 1), the cover of every nonzero
     # character H1 -> Z/2 of the <= 6-tet entries (b1 up to 2), and the
     # 14-tet entry (b1 = 2) with its edge-orientation cover (b1 = 4)
@@ -209,7 +225,7 @@ def test_unit_pivot_reduce_matches_dense_oracle():
     assert sorted({analysis.h1.rank for analysis in analyses}) == [1, 2, 4]
     for analysis in analyses:
         for build in (build_taut_matrix, build_alexander_matrix):
-            mat = analysis.tree_reduced(build(analysis))
+            mat = build(analysis)
             assert unit_pivot_reduce(mat) == dense_unit_pivot_reduce(mat), \
                 (analysis.ts.sig, build.__name__)
 
@@ -277,10 +293,11 @@ def test_tree_reduced_gcds_equal_all_columns_route():
     assert len(covers) > 100
     for analysis in bases + covers + [Analysis(parse_taut_sig(FOURTEEN))] \
             + extra_analyses():
-        assert normalize_unit(analysis.theta) == all_columns_fitting_gcd(
-            build_taut_matrix(analysis)), analysis.ts.sig
-        assert normalize_unit(analysis.delta) == all_columns_fitting_gcd(
-            build_alexander_matrix(analysis)), analysis.ts.sig
+        taut, alexander = all_columns_matrices(analysis)
+        assert normalize_unit(analysis.theta) == \
+            all_columns_fitting_gcd(taut), analysis.ts.sig
+        assert normalize_unit(analysis.delta) == \
+            all_columns_fitting_gcd(alexander), analysis.ts.sig
 
 
 def test_tree_reduced_cover_pushforward_equals_all_columns_route():
@@ -294,9 +311,9 @@ def test_tree_reduced_cover_pushforward_equals_all_columns_route():
             continue
         cover = Analysis(base.cover)
         A = cover_pushforward(base, cover)
-        full = build_alexander_matrix(cover)
+        _, full = all_columns_matrices(cover)
         assert normalize_unit(fitting_gcd(pushed_down(
-            A, cover.tree_reduced(full)))) == \
+            A, build_alexander_matrix(cover)))) == \
             all_columns_fitting_gcd(pushed_down(A, full)), base.ts.sig
         checked += 1
     assert checked >= 20
@@ -376,8 +393,9 @@ def taut_signs_from_tracks(analysis):
 
 
 def test_tetrahedron_relations_hold_exactly():
-    # independent of __debug__: each tetrahedron's face columns, read off
-    # the built matrices, sum to zero with the documented signs
+    # independent of __debug__: each tetrahedron's face columns, built
+    # by the package's cell code with the tree's kept, sum to zero with
+    # the documented signs
     bases, covers = small_analyses_and_covers()
     analyses = bases[::4] + covers[::8] + [Analysis(parse_taut_sig(FOURTEEN))]
     for analysis in analyses:
@@ -385,16 +403,18 @@ def test_tetrahedron_relations_hold_exactly():
         alexander_signs = {(t, fs): 1 if analysis.coor.below[
             analysis.ts.table.face_index[(t, fs)]] == (t, fs) else -1
             for t in range(n) for fs in range(4)}
-        for build, signs in ((build_taut_matrix,
-                              taut_signs_from_tracks(analysis)),
-                             (build_alexander_matrix, alexander_signs)):
-            sums = tetrahedron_relation_sums(analysis, build(analysis), signs)
+        for mat, signs, name in zip(
+                all_columns_matrices(analysis),
+                (taut_signs_from_tracks(analysis), alexander_signs),
+                ("taut", "alexander")):
+            assert mat.cols == len(analysis.ts.table.faces)
+            sums = tetrahedron_relation_sums(analysis, mat, signs)
             assert all(p.is_zero() for col in sums for p in col), \
-                (analysis.ts.sig, build.__name__)
+                (analysis.ts.sig, name)
 
 
 def test_tree_reduction_sees_the_faces_of_the_tree():
-    # the reduced matrices keep exactly the T + 1 non-tree columns, in
+    # the built matrices keep exactly the T + 1 non-tree columns, in
     # face order; dropping the pivot forest's columns instead, a
     # different tree, gives the same polynomials.  The two trees agree
     # on every base entry of the sample, so this takes a 10-tet cover
@@ -404,29 +424,30 @@ def test_tree_reduction_sees_the_faces_of_the_tree():
     forest = {f for f, *_ in analysis.h1.peel}
     assert len(forest) == len(analysis.tree) == ts.table.n_tet - 1
     assert forest != analysis.tree
-    for build, poly in ((build_taut_matrix, analysis.theta),
-                        (build_alexander_matrix, analysis.delta)):
-        mat = build(analysis)
+    for build, poly, mat in zip((build_taut_matrix, build_alexander_matrix),
+                                (analysis.theta, analysis.delta),
+                                all_columns_matrices(analysis)):
+        assert mat.cols == n_faces
         for tree in (analysis.tree, forest):
             keep = [f for f in range(n_faces) if f not in tree]
             assert len(keep) == ts.table.n_tet + 1
             reduced = [[row[f] for f in keep] for row in mat.entries]
             if tree is analysis.tree:
-                assert analysis.tree_reduced(mat).entries == reduced
+                assert build(analysis).entries == reduced
             assert normalize_unit(fitting_gcd(LaurentMatrix(
                 mat.nvars, reduced))) == normalize_unit(poly)
 
 
 def test_wrapped_matrices_equal_checked_ones():
     # LaurentMatrix wraps its rows without copying or checking them; the
-    # matrices the package builds (the presentations, their tree_reduced
-    # copies, the unit-pivot residuals and submatrices) are well formed:
-    # equal row lengths, every entry in nvars variables
+    # matrices the package builds (the presentations, with and without
+    # the tree columns, the unit-pivot residuals and submatrices) are
+    # well formed: equal row lengths, every entry in nvars variables
     for sig in sample_sigs():
         analysis = Analysis(parse_taut_sig(sig))
-        for build in (build_taut_matrix, build_alexander_matrix):
-            full = build(analysis)
-            reduced = analysis.tree_reduced(full)
+        for build, full in zip((build_taut_matrix, build_alexander_matrix),
+                               all_columns_matrices(analysis)):
+            reduced = build(analysis)
             square = reduced.submatrix(range(reduced.rows),
                                        range(1, reduced.cols))
             residual, _ = unit_pivot_reduce(reduced)
@@ -584,14 +605,67 @@ def test_theta_is_the_omega_twisted_alexander_polynomial():
         if not _tetrahedron_relations_hold(ends, cocycle, twisted,
                                            [(1, -1)] * len(signs)):
             untwisted_fails.append(analysis.ts.sig)
-        mat = analysis.tree_reduced(_presentation_matrix(
-            analysis.h1.rank, len(analysis.ts.table.edges), twisted))
+        mat = _presentation_matrix(analysis.h1.rank,
+                                   len(analysis.ts.table.edges), twisted,
+                                   analysis.tree)
         assert normalize_unit(fitting_gcd(mat)) == analysis.theta, \
             analysis.ts.sig
         delta_differs += normalize_unit(analysis.delta) != analysis.theta
     assert untwisted_fails == [FOURTEEN, "gLLAQbecdfffhhnkqnc_120012",
                                "fLLQcbecdeepuwsua_20102"]
     assert delta_differs > 100
+
+
+def unit_times_binomials(q):
+    """Whether the one-variable q is a unit times a product of factors
+    1 +- x^k (k > 0), by trial division; 1 +- x^(-k) is a unit times
+    1 +- x^k."""
+    x, one = LaurentPoly.variable(1, 0), LaurentPoly.one(1)
+    while not q.is_unit():
+        exps = [exp for exp, in q.terms]
+        q = next((s for k in range(1, max(exps) - min(exps) + 1)
+                  for sign in (1, -1)
+                  for s in [exact_div(q, one + sign * x ** k)]
+                  if s is not None), None)
+        if q is None:
+            return False
+    return True
+
+
+def veering_quotient(analysis, sides="uv xu yv"):
+    """V / theta for the veering polynomial V of ``sides``, or None
+    when theta does not divide V."""
+    return exact_div(veering_polynomial(analysis, sides), analysis.theta)
+
+
+def test_veering_polynomial_is_theta_times_binomials():
+    # theta, checked without the face table its presentation is built
+    # from: it divides the veering polynomial, and on b1 = 1 the quotient
+    # is a unit times a product of 1 +- x^k.  On the 14-tet entry (b1 = 2)
+    # the quotient is pinned
+    analyses = [Analysis(parse_taut_sig(sig)) for sig in sample_sigs()]
+    analyses += extra_analyses()
+    assert len(analyses) == 246
+    for analysis in analyses:
+        q = veering_quotient(analysis)
+        assert q is not None, analysis.ts.sig
+        if analysis.h1.rank == 1:
+            assert unit_times_binomials(q), analysis.ts.sig
+    (fourteen,) = [a for a in analyses if a.ts.sig == FOURTEEN]
+    one = LaurentPoly.one(2)
+    want = prod((one + LaurentPoly(2, {exp: 1})
+                 for exp in ((3, 2), (5, 3), (8, 6), (10, 9))), start=one)
+    assert normalize_unit(veering_quotient(fourteen)) == normalize_unit(want)
+
+
+def test_veering_polynomial_catches_swapped_side_edges():
+    # mutation check: with uy and xv in place of xu and yv, theta does
+    # not divide V, or the b1 = 1 quotient is no product of 1 +- x^k
+    for sig in sample_sigs()[:15]:
+        analysis = Analysis(parse_taut_sig(sig))
+        q = veering_quotient(analysis, "uv uy xv")
+        assert q is None or (analysis.h1.rank == 1 and
+                             not unit_times_binomials(q)), sig
 
 
 # -- presentation invariance --------------------------------------------------
@@ -702,3 +776,39 @@ def test_polynomials_invariant_under_internal_choices():
             base_theta
         assert normalize_unit(fitting_gcd(build_alexander_matrix(var))) == \
             base_delta
+
+
+# -- input and shape errors ---------------------------------------------------
+
+def two_disjoint_copies(sig):
+    """The taut structure of two disjoint copies of sig's table."""
+    ts = parse_taut_sig(sig)
+    n = ts.table.n_tet
+    gluings = ts.table.gluings + [[(t + n, p) for t, p in row]
+                                  for row in ts.table.gluings]
+    return TautStructure(sig + ":twice", GluingTable(gluings), ts.digits * 2)
+
+
+ONE = LaurentPoly.one(1)
+TALL = LaurentMatrix(1, [[ONE] * 2] * 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fitting_gcd(TALL), ValueError, "rows <= columns"),
+    (lambda: maximal_minor_gcd_bruteforce(TALL), ValueError, "rows <= cols"),
+    (lambda: determinant(LaurentMatrix(1, [[ONE] * 3] * 2)), ValueError,
+     "non-square"),
+    (lambda: specialize(LaurentPoly.variable(1, 0), [[1, 0]]), ValueError,
+     "wrong shape"),
+    (lambda: LaurentPoly(2, {(1,): 1}), ValueError, "expected 2"),
+    (lambda: ONE ** -1, ValueError, "negative powers"),
+    (lambda: ONE + LaurentPoly.one(2), ValueError, "different Laurent rings"),
+    (lambda: parse_slopes("x0:1/2"), CensusError, "malformed slope"),
+    (lambda: Analysis(two_disjoint_copies("cPcbbbdxm_10")), CensusError,
+     "triangulation is disconnected"),
+], ids=["fitting_gcd", "minor_gcd", "determinant", "specialize",
+        "exponent_length", "negative_power", "mixed_rings", "slope",
+        "disconnected"])
+def test_input_and_shape_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -308,7 +308,7 @@ def residual_minors(analysis):
     """Every maximal minor of the unit-pivot residual of each
     presentation whose Fitting gcd the analysis takes, the double
     cover's included when there is no sigma."""
-    mats = [analysis.tree_reduced(build(analysis))
+    mats = [build(analysis)
             for build in (build_taut_matrix, build_alexander_matrix)]
     if not analysis.eo.sigma_exists:
         mats.append(build_cover_alexander_matrix(analysis))
@@ -364,7 +364,7 @@ def test_bruteforce_minor_gcd_matches_oracle():
 
 
 def test_minor_gcd_on_sample_residuals():
-    # the unit-pivot residuals of the tree-reduced presentations, the
+    # the unit-pivot residuals of the T x (T + 1) presentations, the
     # shapes the stage now sees (r x (r + 1)), against every minor by
     # cofactor expansion
     with open(DATA) as fh:
@@ -373,7 +373,9 @@ def test_minor_gcd_on_sample_residuals():
     for sig in sigs:
         analysis = Analysis(parse_taut_sig(sig))
         for build in (build_taut_matrix, build_alexander_matrix):
-            mat = analysis.tree_reduced(build(analysis))
+            mat = build(analysis)
+            assert (mat.rows, mat.cols) == (analysis.ts.table.n_tet,
+                                            analysis.ts.table.n_tet + 1)
             residual, saw_zero_row = unit_pivot_reduce(mat)
             assert not saw_zero_row
             res = LaurentMatrix(mat.nvars, residual)

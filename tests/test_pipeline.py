@@ -333,8 +333,10 @@ def test_fitting_gcd_runs_on_tree_reduced_matrices(monkeypatch, sig):
 
 
 def test_every_traced_function_is_called(monkeypatch, tmp_path, capsys):
-    # the benchmark traces these functions by name: a refactor that
-    # renames one or stops calling it must fail here, not in the benchmark
+    # the benchmark traces these functions by name and fails a workload
+    # that does not call one it must: a refactor that renames one or
+    # stops calling it must fail here, not in the benchmark.  Each
+    # workload's command runs under its own tracer
     monkeypatch.syspath_prepend(PERFBENCH)
     import spans
     from veerpoly import cli
@@ -343,14 +345,19 @@ def test_every_traced_function_is_called(monkeypatch, tmp_path, capsys):
                                  "dLQbcccxxfo_100"]) + "\n")
     rec = json.loads(reference_lines("fill_bundles")[0])
     slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        assert cli.main(["batch", str(census), "--verify", "--jobs", "1"]) \
-            == 0
-        assert cli.main(["fill", rec["sig"], "--slopes", slopes]) == 0
-    finally:
-        tracer.uninstall()
+    runs = {"census_scan": ["batch", str(census), "--jobs", "1"],
+            "census_verify": ["batch", str(census), "--verify", "--jobs", "1"],
+            "fill_bundles": ["fill", rec["sig"], "--slopes", slopes]}
+    assert set(runs) == spans.ALL
+    for workload, argv in runs.items():
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        called = {span[1] for span in tracer.spans}
+        want = {name for name, (workloads, _) in spans.TRACED.items()
+                if workload in workloads}
+        assert sorted(want - called) == [], workload
     capsys.readouterr()
-    called = {span[1] for span in tracer.spans}
-    assert sorted(set(spans.TRACED) - called) == []
