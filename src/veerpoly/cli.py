@@ -106,25 +106,24 @@ def cmd_fill(args):
         "sigma_N": list(fh.sigma_N) if fh.sigma_N is not None else None,
         "i_theta": poly_to_json(i_theta),
         "i_delta": poly_to_json(specialize(analysis.delta, fh.i_star)),
-        "cores": {("c%d" % j): {"ell_free": list(c["ell_free"]),
-                                "nontrivial": c["nontrivial"]}
-                  for j, c in fh.cores.items()},
+        "cores": {("c%d" % j): {"ell_free": list(ell), "nontrivial": any(ell)}
+                  for j, ell in fh.cores.items()},
+        "hypotheses": {
+            "sigma_N_exists": fh.sigma_N is not None,
+            "trivial_cores": [("c%d" % j) for j, ell in fh.cores.items()
+                              if not any(ell)],
+        },
         "case": None,
         "delta_N": None,
         "division_ok": None,
         "equality_expected": None,
     }
-    trivial = [j for j in fh.filled if not fh.cores[j]["nontrivial"]]
-    record["hypotheses"] = {
-        "sigma_N_exists": fh.sigma_N is not None,
-        "trivial_cores": [("c%d" % j) for j in trivial],
-    }
-    if fh.sigma_N is not None and not trivial:
-        pred = predict_filled_alexander(i_theta, fh)
-        record["case"] = pred.case
-        record["division_ok"] = pred.division_ok
-        record["equality_expected"] = pred.equality_expected
-        record["delta_N"] = _poly_or_null(pred.candidate)
+    pred = predict_filled_alexander(i_theta, fh)
+    if pred is not None:
+        case, delta_N, equality_expected = pred
+        record.update(case=case, delta_N=_poly_or_null(delta_N),
+                      division_ok=delta_N is not None,
+                      equality_expected=equality_expected)
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 

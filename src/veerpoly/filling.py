@@ -165,19 +165,18 @@ def parse_slopes(text):
 
 
 class FilledHomology:
-    """Homology of the Dehn filling N, the induced map i_star on free
-    homology (None when s = b_1(N) is 0), the core-curve classes of the
-    filled cusps, listed in increasing index in filled, and sigma_N
-    (None when it does not exist).  n_quot is a quotient of the base's
-    ``H1Data`` kernel coordinates."""
+    """Homology of the Dehn filling N: b1 of the base, n_quot (a
+    quotient of the base's ``H1Data`` kernel coordinates) and its rank
+    s, the induced map i_star on free homology (None when s = 0), the
+    core class in N's free homology of each filled cusp, as a tuple
+    keyed by the cusp's index in increasing order, and sigma_N (None
+    when it does not exist)."""
 
-    __slots__ = ("h1", "filled", "boundary_empty", "n_quot", "s",
-                 "i_star", "cores", "sigma_N")
+    __slots__ = ("b1", "boundary_empty", "n_quot", "s", "i_star", "cores",
+                 "sigma_N")
 
-    def __init__(self, h1, filled, boundary_empty, n_quot, i_star, cores,
-                 sigma_N):
-        self.h1 = h1
-        self.filled = filled
+    def __init__(self, b1, boundary_empty, n_quot, i_star, cores, sigma_N):
+        self.b1 = b1
         self.boundary_empty = boundary_empty
         self.n_quot = n_quot
         self.s = n_quot.rank
@@ -194,21 +193,20 @@ def filled_homology(h1, cusps, spec, eo):
     filled cusp, an integer combination of the cusp's basis in kernel
     coordinates.  Each core's class is that of a dual slope -v*a + u*b,
     one with intersection determinant 1 against the filled slope.
-    sigma_N is read off the base's edge-orientation data eo
-    (``vN_edge_orientable``).
+
+    sigma_N is read off the base's edge-orientation data eo: omega is
+    defined on H_1(N) when every filled slope is orientation-preserving
+    (omega = 0), and then ``sign_vector`` reads sigma_N off n_quot.  The
+    base's torsion maps into N's, so a sigma_N implies the base's sigma.
     """
     filled = list(spec.slopes)
     for j in filled:
         if not 0 <= j < len(cusps):
             raise CensusError("no cusp with index %d" % j)
-    # base relations, rebuilt from the diagonalised quotient
-    q = h1.q
     quot = h1.quot
-    columns = []
-    for p, order in enumerate(quot.orders):
-        if order != 0:
-            lift = quot.generator_lift(p)
-            columns.append([order * x for x in lift])
+    # base relations, rebuilt from the diagonalised quotient
+    columns = [[order * x for x in quot.generator_lift(p)]
+               for p, order in enumerate(quot.orders) if order]
     # each filled slope (x, y) and a dual slope (-v, u):
     # det [[x, -v], [y, u]] = x*u + v*y = 1
     slopes, duals = [], []
@@ -219,130 +217,71 @@ def filled_homology(h1, cusps, spec, eo):
         za, zb = cusps[j].basis
         slopes.append([x * a + y * b for a, b in zip(za, zb)])
         duals.append([-v * a + u * b for a, b in zip(za, zb)])
-    n_quot = AbelianQuotient(q, columns + slopes)
+    n_quot = AbelianQuotient(h1.q, columns + slopes)
     s = n_quot.rank
     i_star = None
     if s:
-        cols = []
-        for pos in quot.free_positions:
-            cols.append(n_quot.class_free(quot.generator_lift(pos)))
-        i_star = [[cols[i][l] for i in range(len(cols))] for l in range(s)]
-        snf = smith_normal_form(i_star, ncols=len(cols))
+        i_star = [list(row) for row in zip(*(
+            n_quot.class_free(quot.generator_lift(pos))
+            for pos in quot.free_positions))]
+        snf = smith_normal_form(i_star, ncols=quot.rank)
         assert snf.rank == s and all(d == 1 for d in snf.diag[:s]), \
             "induced map on free homology is not surjective"
     # core-curve classes: any dual slope gives the same class, as two
     # of them differ by a multiple of the filled slope, which dies in N
-    cores = {}
-    for j, dual in zip(filled, duals):
-        ell_free = n_quot.class_free(dual)
-        cores[j] = {"ell_free": tuple(ell_free),
-                    "nontrivial": any(e != 0 for e in ell_free)}
-    return FilledHomology(h1, filled, len(filled) == len(cusps), n_quot,
-                          i_star, cores,
-                          vN_edge_orientable(eo, slopes, n_quot))
-
-
-def vN_edge_orientable(eo, slopes, n_quot):
-    """sigma_N when the edge-orientation homomorphism omega factors
-    through the filled manifold's free homology, else None.
-
-    omega is defined on H_1(N) when every filled slope (slopes, in kernel
-    coordinates) is orientation-preserving (omega = 0), and then
-    ``sign_vector`` reads sigma_N off N's quotient n_quot.  The base's
-    torsion maps into N's, so a sigma_N implies the base's sigma."""
-    if any(eo.omega(y) for y in slopes):
-        return None
-    return eo.sign_vector(n_quot)
-
-
-class PredictedAlexander:
-    """Outcome of inverting the filling identity for Delta_N."""
-
-    __slots__ = ("case", "candidate", "division_ok", "equality_expected")
-
-    def __init__(self, case, candidate, division_ok, equality_expected):
-        self.case = case
-        self.candidate = candidate
-        self.division_ok = division_ok
-        self.equality_expected = equality_expected
+    cores = {j: n_quot.class_free(dual) for j, dual in zip(filled, duals)}
+    sigma_N = None if any(eo.omega(y) for y in slopes) \
+        else eo.sign_vector(n_quot)
+    return FilledHomology(h1.rank, len(filled) == len(cusps), n_quot,
+                          i_star, cores, sigma_N)
 
 
 def predict_filled_alexander(i_theta, fh):
     """Solve the filling identity for the filled manifold's Alexander
     polynomial (up to a unit), given the taut polynomial specialised by
-    ``fh.i_star`` (in ``fh.s`` variables).
+    ``fh.i_star`` (in ``fh.s`` variables); a polynomial in another ring
+    raises ValueError.
 
     The specialised taut polynomial equals the sign-twisted Delta_N
     times a product of core-class factors, divided by one or two
-    (h - sigma_N(h)) factors in the rank-one-target cases.  A failed
-    exact division is reported in the result, not raised: it signals a
-    violated hypothesis.
+    (h - sigma_N(h)) factors in the rank-one-target cases.  The identity
+    needs sigma_N and nontrivial core classes: without them the result
+    is None.  Otherwise it is (case, delta_N, equality_expected), where
+    delta_N is None when the exact division fails (a violated
+    hypothesis), and equality_expected tells whether the specialised
+    taut polynomial equals Delta_N up to variable signs: every core
+    class generates, and nothing is filled, or one cusp with boundary
+    left, or the filling is closed with two cusps filled or b1 = 1.
     """
-    if fh.s == 0:
-        raise CensusError("b_1(N) = 0: the filling identity needs "
-                          "positive rank")
-    if fh.sigma_N is None:
-        raise CensusError("sigma_N does not exist for this filling")
-    for j in fh.filled:
-        if not fh.cores[j]["nontrivial"]:
-            raise CensusError(
-                "core curve of cusp %d is trivial in free homology; "
-                "the filling identity does not apply" % j)
     s = fh.s
     if i_theta.nvars != s:
         raise ValueError("i_theta has %d variables, expected s = %d"
                          % (i_theta.nvars, s))
-    if fh.h1.rank >= 2:
-        if s >= 2:
-            case, e = "I(a)", 0
-        elif not fh.boundary_empty:
-            case, e = "I(b)-boundary", 1
-        else:
-            case, e = "I(b)-closed", 2
+    cores = fh.cores.values()
+    if fh.sigma_N is None or not all(map(any, cores)):
+        return None
+    if fh.b1 >= 2 and s >= 2:
+        case, e = "I(a)", 0
+    elif fh.b1 >= 2:
+        case, e = ("I(b)-closed", 2) if fh.boundary_empty \
+            else ("I(b)-boundary", 1)
     else:
-        if not fh.boundary_empty:
-            case, e = "II(a)", 0
-        else:
-            case, e = "II(b)", 1
+        case, e = ("II(b)", 1) if fh.boundary_empty else ("II(a)", 0)
     h_factor = LaurentPoly(s, {
         tuple(1 if i == 0 else 0 for i in range(s)): 1,
         (0,) * s: -fh.sigma_N[0]})
     numer = i_theta * h_factor ** e
     denom = LaurentPoly.one(s)
-    for j in fh.filled:
-        ell = fh.cores[j]["ell_free"]
-        sig_ell = 1
-        for sg, exp in zip(fh.sigma_N, ell):
-            if sg == -1 and exp % 2:
-                sig_ell = -sig_ell
-        denom = denom * LaurentPoly(s, {tuple(ell): 1, (0,) * s: -sig_ell})
+    for ell in cores:
+        sig_ell = math.prod(sg for sg, x in zip(fh.sigma_N, ell) if x % 2)
+        denom = denom * LaurentPoly(s, {ell: 1, (0,) * s: -sig_ell})
     quotient = exact_div(numer, denom)
-    if quotient is None:
-        return PredictedAlexander(case, None, False,
-                                  _equality_conditions(fh))
     # undo the sign twist: Delta_N(h) = quotient(sigma_N(h) * h)
-    candidate = sign_twist(quotient, fh.sigma_N)
-    return PredictedAlexander(case, candidate, True,
-                              _equality_conditions(fh))
-
-
-def _equality_conditions(fh):
-    """The specialised taut polynomial equals Delta_N up to variable
-    signs exactly in four situations."""
-    generates = {j: fh.s == 1 and fh.cores[j]["ell_free"] in ((1,), (-1,))
-                 for j in fh.filled}
-    k = len(fh.filled)
-    if k == 0:
-        return True
-    if fh.s == 1 and not fh.boundary_empty and k == 1 and \
-            all(generates.values()):
-        return True
-    if fh.s == 1 and fh.boundary_empty and k == 2 and \
-            all(generates.values()):
-        return True
-    if fh.h1.rank == 1 and fh.boundary_empty and all(generates.values()):
-        return True
-    return False
+    delta_N = None if quotient is None else sign_twist(quotient, fh.sigma_N)
+    equality_expected = all(ell in ((1,), (-1,)) for ell in cores) and (
+        not cores or (len(cores) == 1 and not fh.boundary_empty)
+        or (fh.boundary_empty and (len(cores) == 2 or fh.b1 == 1)))
+    return case, delta_N, equality_expected
 
 
 def orientable_class_parity(coeffs, sigma_n):

@@ -138,7 +138,8 @@ class LaurentPoly:
 
     def __pow__(self, n):
         if n < 0:
-            raise ValueError("negative powers only defined for units")
+            raise ValueError("negative powers are not supported (n = %d)"
+                             % n)
         out = LaurentPoly.one(self.nvars)
         base = self
         while n:

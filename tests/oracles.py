@@ -14,7 +14,8 @@ face walks of the two presentation matrices, dense face cocycle, dense
 chain complex and dense ``H1Data`` are kept here too, and so are the
 per-tetrahedron orientation templates, the edge-by-edge face
 comparison, the colour rule of the taut relation signs, the side-space
-route to the cusp links and the route to the double-cover polynomial
+route to the cusp links, the filling solver's earlier decision and the
+route to the double-cover polynomial
 through a second ``Analysis`` of the cover (``reference_delta_hat``);
 they use the package's permutation helpers, ``AbelianQuotient``,
 ``H1Data`` (the link's, and its class of a cycle), the colours of
@@ -43,7 +44,8 @@ from veerpoly.homology import (AbelianQuotient, H1Data, int_matmul,
 from veerpoly.invariants import (Analysis, _presentation_matrix,
                                  build_alexander_matrix, fitting_gcd)
 from veerpoly.laurent import (LaurentMatrix, LaurentPoly, _require,
-                              exact_div, gcd, normalize_unit, specialize)
+                              exact_div, gcd, normalize_unit, sign_twist,
+                              specialize)
 from veerpoly.taut import (Coorientation, derive_colouring,
                            derive_coorientation)
 
@@ -1108,6 +1110,75 @@ def reference_slope_face_vectors(cusp, n_faces, slope):
     v = (1 - x * u) // y if y else 0
     return (reference_face_vector(cusp, n_faces, (x, y)),
             reference_face_vector(cusp, n_faces, (-v, u)))
+
+
+def reference_predict_filled_alexander(i_theta, fh):
+    """The earlier ``filling.predict_filled_alexander`` and its
+    four-branch equality rule, kept as an oracle for the solver's
+    decision: CensusError for b_1(N) = 0, a missing sigma_N or a trivial
+    core class, else (case, candidate, division_ok, equality_expected).
+    Core classes are read as tuples, the filled cusps as their keys and
+    b_1 as ``fh.b1``."""
+    if fh.s == 0:
+        raise CensusError("b_1(N) = 0: the filling identity needs "
+                          "positive rank")
+    if fh.sigma_N is None:
+        raise CensusError("sigma_N does not exist for this filling")
+    for j in fh.cores:
+        if not any(e != 0 for e in fh.cores[j]):
+            raise CensusError(
+                "core curve of cusp %d is trivial in free homology; "
+                "the filling identity does not apply" % j)
+    s = fh.s
+    if i_theta.nvars != s:
+        raise ValueError("i_theta has %d variables, expected s = %d"
+                         % (i_theta.nvars, s))
+    if fh.b1 >= 2:
+        if s >= 2:
+            case, e = "I(a)", 0
+        elif not fh.boundary_empty:
+            case, e = "I(b)-boundary", 1
+        else:
+            case, e = "I(b)-closed", 2
+    else:
+        if not fh.boundary_empty:
+            case, e = "II(a)", 0
+        else:
+            case, e = "II(b)", 1
+    h_factor = LaurentPoly(s, {
+        tuple(1 if i == 0 else 0 for i in range(s)): 1,
+        (0,) * s: -fh.sigma_N[0]})
+    numer = i_theta * h_factor ** e
+    denom = LaurentPoly.one(s)
+    for j in fh.cores:
+        ell = fh.cores[j]
+        sig_ell = 1
+        for sg, exp in zip(fh.sigma_N, ell):
+            if sg == -1 and exp % 2:
+                sig_ell = -sig_ell
+        denom = denom * LaurentPoly(s, {tuple(ell): 1, (0,) * s: -sig_ell})
+    quotient = exact_div(numer, denom)
+    # the specialised taut polynomial equals Delta_N up to variable signs
+    # exactly in four situations
+    generates = {j: fh.s == 1 and fh.cores[j] in ((1,), (-1,))
+                 for j in fh.cores}
+    k = len(fh.cores)
+    if k == 0:
+        equal = True
+    elif fh.s == 1 and not fh.boundary_empty and k == 1 and \
+            all(generates.values()):
+        equal = True
+    elif fh.s == 1 and fh.boundary_empty and k == 2 and \
+            all(generates.values()):
+        equal = True
+    elif fh.b1 == 1 and fh.boundary_empty and all(generates.values()):
+        equal = True
+    else:
+        equal = False
+    if quotient is None:
+        return case, None, False, equal
+    # undo the sign twist: Delta_N(h) = quotient(sigma_N(h) * h)
+    return case, sign_twist(quotient, fh.sigma_N), True, equal
 
 
 def cover_pushforward(analysis, cover_analysis):

@@ -289,6 +289,6 @@ def test_criterion_8_filling_cross_route():
         i_delta = specialize(delta, fh.i_star)
         assert normalize_unit(i_theta) == \
             normalize_unit(sign_twist(i_delta, fh.sigma_N)), (word, eps)
-        pred = predict_filled_alexander(i_theta, fh)
-        assert pred.case == "II(b)", (word, eps)
-        assert pred.division_ok, (word, eps)
+        case, delta_n, _ = predict_filled_alexander(i_theta, fh)
+        assert case == "II(b)", (word, eps)
+        assert delta_n is not None, (word, eps)

@@ -33,6 +33,8 @@ EXTRA_RECORDS = os.path.join(os.path.dirname(__file__), "data",
                              "extra_census_verify.jsonl")
 EXTRA_FILLS = os.path.join(os.path.dirname(__file__), "data",
                            "extra_census_fill.jsonl")
+FILL_CASES = os.path.join(os.path.dirname(__file__), "data",
+                          "fill_cases.jsonl")
 M003 = "cPcbbbdxm_10"
 TWO_TET_EO = "cPcbbbiht_12"
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
@@ -133,6 +135,14 @@ def test_extra_census_fills_replay_byte_for_byte(capsys):
     assert replay_fills(EXTRA_FILLS, capsys) == 3
 
 
+def test_fill_cases_replay_byte_for_byte(capsys):
+    # the filling cases no other reference reaches: I(a) and II(a) with
+    # nothing filled, on the two-cusp extra entry and on m003, I(b) with
+    # boundary left at two slopes of the extra entry's cusp 0, and m003
+    # filled at a slope that kills its free homology (exit 1)
+    assert replay_fills(FILL_CASES, capsys) == 5
+
+
 # Rejected lines, run through compute: each gives one JSON line of its
 # exit code and stderr.
 REJECTED = [line for line, _ in MALFORMED] + list(NOT_VEERING)
@@ -149,15 +159,16 @@ def compute_outcome(line):
 # Prints the records of the census_scan and census_verify references and
 # of the 14-tet entry's and the extra census's --verify references, the
 # ones with delta_hat, as batch and batch --verify write them, then those
-# of the fill_bundles and extra census fill references, as fill writes
-# them, and then the outcome of compute on each rejected line, from an
-# interpreter whose __debug__ is off.
+# of the fill_bundles, extra census fill and fill case references, as
+# fill writes them, and then the outcome of compute on each rejected
+# line, from an interpreter whose __debug__ is off.
 OPTIMIZED_REPLAY = """
 import contextlib, io, json, sys
 from veerpoly.cli import entry_record, main
 if __debug__:
     sys.exit("expected python -O")
-scan, verify, fourteen, extra, fill, extra_fill, rejected = sys.argv[1:]
+scan, verify, fourteen, extra, fill, extra_fill, fill_cases, rejected = \
+    sys.argv[1:]
 for path, with_polynomials in ((scan, False), (verify, True),
                                (fourteen, True), (extra, True)):
     with open(path) as fh:
@@ -170,10 +181,11 @@ with open(fill) as fh:
         rec = json.loads(line)
         slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
         main(["fill", rec["sig"], "--slopes", slopes])
-with open(extra_fill) as fh:
-    for line in fh:
-        rec = json.loads(line)
-        main(["fill", rec["sig"], "--slopes", rec["slopes"]])
+for path in (extra_fill, fill_cases):
+    with open(path) as fh:
+        for line in fh:
+            rec = json.loads(line)
+            main(["fill", rec["sig"], "--slopes", rec["slopes"]])
 for line in json.loads(rejected):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -196,17 +208,20 @@ def test_records_are_the_same_under_python_O():
          os.path.join(REFERENCE, "census_scan.jsonl"),
          os.path.join(REFERENCE, "census_verify.jsonl"), FOURTEEN_RECORD,
          EXTRA_RECORDS, os.path.join(REFERENCE, "fill_bundles.jsonl"),
-         EXTRA_FILLS, json.dumps(REJECTED)],
+         EXTRA_FILLS, FILL_CASES, json.dumps(REJECTED)],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     with open(FOURTEEN_RECORD) as fh:
         fourteen = fh.read().splitlines()
     with open(EXTRA_RECORDS) as fh:
         extra = fh.read().splitlines()
-    with open(EXTRA_FILLS) as fh:
-        extra_fills = [json.loads(line)["stdout"].rstrip("\n") for line in fh]
+    fills = []
+    for path in (EXTRA_FILLS, FILL_CASES):
+        with open(path) as fh:
+            for line in fh:
+                fills += json.loads(line)["stdout"].splitlines()
     want = reference_lines("census_scan") + \
         reference_lines("census_verify") + fourteen + extra + \
-        reference_lines("fill_bundles") + extra_fills + \
+        reference_lines("fill_bundles") + fills + \
         [json.dumps(compute_outcome(line)) for line in REJECTED]
     assert out.stdout.splitlines() == want
 
