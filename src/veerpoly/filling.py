@@ -283,12 +283,3 @@ def predict_filled_alexander(i_theta, fh):
         or (fh.boundary_empty and (len(cores) == 2 or fh.b1 == 1)))
     return case, delta_N, equality_expected
 
-
-def orientable_class_parity(coeffs, sigma_n):
-    """Parity test for a primitive class written in the dual basis of
-    the free homology: each coefficient must be odd exactly at the
-    generators where sigma_N is -1."""
-    if len(coeffs) != len(sigma_n):
-        raise ValueError("coefficient count does not match sigma_N")
-    return all((a % 2 == 1) == (sg == -1)
-               for a, sg in zip(coeffs, sigma_n))

@@ -94,9 +94,7 @@ def smith_normal_form(A, ncols=None):
     D and U are the rows of one matrix [D | U], and Uinv and V are kept
     transposed, so each step is a row operation: a row operation E on D
     is E on [D | U], E^-1 from the right on Uinv is a row operation on
-    Uinv^T, and a column operation on D is one on V^T.  The elimination
-    loops write ``_add_row`` out, as a call per operation makes the
-    Smith form about 5% slower.
+    Uinv^T, and a column operation on D is one on V^T.
 
     Two early exits keep the transforms identical to a full scan.  The
     pivot search stops at the first entry with |x| = 1, since no entry
@@ -152,15 +150,8 @@ def smith_normal_form(A, ncols=None):
                 if DU[i][k]:
                     q = DU[i][k] // DU[k][k]
                     if q:
-                        # _add_row(DU, i, k, -q), _add_row(UinvT, k, i, q)
-                        target = DU[i]
-                        for col, x in enumerate(DU[k]):
-                            if x:
-                                target[col] -= q * x
-                        target = UinvT[k]
-                        for col, x in enumerate(UinvT[i]):
-                            if x:
-                                target[col] += q * x
+                        _add_row(DU, i, k, -q)
+                        _add_row(UinvT, k, i, q)
                     if DU[i][k]:
                         # remainder is strictly smaller; make it the pivot
                         swap_rows(k, i)
@@ -172,14 +163,11 @@ def smith_normal_form(A, ncols=None):
                 if DU[k][j]:
                     q = DU[k][j] // DU[k][k]
                     if q:
-                        # col_j -= q * col_k, then _add_row(VT, j, k, -q)
+                        # col_j -= q * col_k
                         for row in DU:
                             if row[k]:
                                 row[j] -= q * row[k]
-                        target = VT[j]
-                        for col, x in enumerate(VT[k]):
-                            if x:
-                                target[col] -= q * x
+                        _add_row(VT, j, k, -q)
                     if DU[k][j]:
                         swap_cols(k, j)
                         restart = True

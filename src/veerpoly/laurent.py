@@ -81,18 +81,10 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            s = out.get(exp, 0) + coef
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return LaurentPoly._wrap(self.nvars, out)
+        return self.sub_mul(-LaurentPoly.one(self.nvars), other)
 
     def __sub__(self, other):
-        return self + -other
+        return self.sub_mul(LaurentPoly.one(self.nvars), other)
 
     def __neg__(self):
         return LaurentPoly._wrap(self.nvars,
@@ -104,26 +96,19 @@ class LaurentPoly:
                 return LaurentPoly.zero(self.nvars)
             return LaurentPoly._wrap(
                 self.nvars, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly._wrap(self.nvars, out)
+        return LaurentPoly.zero(self.nvars).sub_mul(-self, other)
 
     __rmul__ = __mul__
 
     def sub_mul(self, c, p):
         """self - c * p, summed into one copy of self's terms: no
-        product polynomial is built on the way.  c and p must be
-        LaurentPoly; their ring is checked inline, as the Schur updates
-        of ``unit_pivot_reduce`` call this once per updated entry."""
-        if c.nvars != self.nvars or p.nvars != self.nvars:
+        product polynomial is built on the way.  The ring's one product
+        kernel: +, -, * and ** of polynomials are this loop, and so are
+        the Schur updates of ``unit_pivot_reduce``, the Laplace sweep of
+        ``determinant``, the pseudo-remainders of the PRS and the steps
+        of exact division.  c and p must be LaurentPoly in self's ring."""
+        if not (isinstance(c, LaurentPoly) and isinstance(p, LaurentPoly)
+                and c.nvars == p.nvars == self.nvars):
             raise ValueError("operands live in different Laurent rings")
         out = dict(self.terms)
         for e1, c1 in c.terms.items():
@@ -141,12 +126,8 @@ class LaurentPoly:
             raise ValueError("negative powers are not supported (n = %d)"
                              % n)
         out = LaurentPoly.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def __eq__(self, other):
@@ -155,10 +136,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def _check(self, other):
-        if not isinstance(other, LaurentPoly) or other.nvars != self.nvars:
-            raise ValueError("operands live in different Laurent rings")
 
     # -- structure ---------------------------------------------------------
 
@@ -464,12 +441,11 @@ def maximal_minor_gcd_bruteforce(mat):
     order of ``combinations``.  A zero minor, or one that the gcd so far
     divides, leaves the gcd as it is, so ``gcd`` runs only on the others.
     The walk stops once the gcd is 1.  Each minor is its own
-    ``determinant`` sweep; the benchmark counts them one by one.
+    ``determinant`` sweep; the benchmark counts them one by one.  With
+    no rows, the one empty column set gives the 0 x 0 minor, 1.
     """
     if mat.rows > mat.cols:
         raise ValueError("need rows <= cols for maximal (row-size) minors")
-    if mat.rows == 0:
-        return LaurentPoly.one(mat.nvars)
     acc = LaurentPoly.zero(mat.nvars)
     all_rows = range(mat.rows)
     for cols in combinations(range(mat.cols), mat.rows):
@@ -480,7 +456,7 @@ def maximal_minor_gcd_bruteforce(mat):
         acc = gcd(acc, minor)
         if acc.is_one():
             break
-    return normalize_unit(acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ the cells of ``all_columns_matrices``.  The
 fraction-free Bareiss determinant (``bareiss_determinant``) that the
 package used before its division-free Laplace sweep is kept as the
 determinant reference at sizes that cofactor expansion cannot reach; it
-divides with the package's ``exact_div``.  The
+divides with the package's ``exact_div``.  The term loops of +, * and
+the binary ** ladder that ``LaurentPoly`` ran before every product went
+through ``sub_mul`` (``reference_add``, ``reference_mul``,
+``reference_pow``) are the operator references, and cofactor expansion
+multiplies and sums with them.  The
 earlier two-pass signature decoder, gluing-table builder, corner walk,
 face walks of the two presentation matrices, dense face cocycle, dense
 chain complex and dense ``H1Data`` are kept here too, and so are the
@@ -50,6 +54,47 @@ from veerpoly.taut import (Coorientation, derive_colouring,
                            derive_coorientation)
 
 
+def reference_add(a, b):
+    """a + b, one term of b at a time."""
+    if a.nvars != b.nvars:
+        raise ValueError("operands live in different Laurent rings")
+    out = dict(a.terms)
+    for exp, coef in b.terms.items():
+        s = out.get(exp, 0) + coef
+        if s:
+            out[exp] = s
+        else:
+            out.pop(exp, None)
+    return LaurentPoly(a.nvars, out)
+
+
+def reference_mul(a, b):
+    """a * b, summed over every pair of terms."""
+    if a.nvars != b.nvars:
+        raise ValueError("operands live in different Laurent rings")
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return LaurentPoly(a.nvars, out)
+
+
+def reference_pow(a, n):
+    """a ** n for n >= 0 by repeated squaring."""
+    out = LaurentPoly.one(a.nvars)
+    while n:
+        if n & 1:
+            out = reference_mul(out, a)
+        a = reference_mul(a, a)
+        n >>= 1
+    return out
+
+
 def cofactor_determinant(entries):
     """Determinant by first-row cofactor expansion (lists of LaurentPoly)."""
     n = len(entries)
@@ -63,8 +108,8 @@ def cofactor_determinant(entries):
         if top.is_zero():
             continue
         minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = top * cofactor_determinant(minor)
-        total = total + term if j % 2 == 0 else total - term
+        term = reference_mul(top, cofactor_determinant(minor))
+        total = reference_add(total, term if j % 2 == 0 else -term)
     return total
 
 

@@ -24,8 +24,7 @@ from veerpoly.invariants import (Analysis, build_taut_matrix,
                                  build_alexander_matrix, fitting_gcd)
 from veerpoly.filling import (FilledHomology, FillingSpec, parse_slopes,
                               vertex_links, filled_homology,
-                              predict_filled_alexander,
-                              orientable_class_parity)
+                              predict_filled_alexander)
 from veerpoly.homology import int_matmul
 from veerpoly.laurent import (LaurentPoly, normalize_unit, sign_twist,
                               specialize)
@@ -653,18 +652,3 @@ def test_parse_slopes():
         parse_slopes("c0:1/2,c0:3/4")
     with pytest.raises(CensusError, match="not primitive"):
         parse_slopes("c0:2/4")
-
-
-# ------------------------------------------- coefficient parity test
-
-def test_orientable_class_parity():
-    # a class is compatible with the sign vector when its coordinates
-    # are odd exactly at the sign-flipped positions
-    assert orientable_class_parity((3, 2), (-1, 1))
-    assert not orientable_class_parity((2, 1), (-1, 1))
-    assert not orientable_class_parity((1, 1), (-1, 1))
-    assert orientable_class_parity((1, 4), (-1, 1))
-    assert orientable_class_parity((2,), (1,))
-    assert not orientable_class_parity((1,), (1,))
-    with pytest.raises(ValueError):
-        orientable_class_parity((1, 2, 3), (1, 1))

@@ -12,8 +12,6 @@ from veerpoly import cli
 PACKAGE = os.path.dirname(cli.__file__)
 TESTS = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(TESTS, os.pardir, "perfbench")
-# the paper's parity criterion, a library feature the README lists
-UNREAD_ALLOWED = {"orientable_class_parity"}
 
 
 def parsed_modules(directory):
@@ -81,7 +79,7 @@ def test_every_definition_is_read_outside_the_tests():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, "%s:%d" % (fname, node.lineno))
-    read = names_read() | UNREAD_ALLOWED
+    read = names_read()
     unread = sorted(where for name, where in defined.items()
                     if name not in read
                     and not (name.startswith("__") and name.endswith("__")))
@@ -190,3 +188,57 @@ def test_attributes_are_stored_only_inside_class_bodies():
                     and isinstance(node.ctx, ast.Store)
                     and id(node) not in inside]
     assert outside == []
+
+
+def terms_loop_operand(loop):
+    """The source of X when loop (a for statement or a comprehension
+    clause) runs over ``X.terms.items()``, else None."""
+    it = loop.iter
+    if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute) \
+            and it.func.attr == "items" \
+            and isinstance(it.func.value, ast.Attribute) \
+            and it.func.value.attr == "terms":
+        return ast.unparse(it.func.value.value)
+    return None
+
+
+def pair_of_terms_loops(tree):
+    """The qualified name of every function that nests a loop over one
+    polynomial's ``.terms.items()`` inside a loop over another's."""
+    found = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, name + [child.name])
+                continue
+            if isinstance(child, ast.For):
+                outer = terms_loop_operand(child)
+                inner = [terms_loop_operand(n) for n in ast.walk(child)
+                         if n is not child
+                         and isinstance(n, (ast.For, ast.comprehension))]
+            elif isinstance(child, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                    ast.GeneratorExp)):
+                operands = [terms_loop_operand(g) for g in child.generators]
+                outer = operands[0]
+                inner = operands[1:]
+            else:
+                outer = None
+            if outer is not None and \
+                    any(x is not None and x != outer for x in inner):
+                found.add(".".join(name))
+            visit(child, name)
+
+    visit(tree, [])
+    return found
+
+
+def test_sub_mul_is_the_one_loop_over_pairs_of_terms():
+    # +, -, * and ** of Laurent polynomials are sub_mul calls, so no
+    # other package function multiplies pairs of terms in a loop of its
+    # own
+    found = set()
+    for fname, tree in parsed_modules(PACKAGE):
+        found |= {"%s:%s" % (fname, name)
+                  for name in pair_of_terms_loops(tree)}
+    assert found == {"laurent.py:LaurentPoly.sub_mul"}

@@ -803,12 +803,13 @@ TALL = LaurentMatrix(1, [[ONE] * 2] * 3)
     (lambda: LaurentPoly(2, {(1,): 1}), ValueError, "expected 2"),
     (lambda: ONE ** -1, ValueError, "negative powers"),
     (lambda: ONE + LaurentPoly.one(2), ValueError, "different Laurent rings"),
+    (lambda: ONE + 1, ValueError, "different Laurent rings"),
     (lambda: parse_slopes("x0:1/2"), CensusError, "malformed slope"),
     (lambda: Analysis(two_disjoint_copies("cPcbbbdxm_10")), CensusError,
      "triangulation is disconnected"),
 ], ids=["fitting_gcd", "minor_gcd", "determinant", "specialize",
-        "exponent_length", "negative_power", "mixed_rings", "slope",
-        "disconnected"])
+        "exponent_length", "negative_power", "mixed_rings", "int_summand",
+        "slope", "disconnected"])
 def test_input_and_shape_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()

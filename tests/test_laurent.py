@@ -16,7 +16,8 @@ from veerpoly.laurent import (LaurentMatrix, LaurentPoly, determinant,
                               poly_from_json, poly_to_json, sign_twist,
                               specialize)
 from oracles import (bareiss_determinant, cofactor_determinant,
-                     exhaustive_fitting_gcd)
+                     exhaustive_fitting_gcd, reference_add, reference_mul,
+                     reference_pow)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 EXTRA = os.path.join(os.path.dirname(__file__), "data", "extra_census.txt")
@@ -52,20 +53,27 @@ def to_sympy(p, symbols):
 # -- arithmetic --------------------------------------------------------------
 
 def test_arithmetic_results_are_clean():
-    # + - * and shift hand back their dicts unchecked, so no result may
-    # hold a zero coefficient or an exponent of the wrong length
+    # + - * ** and shift hand back their dicts unchecked, so no result
+    # may hold a zero coefficient or an exponent of the wrong length;
+    # + - * ** are sub_mul, so they are checked against the term loops
+    # of the oracles
     rng = random.Random(47)
     for _ in range(300):
         nv = rng.randint(1, 3)
         a = random_poly(rng, nv)
         # b shares some of a's terms with opposite sign, so a + b cancels
-        b = random_poly(rng, nv) + LaurentPoly(
-            nv, {e: -c for e, c in a.terms.items() if rng.random() < 0.5})
+        b = reference_add(random_poly(rng, nv), LaurentPoly(
+            nv, {e: -c for e, c in a.terms.items() if rng.random() < 0.5}))
         vec = tuple(rng.randint(-3, 3) for _ in range(nv))
-        assert a - b == a + (-b)
+        assert a + b == reference_add(a, b)
+        assert a - b == reference_add(a, -b)
+        assert b - a == reference_add(b, -a)
+        assert a * b == b * a == reference_mul(a, b)
+        powers = [a ** n for n in range(6)]
+        assert powers == [reference_pow(a, n) for n in range(6)]
         assert (a - a).terms == {}
-        for r in (a + b, a - b, b - a, -a, a * b, b * a, a * 3, -2 * a,
-                  a * 0, a.shift(vec), a - a):
+        for r in [a + b, a - b, b - a, -a, a * b, b * a, a * 3, -2 * a,
+                  a * 0, a.shift(vec), a - a] + powers:
             assert r.nvars == nv
             assert 0 not in r.terms.values()
             assert all(type(e) is tuple and len(e) == nv for e in r.terms)
@@ -78,23 +86,28 @@ def test_arithmetic_results_are_clean():
 
 
 def test_sub_mul_equals_difference_of_product():
-    # the fused a - c * p of the unit-pivot reduction, against the
-    # product and the difference taken one at a time, on clean results;
-    # a = c * p cancels in full, and any of a, c, p may be zero
+    # the fused a - c * p, against the oracles' product and sum taken
+    # one at a time, on clean results; a = c * p cancels in full, any of
+    # a, c, p may be zero, and c may be a power of p
     rng = random.Random(53)
     for _ in range(300):
         nv = rng.randint(1, 3)
         a, c, p = (random_poly(rng, nv) for _ in range(3))
         before = [dict(x.terms) for x in (a, c, p)]
         zero = LaurentPoly.zero(nv)
-        for args in ((a, c, p), (c * p, c, p), (zero, c, p), (a, zero, p),
-                     (a, c, zero), (zero, zero, zero)):
+        cp = reference_mul(c, p)
+        for args in ((a, c, p), (cp, c, p), (zero, c, p), (a, zero, p),
+                     (a, c, zero), (zero, zero, zero)) + tuple(
+                         (a, p ** n, p) for n in range(6)):
             got = args[0].sub_mul(args[1], args[2])
-            assert got == args[0] - args[1] * args[2]
+            assert got == reference_add(args[0],
+                                        -reference_mul(args[1], args[2]))
             assert got.nvars == nv
             assert 0 not in got.terms.values()
             assert all(type(e) is tuple and len(e) == nv for e in got.terms)
-        assert (c * p).sub_mul(c, p).terms == {}
+        assert cp.sub_mul(c, p).terms == {}
+        assert [zero.sub_mul(-p, p ** n) for n in range(6)] == \
+            [reference_pow(p, n + 1) for n in range(6)]
         # the operands are left as they were
         assert [x.terms for x in (a, c, p)] == before
 

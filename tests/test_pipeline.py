@@ -25,6 +25,8 @@ PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 REFERENCE = os.path.join(PERFBENCH, "reference")
 FOURTEEN_RECORD = os.path.join(os.path.dirname(__file__), "data",
                                "fourteen_tet_verify.jsonl")
+COVER_RECORD = os.path.join(os.path.dirname(__file__), "data",
+                            "sigmaless_cover_verify.jsonl")
 FOURTEEN_FILLS = os.path.join(os.path.dirname(__file__), "data",
                               "fourteen_tet_fill.jsonl")
 EXTRA_CENSUS = os.path.join(os.path.dirname(__file__), "data",
@@ -38,6 +40,8 @@ FILL_CASES = os.path.join(os.path.dirname(__file__), "data",
 M003 = "cPcbbbdxm_10"
 TWO_TET_EO = "cPcbbbiht_12"
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
+SIGMALESS_COVER = ("CvLvwwwwzLQvwQPPQQQkcifghjsmnpopwrvttyzyBAAAxxBzBntewbcubet"
+                   "fbnonjrtthalxtnslfc_1202011121021222012210000010")
 
 
 def reference_lines(name):
@@ -71,17 +75,29 @@ def test_batch_writer_matches_reference(tmp_path, name, flags):
         assert out.read_bytes() == fh.read()
 
 
+def replay_verify_record(tmp_path, sig, path):
+    """``batch --verify`` on sig alone writes the bytes of path."""
+    census = tmp_path / "census.txt"
+    census.write_text(sig + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["batch", str(census), "--verify", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    with open(path, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_fourteen_tet_record_replays_byte_for_byte(tmp_path):
     # the sample's only b1 = 2 entry and its only delta_hat: the bytes
     # pin theta, delta and delta_hat in the H1 basis the Smith form's U
     # fixes, which the tests that match them up to GL(2, Z) would not
-    census = tmp_path / "census.txt"
-    census.write_text(FOURTEEN + "\n")
-    out = tmp_path / "out.jsonl"
-    assert main(["batch", str(census), "--verify", "--jobs", "1",
-                 "--out", str(out)]) == 0
-    with open(FOURTEEN_RECORD, "rb") as fh:
-        assert out.read_bytes() == fh.read()
+    replay_verify_record(tmp_path, FOURTEEN, FOURTEEN_RECORD)
+
+
+def test_sigmaless_cover_record_replays_byte_for_byte(tmp_path):
+    # a Z/2 cover of the 14-tet entry without sigma: b1 = 2, torsion
+    # [2, 8], and theta, delta and delta_hat of 35, 33 and 95 terms, so
+    # its minor gcds are the largest a record pins
+    replay_verify_record(tmp_path, SIGMALESS_COVER, COVER_RECORD)
 
 
 def test_fill_records_match_reference(capsys):
@@ -157,20 +173,22 @@ def compute_outcome(line):
 
 
 # Prints the records of the census_scan and census_verify references and
-# of the 14-tet entry's and the extra census's --verify references, the
-# ones with delta_hat, as batch and batch --verify write them, then those
-# of the fill_bundles, extra census fill and fill case references, as
-# fill writes them, and then the outcome of compute on each rejected
-# line, from an interpreter whose __debug__ is off.
+# of the 14-tet entry's, the extra census's and the sigma-less cover's
+# --verify references, the ones with delta_hat, as batch and batch
+# --verify write them, then those of the fill_bundles, extra census fill
+# and fill case references, as fill writes them, and then the outcome of
+# compute on each rejected line, from an interpreter whose __debug__ is
+# off.
 OPTIMIZED_REPLAY = """
 import contextlib, io, json, sys
 from veerpoly.cli import entry_record, main
 if __debug__:
     sys.exit("expected python -O")
-scan, verify, fourteen, extra, fill, extra_fill, fill_cases, rejected = \
-    sys.argv[1:]
+(scan, verify, fourteen, extra, cover, fill, extra_fill, fill_cases,
+ rejected) = sys.argv[1:]
 for path, with_polynomials in ((scan, False), (verify, True),
-                               (fourteen, True), (extra, True)):
+                               (fourteen, True), (extra, True),
+                               (cover, True)):
     with open(path) as fh:
         for line in fh:
             rec = entry_record(json.loads(line)["sig"],
@@ -207,20 +225,23 @@ def test_records_are_the_same_under_python_O():
         [sys.executable, "-O", "-c", OPTIMIZED_REPLAY,
          os.path.join(REFERENCE, "census_scan.jsonl"),
          os.path.join(REFERENCE, "census_verify.jsonl"), FOURTEEN_RECORD,
-         EXTRA_RECORDS, os.path.join(REFERENCE, "fill_bundles.jsonl"),
+         EXTRA_RECORDS, COVER_RECORD,
+         os.path.join(REFERENCE, "fill_bundles.jsonl"),
          EXTRA_FILLS, FILL_CASES, json.dumps(REJECTED)],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     with open(FOURTEEN_RECORD) as fh:
         fourteen = fh.read().splitlines()
     with open(EXTRA_RECORDS) as fh:
         extra = fh.read().splitlines()
+    with open(COVER_RECORD) as fh:
+        cover = fh.read().splitlines()
     fills = []
     for path in (EXTRA_FILLS, FILL_CASES):
         with open(path) as fh:
             for line in fh:
                 fills += json.loads(line)["stdout"].splitlines()
     want = reference_lines("census_scan") + \
-        reference_lines("census_verify") + fourteen + extra + \
+        reference_lines("census_verify") + fourteen + extra + cover + \
         reference_lines("fill_bundles") + fills + \
         [json.dumps(compute_outcome(line)) for line in REJECTED]
     assert out.stdout.splitlines() == want
