@@ -295,10 +295,7 @@ def main(argv=None):
     from .census_io import CensusError
     try:
         return args.func(args)
-    except CensusError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CensusError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except AssertionError as exc:

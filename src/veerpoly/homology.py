@@ -94,7 +94,10 @@ def smith_normal_form(A, ncols=None):
     D and U are the rows of one matrix [D | U], and Uinv and V are kept
     transposed, so each step is a row operation: a row operation E on D
     is E on [D | U], E^-1 from the right on Uinv is a row operation on
-    Uinv^T, and a column operation on D is one on V^T.
+    Uinv^T, and a column operation on D is one on V^T.  A column step
+    changes one entry of D: it runs only once the row phase has cleared
+    column k below the pivot, the earlier pivots cleared it above, and
+    the chain step adds a row that is zero there.
 
     Two early exits keep the transforms identical to a full scan.  The
     pivot search stops at the first entry with |x| = 1, since no entry
@@ -163,10 +166,8 @@ def smith_normal_form(A, ncols=None):
                 if DU[k][j]:
                     q = DU[k][j] // DU[k][k]
                     if q:
-                        # col_j -= q * col_k
-                        for row in DU:
-                            if row[k]:
-                                row[j] -= q * row[k]
+                        # col_j -= q * col_k, whose one nonzero is row k
+                        DU[k][j] -= q * DU[k][k]
                         _add_row(VT, j, k, -q)
                     if DU[k][j]:
                         swap_cols(k, j)

@@ -134,9 +134,6 @@ class LaurentPoly:
         return (isinstance(other, LaurentPoly)
                 and self.nvars == other.nvars and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     # -- structure ---------------------------------------------------------
 
     def min_exponents(self):
@@ -267,21 +264,20 @@ def _sign_norm(p):
 
 
 def _poly_gcd(p, q):
-    """gcd in Z[x_1..x_r] for honest polynomials (no negative exponents)."""
+    """gcd in Z[x_1..x_r] for honest polynomials (no negative exponents),
+    q nonzero."""
     if p.is_zero():
         return _sign_norm(q)
-    if q.is_zero():
-        return _sign_norm(p)
     if p.nvars == 0:
         a = p.terms.get((), 0)
         b = q.terms.get((), 0)
         return LaurentPoly(0, {(): math.gcd(a, b)})
-    pc, pp = _content_pp(p)
-    qc, qp = _content_pp(q)
+    pc, pp = _content_pp(_split_last(p))
+    qc, qp = _content_pp(_split_last(q))
     d = _poly_gcd(pc, qc)
     g = _subresultant_gcd(pp, qp)
-    return _sign_norm(_join_last({deg: c * d for deg, c in
-                                  _split_last(g).items()}, p.nvars))
+    return _sign_norm(_join_last({deg: c * d for deg, c in g.items()},
+                                 p.nvars))
 
 
 def _split_last(p):
@@ -305,10 +301,11 @@ def _join_last(coeffs, nvars):
     return LaurentPoly._wrap(nvars, terms)
 
 
-def _content_pp(p):
-    """``(content, primitive part)`` of p with respect to its last variable."""
-    coeffs = _split_last(p)
-    cont = LaurentPoly.zero(p.nvars - 1)
+def _content_pp(coeffs):
+    """``(content, primitive part)`` of a nonzero polynomial in R[y], given
+    as its coefficient map {degree: nonzero R-element} (``_split_last``);
+    the primitive part is a coefficient map too."""
+    cont = LaurentPoly.zero(next(iter(coeffs.values())).nvars)
     for poly in coeffs.values():
         cont = _poly_gcd(cont, poly)
         if cont.is_one():
@@ -350,13 +347,12 @@ def _prem(a, b):
 
 
 def _subresultant_gcd(a, b):
-    """Subresultant PRS on primitive a, b in R[y]; returns a primitive gcd
-    as a full polynomial in all variables."""
-    nvars_r = next(iter(a.values())).nvars  # coefficient ring variable count
-    nvars = nvars_r + 1
+    """Subresultant PRS on primitive a, b in R[y], each a coefficient map
+    {degree: nonzero R-element}; returns a primitive gcd, the primitive
+    part of the last nonzero remainder, as such a map."""
     if max(a) < max(b):
         a, b = b, a
-    one = LaurentPoly.one(nvars_r)
+    one = LaurentPoly.one(next(iter(a.values())).nvars)
     g = h = one
     while True:
         delta = max(a) - max(b)
@@ -365,7 +361,7 @@ def _subresultant_gcd(a, b):
             break
         if max(r) == 0:
             # Primitive parts are coprime; gcd is carried by contents alone.
-            return LaurentPoly.one(nvars)
+            return {0: one}
         a, b = b, r
         divisor = g * h ** delta
         b = {d: _require(_poly_exact_div(c, divisor)) for d, c in b.items()}
@@ -374,8 +370,7 @@ def _subresultant_gcd(a, b):
             h = g
         elif delta > 1:
             h = _require(_poly_exact_div(g ** delta, h ** (delta - 1)))
-    cont, pp = _content_pp(_join_last(b, nvars))
-    return _join_last(pp, nvars)
+    return _content_pp(b)[1]
 
 
 # ---------------------------------------------------------------------------

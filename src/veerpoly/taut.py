@@ -253,24 +253,24 @@ class EdgeOrientationData:
     omega is the face cochain beta on homology, as 0/1: of a class with
     kernel coordinates y (``H1Data``), the parity of y summed over
     odd_kernel, where beta is odd on the kernel basis cycle.
-    omega_positions holds omega of each diagonal generator of H1;
-    edge_orientable says omega vanishes.  sigma is ``sign_vector`` of
-    H1 itself: omega's signs on the free generators, or None when omega
-    is odd on torsion; sigma_exists says it is not None.
+    edge_orientable says omega vanishes on H1, which is odd_kernel being
+    empty: the generator lifts of H1, the columns of Uinv, are a basis
+    of the kernel coordinates, and omega is linear mod 2, so it vanishes
+    on them all exactly when it vanishes on each unit vector e_k, that
+    is, when no kernel position is odd.  sigma is ``sign_vector`` of H1
+    itself: omega's signs on the free generators, or None when omega is
+    odd on torsion; sigma_exists says it is not None.
     """
 
-    __slots__ = ("beta", "odd_kernel", "omega_positions", "edge_orientable",
-                 "sigma_exists", "sigma")
+    __slots__ = ("beta", "odd_kernel", "edge_orientable", "sigma_exists",
+                 "sigma")
 
     def __init__(self, beta, h1):
         self.beta = beta
-        quot = h1.quot
         self.odd_kernel = [k for k, x in enumerate(h1.cochain_on_kernel(beta))
                            if x % 2]
-        self.omega_positions = omega = [self.omega(quot.generator_lift(i))
-                                        for i in range(h1.q)]
-        self.edge_orientable = not any(omega)
-        self.sigma = self.sign_vector(quot)
+        self.edge_orientable = not self.odd_kernel
+        self.sigma = self.sign_vector(h1.quot)
         self.sigma_exists = self.sigma is not None
 
     def omega(self, y):
@@ -299,7 +299,7 @@ def edge_orientation_data(ts, coor, orders, cycles, h1):
     # trivial generators are boundaries, where a cocycle must vanish
     for i, order in enumerate(h1.quot.orders):
         if order == 1:
-            assert eo.omega_positions[i] == 0
+            assert eo.omega(h1.quot.generator_lift(i)) == 0
     return eo
 
 

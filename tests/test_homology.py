@@ -1,3 +1,4 @@
+import json
 import os
 import random
 
@@ -19,7 +20,8 @@ from oracles import (DenseH1Data, abelian_group_from_relations,
                      dense_kernel_to_cycle, full_scan_snf, naive_int_matmul,
                      rational_rank, variant_analysis)
 
-DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+DATA = os.path.join(DATA_DIR, "sample_census.txt")
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
 
 
@@ -294,6 +296,40 @@ def test_snf_transforms_match_full_scan_on_batch_traffic(monkeypatch,
                  "--out", str(tmp_path / "out.jsonl")]) == 0
     monkeypatch.undo()
     assert len(results) == 243
+    for A, ncols, res in results:
+        assert same_as_full_scan(res, A, ncols)
+
+
+def test_snf_transforms_match_full_scan_on_fill_traffic(monkeypatch, capsys):
+    # every Smith form that fill takes over the pinned fill calls, the
+    # 14-tet entry's 96 included: H1's, the cusp links', and the filled
+    # quotient's and i_*'s, whose U fixes the i_star and core
+    # coordinates of the records
+    results = []
+    i_stars = []
+
+    def recording_snf(A, ncols=None):
+        A = [list(r) for r in A]
+        results.append((A, ncols, smith_normal_form(A, ncols=ncols)))
+        return results[-1][2]
+
+    def recording_i_star(A, ncols=None):
+        i_stars.append(A)
+        return recording_snf(A, ncols=ncols)
+
+    calls = []
+    for name in ("fill_cases.jsonl", "extra_census_fill.jsonl",
+                 "fourteen_tet_fill.jsonl"):
+        with open(os.path.join(DATA_DIR, name)) as fh:
+            calls += [json.loads(line) for line in fh]
+    monkeypatch.setattr(homology, "smith_normal_form", recording_snf)
+    monkeypatch.setattr(filling, "smith_normal_form", recording_i_star)
+    for rec in calls:
+        assert main(["fill", rec["sig"], "--slopes", rec["slopes"]]) == \
+            rec["code"]
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert i_stars and len(results) > len(i_stars)
     for A, ncols, res in results:
         assert same_as_full_scan(res, A, ncols)
 

@@ -27,6 +27,8 @@ FOURTEEN_RECORD = os.path.join(os.path.dirname(__file__), "data",
                                "fourteen_tet_verify.jsonl")
 COVER_RECORD = os.path.join(os.path.dirname(__file__), "data",
                             "sigmaless_cover_verify.jsonl")
+RANK_THREE_RECORDS = os.path.join(os.path.dirname(__file__), "data",
+                                  "rank_three_covers_verify.jsonl")
 FOURTEEN_FILLS = os.path.join(os.path.dirname(__file__), "data",
                               "fourteen_tet_fill.jsonl")
 EXTRA_CENSUS = os.path.join(os.path.dirname(__file__), "data",
@@ -40,8 +42,6 @@ FILL_CASES = os.path.join(os.path.dirname(__file__), "data",
 M003 = "cPcbbbdxm_10"
 TWO_TET_EO = "cPcbbbiht_12"
 FOURTEEN = "oLLLLLPwQQcccefgijlmkklnnnlnewbnetafobnkj_12001112122200"
-SIGMALESS_COVER = ("CvLvwwwwzLQvwQPPQQQkcifghjsmnpopwrvttyzyBAAAxxBzBntewbcubet"
-                   "fbnonjrtthalxtnslfc_1202011121021222012210000010")
 
 
 def reference_lines(name):
@@ -75,10 +75,13 @@ def test_batch_writer_matches_reference(tmp_path, name, flags):
         assert out.read_bytes() == fh.read()
 
 
-def replay_verify_record(tmp_path, sig, path):
-    """``batch --verify`` on sig alone writes the bytes of path."""
+def replay_verify_record(tmp_path, path):
+    """``batch --verify`` on the signatures of path's records writes the
+    bytes of path."""
+    with open(path) as fh:
+        sigs = [json.loads(line)["sig"] for line in fh]
     census = tmp_path / "census.txt"
-    census.write_text(sig + "\n")
+    census.write_text("".join(sig + "\n" for sig in sigs))
     out = tmp_path / "out.jsonl"
     assert main(["batch", str(census), "--verify", "--jobs", "1",
                  "--out", str(out)]) == 0
@@ -90,14 +93,21 @@ def test_fourteen_tet_record_replays_byte_for_byte(tmp_path):
     # the sample's only b1 = 2 entry and its only delta_hat: the bytes
     # pin theta, delta and delta_hat in the H1 basis the Smith form's U
     # fixes, which the tests that match them up to GL(2, Z) would not
-    replay_verify_record(tmp_path, FOURTEEN, FOURTEEN_RECORD)
+    replay_verify_record(tmp_path, FOURTEEN_RECORD)
 
 
 def test_sigmaless_cover_record_replays_byte_for_byte(tmp_path):
     # a Z/2 cover of the 14-tet entry without sigma: b1 = 2, torsion
     # [2, 8], and theta, delta and delta_hat of 35, 33 and 95 terms, so
     # its minor gcds are the largest a record pins
-    replay_verify_record(tmp_path, SIGMALESS_COVER, COVER_RECORD)
+    replay_verify_record(tmp_path, COVER_RECORD)
+
+
+def test_rank_three_cover_records_replay_byte_for_byte(tmp_path):
+    # the 14-tet entry's four Z/2 covers with b1 = 3, torsion [4] and
+    # sigma: theta and delta of 108, 110, 82 and 182 terms, the only
+    # records whose minor gcds recurse through three variables
+    replay_verify_record(tmp_path, RANK_THREE_RECORDS)
 
 
 def test_fill_records_match_reference(capsys):
@@ -173,8 +183,8 @@ def compute_outcome(line):
 
 
 # Prints the records of the census_scan and census_verify references and
-# of the 14-tet entry's, the extra census's and the sigma-less cover's
-# --verify references, the ones with delta_hat, as batch and batch
+# of the 14-tet entry's, the extra census's, the sigma-less cover's and
+# the b1 = 3 covers' --verify references, as batch and batch
 # --verify write them, then those of the fill_bundles, extra census fill
 # and fill case references, as fill writes them, and then the outcome of
 # compute on each rejected line, from an interpreter whose __debug__ is
@@ -184,11 +194,11 @@ import contextlib, io, json, sys
 from veerpoly.cli import entry_record, main
 if __debug__:
     sys.exit("expected python -O")
-(scan, verify, fourteen, extra, cover, fill, extra_fill, fill_cases,
- rejected) = sys.argv[1:]
+(scan, verify, fourteen, extra, cover, rank_three, fill, extra_fill,
+ fill_cases, rejected) = sys.argv[1:]
 for path, with_polynomials in ((scan, False), (verify, True),
                                (fourteen, True), (extra, True),
-                               (cover, True)):
+                               (cover, True), (rank_three, True)):
     with open(path) as fh:
         for line in fh:
             rec = entry_record(json.loads(line)["sig"],
@@ -225,7 +235,7 @@ def test_records_are_the_same_under_python_O():
         [sys.executable, "-O", "-c", OPTIMIZED_REPLAY,
          os.path.join(REFERENCE, "census_scan.jsonl"),
          os.path.join(REFERENCE, "census_verify.jsonl"), FOURTEEN_RECORD,
-         EXTRA_RECORDS, COVER_RECORD,
+         EXTRA_RECORDS, COVER_RECORD, RANK_THREE_RECORDS,
          os.path.join(REFERENCE, "fill_bundles.jsonl"),
          EXTRA_FILLS, FILL_CASES, json.dumps(REJECTED)],
         env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -235,6 +245,8 @@ def test_records_are_the_same_under_python_O():
         extra = fh.read().splitlines()
     with open(COVER_RECORD) as fh:
         cover = fh.read().splitlines()
+    with open(RANK_THREE_RECORDS) as fh:
+        rank_three = fh.read().splitlines()
     fills = []
     for path in (EXTRA_FILLS, FILL_CASES):
         with open(path) as fh:
@@ -242,7 +254,7 @@ def test_records_are_the_same_under_python_O():
                 fills += json.loads(line)["stdout"].splitlines()
     want = reference_lines("census_scan") + \
         reference_lines("census_verify") + fourteen + extra + cover + \
-        reference_lines("fill_bundles") + fills + \
+        rank_three + reference_lines("fill_bundles") + fills + \
         [json.dumps(compute_outcome(line)) for line in REJECTED]
     assert out.stdout.splitlines() == want
 

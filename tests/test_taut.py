@@ -8,10 +8,10 @@ from veerpoly.census_io import (CensusError, FACE_SLOTS, GluingTable,
                                 OPPOSITE_SLOT, PI_SLOTS, TautStructure,
                                 VERTEX_PAIRS, invert, parse_taut_sig,
                                 slot_image)
-from veerpoly.taut import (build_double_cover, derive_colouring,
-                           derive_coorientation, edge_corner_cycles,
-                           edge_orientation_data, face_disagreement,
-                           vertex_orders)
+from veerpoly.taut import (EdgeOrientationData, build_double_cover,
+                           derive_colouring, derive_coorientation,
+                           edge_corner_cycles, edge_orientation_data,
+                           face_disagreement, vertex_orders)
 from veerpoly.invariants import Analysis, _taut_relation_signs
 from bundles import bundle_sig, both_letter_words
 from oracles import (dense_chain_complex, flipped_coorientation,
@@ -375,19 +375,37 @@ def test_omega_vanishes_on_boundaries():
 
 def test_omega_positions_match_per_position_cycles():
     # EdgeOrientationData pairs beta with V[:, rho:] once; omega of a
-    # kernel vector, and so each omega_positions entry, must equal beta
-    # paired with the cycle that vector stands for
+    # kernel vector, and so of each generator lift, must equal beta
+    # paired with the cycle that vector stands for.  edge_orientable,
+    # read off odd_kernel alone, must say that omega vanishes on every
+    # generator lift, for beta and for any other 0/1 face cochain: a
+    # random one, and the coboundary of a random set of cells
     rng = random.Random(43)
+    cochains = random.Random(47)
+    seen = set()
     for sig in sample_sigs():
         analysis = Analysis(parse_taut_sig(sig))
         analyses = [analysis]
         if not analysis.eo.edge_orientable:
             analyses.append(Analysis(analysis.cover))
         for a in analyses:
-            want = [beta_pairing(a.eo.beta, a.h1.w_position_representative(i))
-                    for i in range(a.h1.q)]
-            assert a.eo.omega_positions == want, a.ts.sig
+            h1 = a.h1
+            lifts = [h1.quot.generator_lift(i) for i in range(h1.q)]
+            omega = [a.eo.omega(y) for y in lifts]
+            want = [beta_pairing(a.eo.beta, h1.w_position_representative(i))
+                    for i in range(h1.q)]
+            assert omega == want, a.ts.sig
+            assert a.eo.edge_orientable == (not any(omega)), a.ts.sig
             for _ in range(3):
-                y = [rng.randint(-3, 3) for _ in range(a.h1.q)]
+                y = [rng.randint(-3, 3) for _ in range(h1.q)]
                 assert a.eo.omega(y) == \
-                    beta_pairing(a.eo.beta, a.h1.kernel_to_cycle(y))
+                    beta_pairing(a.eo.beta, h1.kernel_to_cycle(y))
+            cells = [cochains.randint(0, 1) for _ in range(h1.n_cells)]
+            for beta in ([cochains.randint(0, 1) for _ in h1.face_ends],
+                         [(cells[lo] + cells[hi]) % 2
+                          for lo, hi in h1.face_ends]):
+                eo = EdgeOrientationData(beta, h1)
+                assert eo.edge_orientable == \
+                    (not any(eo.omega(y) for y in lifts)), a.ts.sig
+                seen.add(eo.edge_orientable)
+    assert seen == {False, True}
