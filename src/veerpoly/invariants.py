@@ -10,7 +10,7 @@ free-abelian cover, seen from the base lift of the corner's
 tetrahedron, is the deck translate by -u of the class's anchored lift.
 Hence every matrix entry contributed by an incidence carries the
 monomial with exponent -u of that corner, which ``Analysis.exponents``
-holds.
+holds as a packed key (``laurent.pack_exponent``).
 
 Tetrahedron relations.  A face column is the base lift of the face as
 an upper face of the tetrahedron below it.  Seen from the base lift of
@@ -40,14 +40,22 @@ column, which keeps the Fitting gcd and where the unit pivots fall.
 from functools import cached_property
 from itertools import product
 from math import prod
-from operator import sub
 
 from .census_io import FACE_VERTICES, SLOT_OF_PAIR
 from .homology import H1Data, dual_spanning_tree, face_cocycle
 from .laurent import (LaurentMatrix, LaurentPoly,
                       maximal_minor_gcd_bruteforce, normalize_unit,
-                      sign_twist)
+                      pack_exponent, sign_twist)
 from . import taut
+
+
+# Per facet [a, b, c] (a < b < c), its traversal +ab, +bc, -ac as
+# (vertex pair, edge slot, traversal sign times the facet's sign in the
+# boundary of the tetrahedron).
+_FACET_TRAVERSALS = tuple(
+    tuple((pair, SLOT_OF_PAIR[pair], (-1 if fs % 2 else 1) * sign)
+          for pair, sign in (((a, b), 1), ((b, c), 1), ((a, c), -1)))
+    for fs, (a, b, c) in enumerate(FACE_VERTICES))
 
 
 class Analysis:
@@ -61,9 +69,10 @@ class Analysis:
     before an assert of the coorientation fails on it.
     Everything else is computed on first use and then kept.
 
-    Lazy members: ``exponents`` and ``face_edges`` (the corner data and
-    face table of the presentations), ``theta`` and ``delta`` (the taut
-    and Alexander polynomials), ``cover`` (the edge-orientation double
+    Lazy members: ``packed_cocycle``, ``exponents`` and ``face_edges``
+    (the corner data and face table of the presentations), ``theta``
+    and ``delta`` (the taut and Alexander polynomials), ``cover`` (the
+    edge-orientation double
     cover) and ``delta_hat`` (the double-cover polynomial, None when
     sigma exists).  Each polynomial is the Fitting gcd of an edges x
     faces presentation built without the columns of a dual spanning
@@ -88,15 +97,21 @@ class Analysis:
         self.cocycle = face_cocycle(self.h1)
 
     @cached_property
+    def packed_cocycle(self):
+        """The packed key of each face's cocycle, read by the corner
+        exponents and the tetrahedron relation checks."""
+        return [pack_exponent(c) for c in self.cocycle]
+
+    @cached_property
     def exponents(self):
-        """Corner -> monomial exponent, read by the presentations."""
-        return corner_exponents(self.cycles, self.cocycle, self.h1.rank)
+        """Corner -> packed monomial exponent, read by the presentations."""
+        return corner_exponents(self.cycles, self.packed_cocycle)
 
     @cached_property
     def face_edges(self):
         """Per face, its three edges at the tetrahedron below in the
         traversal +ab, +bc, -ac of its facet [a, b, c] (a < b < c), as
-        (edge slot, edge index, corner exponent, taut coefficient,
+        (edge slot, edge index, packed corner exponent, taut coefficient,
         Alexander coefficient): +1 at the upper-large edge
         (``Coorientation.upper_large``) and -1 at the small ones; the
         traversal sign times the facet's sign in the boundary of the
@@ -109,16 +124,13 @@ class Analysis:
         table = []
         for (t, fs), upper_large in zip(self.coor.below,
                                         self.coor.upper_large):
-            a, b, c = FACE_VERTICES[fs]
-            face_sign = -1 if fs % 2 else 1
             entries = []
-            for pair, sign in (((a, b), 1), ((b, c), 1), ((a, c), -1)):
-                slot = SLOT_OF_PAIR[pair]
+            for pair, slot, sign in _FACET_TRAVERSALS[fs]:
                 corner = (t, slot)
                 entries.append((
                     slot, edge_index[corner], exponents[corner],
                     1 if slot == upper_large else -1,
-                    face_sign * sign * (1 if dirs[corner] == pair else -1)))
+                    sign if dirs[corner] == pair else -sign))
             table.append(entries)
         return table
 
@@ -145,10 +157,11 @@ class Analysis:
         return fitting_gcd(build_cover_alexander_matrix(self))
 
 
-def corner_exponents(cycles, cocycle, rank):
-    """Monomial exponent -u of every corner, u its deck-translation
-    label: minus the signed partial sum of the face cocycle along the
-    corner cycle from the canonical corner.
+def corner_exponents(cycles, packed_cocycle):
+    """Packed monomial exponent -u of every corner, u its
+    deck-translation label: minus the signed partial sum of the face
+    cocycle along the corner cycle from the canonical corner.  Packing
+    is additive, so the sums run on the faces' packed cocycle keys.
 
     The closure assert (the sum vanishes around every edge) runs
     wherever exponents are built.  Records without polynomials never
@@ -158,51 +171,54 @@ def corner_exponents(cycles, cocycle, rank):
     rows of U * R are zero."""
     exponents = {}
     for cyc in cycles:
-        v = (0,) * rank
+        v = 0
         for corner, (face_idx, eps) in zip(cyc.corners, cyc.crossings):
             exponents[corner] = v
-            v = tuple(a - eps * b for a, b in zip(v, cocycle[face_idx]))
-        assert v == (0,) * rank, "cocycle does not close around an edge"
+            v -= eps * packed_cocycle[face_idx]
+        assert v == 0, "cocycle does not close around an edge"
     return exponents
 
 
 def _presentation_matrix(rank, n_rows, incidences, tree):
-    """n_rows x (faces outside tree) matrix from per-face (edge, corner
-    exponent, coefficient) incidences, in face order: each adds the
+    """n_rows x (faces outside tree) matrix from per-face (edge, packed
+    corner exponent, coefficient) incidences, in face order: each adds the
     coefficient times the monomial, coincident rows summed.  The only
     code that leaves out columns; the tree's are combinations of the
-    others by the tetrahedron relations (module docstring).  The summed
-    cells drop their zeros as they go, so they are wrapped as they are."""
+    others by the tetrahedron relations (module docstring).  A cell is
+    wrapped at its first incidence, whose coefficient is +-1, and later
+    ones are summed into its terms, zeros dropped, so it stays clean."""
     zero = LaurentPoly.zero(rank)
     columns = [col for f, col in enumerate(incidences) if f not in tree]
     rows = [[zero] * len(columns) for _ in range(n_rows)]
     for idx, entries in enumerate(columns):
-        cells = {}
         for e, exp, coef in entries:
-            terms = cells.setdefault(e, {})
-            s = terms[exp] = terms.get(exp, 0) + coef
-            if not s:
-                del terms[exp]
-        for e, terms in cells.items():
-            rows[e][idx] = LaurentPoly._wrap(rank, terms)
+            row = rows[e]
+            if row[idx] is zero:
+                row[idx] = LaurentPoly._wrap(rank, {exp: coef})
+            else:
+                terms = row[idx].packed
+                s = terms[exp] = terms.get(exp, 0) + coef
+                if not s:
+                    del terms[exp]
     return LaurentMatrix(rank, rows)
 
 
-def _tetrahedron_relations_hold(face_ends, cocycle, incidences, signs):
+def _tetrahedron_relations_hold(face_ends, packed_cocycle, incidences,
+                                signs):
     """Whether, for every tetrahedron t, its four face columns sum to
     zero: +-1 times each top face (t below it), +-x^(-c(f)) times each
     bottom face (t above it).  face_ends[f] = (tetrahedron below f, the
-    one above), cocycle[f] = c(f), and signs[f] = (sign of f as a top
-    face of the tetrahedron below, sign as a bottom face of the one
-    above).  Summed as {(t, edge, exponent): coefficient} on raw
-    exponent tuples, where x^(-c(f)) subtracts c(f) from the exponent."""
+    one above), packed_cocycle[f] = the packed c(f), and signs[f] =
+    (sign of f as a top face of the tetrahedron below, sign as a bottom
+    face of the one above).  Summed as {(t, edge, packed exponent):
+    coefficient}, where x^(-c(f)) subtracts the packed c(f)."""
     total = {}
     for entries, (t_top, t_bottom), c, (s_top, s_bottom) in zip(
-            incidences, face_ends, cocycle, signs):
+            incidences, face_ends, packed_cocycle, signs):
         for e, exp, coef in entries:
             key = (t_top, e, exp)
             total[key] = total.get(key, 0) + s_top * coef
-            key = (t_bottom, e, tuple(map(sub, exp, c)))
+            key = (t_bottom, e, exp - c)
             total[key] = total.get(key, 0) + s_bottom * coef
     return not any(total.values())
 
@@ -229,7 +245,7 @@ def build_taut_matrix(analysis):
     incidences = [[(e, exp, coef) for _, e, exp, coef, _ in face]
                   for face in analysis.face_edges]
     assert _tetrahedron_relations_hold(
-        analysis.h1.face_ends, analysis.cocycle, incidences,
+        analysis.h1.face_ends, analysis.packed_cocycle, incidences,
         _taut_relation_signs(analysis)), "taut tetrahedron relation fails"
     return _presentation_matrix(analysis.h1.rank,
                                 len(analysis.ts.table.edges), incidences,
@@ -261,7 +277,7 @@ def build_alexander_matrix(analysis):
     incidences = [[(e, exp, coef) for _, e, exp, _, coef in face]
                   for face in analysis.face_edges]
     assert _tetrahedron_relations_hold(
-        analysis.h1.face_ends, analysis.cocycle, incidences,
+        analysis.h1.face_ends, analysis.packed_cocycle, incidences,
         [(1, -1)] * len(incidences)), "Alexander tetrahedron relation fails"
     return _presentation_matrix(analysis.h1.rank,
                                 len(analysis.ts.table.edges), incidences,
@@ -286,7 +302,7 @@ def build_cover_alexander_matrix(analysis):
         for lift in (t, t + n):
             F = cover.face_index[(lift, fs)]
             face_ends[F] = (lift, cover.gluings[lift][fs][0])
-            cocycle[F] = analysis.cocycle[f]
+            cocycle[F] = analysis.packed_cocycle[f]
             incidences[F] = [(cover.edge_index[(lift, slot)], exp, coef)
                              for slot, _, exp, _, coef
                              in analysis.face_edges[f]]
@@ -305,33 +321,37 @@ def unit_pivot_reduce(mat):
     c * inv * (pivot row) from each row whose pivot-column entry c is
     nonzero.  That equals clearing the pivot row by column operations,
     so the gcd of maximal minors is kept up to a unit.  The pivot's
-    inverse +-x^(-v) acts as a shift by -v, with its sign folded into
-    the pivot row once.  Rows are kept sparse, as {column: nonzero
-    entry}, and each update row[k] - c * p is one fused ``sub_mul``.
+    inverse is +-x^(-v), so each row's multiplier c * inv is c's terms
+    with their keys moved by -v and the pivot's sign folded into their
+    coefficients.  Rows are kept sparse, as {column: nonzero entry}, and
+    each update row[k] - c * inv * p is one fused ``sub_mul``.
     Returns (residual row list over the columns left, saw_zero_row)."""
-    zero = LaurentPoly.zero(mat.nvars)
-    rows = [{k: p for k, p in enumerate(row) if p.terms}
+    nvars = mat.nvars
+    zero = LaurentPoly.zero(nvars)
+    rows = [{k: p for k, p in enumerate(row) if p.packed}
             for row in mat.entries]
     cols = list(range(mat.cols))
     while rows and all(rows):
         for i, row in enumerate(rows):
-            units = [k for k, p in row.items() if p.is_unit()]
-            if units:
+            j = None
+            for k, p in row.items():
+                if (j is None or k < j) and p.is_unit():
+                    j = k
+            if j is not None:
                 break
         else:
             break
-        j = min(units)
         prow = rows.pop(i)
-        ((exp, sign),) = prow.pop(j).terms.items()
-        inv_exp = tuple(-e for e in exp)
-        if sign == -1:
-            prow = {k: -p for k, p in prow.items()}
+        ((v, sign),) = prow.pop(j).packed.items()
+        pivot_row = prow.items()
         for row in rows:
-            if j in row:
-                c = row.pop(j).shift(inv_exp)
-                for k, p in prow.items():
-                    q = row[k] = row.get(k, zero).sub_mul(c, p)
-                    if not q.terms:
+            c = row.pop(j, None)
+            if c is not None:
+                m = LaurentPoly._wrap(nvars, {e - v: sign * a
+                                              for e, a in c.packed.items()})
+                for k, p in pivot_row:
+                    q = row[k] = row.get(k, zero).sub_mul(m, p)
+                    if not q.packed:
                         del row[k]
         cols.remove(j)
     return [[row.get(k, zero) for k in cols] for row in rows], not all(rows)
@@ -358,20 +378,22 @@ def verify_identities(analysis):
     record = {}
     theta, delta, eo = analysis.theta, analysis.delta, analysis.eo
     theta_n = normalize_unit(theta)
+    sigma_matched = False
     if eo.sigma_exists:
         record["identity"] = "sign_twist"
-        twisted = normalize_unit(sign_twist(delta, eo.sigma))
+        sigma_matched = theta_n == normalize_unit(sign_twist(delta, eo.sigma))
         record["delta_hat_absent"] = analysis.delta_hat is None
-        record["passed"] = theta_n == twisted and record["delta_hat_absent"]
+        record["passed"] = sigma_matched and record["delta_hat_absent"]
     else:
         record["identity"] = "cover_product"
         record["passed"] = normalize_unit(analysis.delta_hat) == \
             normalize_unit(delta * theta)
     # parity consequence: when no plain sign change of variables turns
-    # delta into theta, the torsion of H1 must have even order
+    # delta into theta, the torsion of H1 must have even order; sigma is
+    # one of the sign changes, so a match of its twist settles it
     r = analysis.h1.rank
     if r <= 12:
-        record["sign_change_match"] = matched = any(
+        record["sign_change_match"] = matched = sigma_matched or any(
             theta_n == normalize_unit(sign_twist(delta, chi))
             for chi in product((1, -1), repeat=r))
         if not matched:

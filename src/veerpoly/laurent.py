@@ -1,8 +1,22 @@
 """Exact multivariate Laurent polynomial arithmetic over the integers.
 
-Polynomials live in Z[x_1^{±1}, ..., x_r^{±1}].  They are stored sparsely as a
-map from exponent vectors (tuples of ints, possibly negative) to nonzero
-integer coefficients.  All arithmetic is exact; coefficients are Python ints.
+Polynomials live in Z[x_0^{±1}, ..., x_{r-1}^{±1}].  They are stored sparsely
+as a map from packed exponents to nonzero integer coefficients.  All
+arithmetic is exact; coefficients are Python ints.
+
+Packed exponents.  The exponent vector (e_0, ..., e_{r-1}) is stored as the
+one int sum_i e_i * B^(r-1-i), B = 2^64, in balanced digits: a digit is read
+back as the residue of the key in [-B/2, B/2).  Every exponent that enters
+from outside (the constructor, ``specialize``, ``poly_from_json``,
+``pack_exponent``) must be an int with |e_i| < 2^31, else ``ValueError``, so
+a digit stays exact through sums of up to 2^32 such exponents, far more
+than any product or determinant here forms.  Packing is additive: adding
+two keys multiplies two monomials, and one variable's key is its exponent.
+Key order is lex order with e_0 most significant.  Lex is a monomial order,
+so exact division takes its leading terms as the greatest keys.  The sign
+of ``normalize_unit`` and the term order of ``sorted_terms`` and the JSON
+schema stay graded-lex on the unpacked vectors.  ``terms`` is a read-only
+{exponent tuple: coefficient} view for readers outside the kernel.
 
 Many quantities downstream are only well defined up to multiplication by a
 unit of the Laurent ring, i.e. by +-(monomial).  ``normalize_unit`` picks the
@@ -15,68 +29,119 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from operator import add
+from types import MappingProxyType
+
+_BITS = 64
+_HALF = 1 << (_BITS - 1)
+_MASK = (1 << _BITS) - 1
+_LIMIT = 1 << 31
+
+
+def pack_exponent(exp):
+    """The packed key of an exponent vector of ints, each below 2^31 in
+    absolute value."""
+    for e in exp:
+        if type(e) is not int:
+            raise ValueError("exponent %r is not an int" % (e,))
+        if not -_LIMIT < e < _LIMIT:
+            raise ValueError("exponent %d is out of range (|e| < 2^31)" % e)
+    return _pack(exp)
+
+
+def _pack(exp):
+    """The packed key of an exponent vector, unchecked: for vectors the
+    kernel computed itself, whose digits may pass 2^31."""
+    key = 0
+    for e in exp:
+        key = (key << _BITS) + e
+    return key
+
+
+def _low_digit(key):
+    """The last digit of a key: its residue in [-B/2, B/2)."""
+    return ((key + _HALF) & _MASK) - _HALF
+
+
+def _unpack(key, nvars):
+    """The exponent tuple of a key in nvars variables."""
+    if nvars == 1:
+        return (key,)
+    out = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        out[i] = d = _low_digit(key)
+        key = (key - d) >> _BITS
+    return tuple(out)
+
+
+_new = object.__new__
 
 
 class LaurentPoly:
     """A sparse Laurent polynomial over Z in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "packed")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        clean = {}
+        packed = {}
         if terms:
             for exp, coef in terms.items():
                 if len(exp) != nvars:
                     raise ValueError(
                         "exponent %r has length %d, expected %d" % (exp, len(exp), nvars))
+                if type(coef) is not int:
+                    raise ValueError("coefficient %r is not an int" % (coef,))
+                key = pack_exponent(exp)
                 if coef:
-                    clean[tuple(exp)] = coef
-        self.terms = clean
+                    packed[key] = coef
+        self.packed = packed
 
-    @classmethod
-    def _wrap(cls, nvars, terms):
+    @staticmethod
+    def _wrap(nvars, packed):
         """Wrap a dict that is already clean, without copying or checking
-        it: every key a tuple of length ``nvars``, every value nonzero.
-        For the arithmetic below, and for presentation cells summed from
-        exponent tuples, which are clean by construction;
-        ``LaurentPoly(nvars, terms)`` checks and copies outside input."""
-        p = object.__new__(cls)
+        it: every key a packed exponent in ``nvars`` variables, every value
+        a nonzero int.  For the arithmetic below, and for presentation
+        cells summed from packed corner exponents, which are clean by
+        construction; ``LaurentPoly(nvars, terms)`` checks and packs
+        outside input."""
+        p = _new(LaurentPoly)
         p.nvars = nvars
-        p.terms = terms
+        p.packed = packed
         return p
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: coefficient} view, unpacked on each
+        read."""
+        n = self.nvars
+        return MappingProxyType({_unpack(k, n): c
+                                 for k, c in self.packed.items()})
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars, {})
+        return cls._wrap(nvars, {})
 
     @classmethod
     def one(cls, nvars):
-        return cls(nvars, {(0,) * nvars: 1})
+        return cls._wrap(nvars, {0: 1})
 
     @classmethod
     def variable(cls, nvars, i):
-        exp = [0] * nvars
-        exp[i] = 1
-        return cls(nvars, {tuple(exp): 1})
+        return cls._wrap(nvars, {1 << (_BITS * (nvars - 1 - i)): 1})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def is_unit(self):
         """True iff the polynomial is a unit of the Laurent ring: +-x^v."""
-        if len(self.terms) != 1:
-            return False
-        (coef,) = self.terms.values()
-        return coef in (1, -1)
+        return len(self.packed) == 1 and abs(*self.packed.values()) == 1
 
     def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
+        return self.packed == {0: 1}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -88,14 +153,14 @@ class LaurentPoly:
 
     def __neg__(self):
         return LaurentPoly._wrap(self.nvars,
-                                 {e: -c for e, c in self.terms.items()})
+                                 {e: -c for e, c in self.packed.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero(self.nvars)
             return LaurentPoly._wrap(
-                self.nvars, {e: c * other for e, c in self.terms.items()})
+                self.nvars, {e: c * other for e, c in self.packed.items()})
         return LaurentPoly.zero(self.nvars).sub_mul(-self, other)
 
     __rmul__ = __mul__
@@ -110,16 +175,19 @@ class LaurentPoly:
         if not (isinstance(c, LaurentPoly) and isinstance(p, LaurentPoly)
                 and c.nvars == p.nvars == self.nvars):
             raise ValueError("operands live in different Laurent rings")
-        out = dict(self.terms)
-        for e1, c1 in c.terms.items():
-            for e2, c2 in p.terms.items():
-                e = tuple(map(add, e1, e2))
+        out = dict(self.packed)
+        for e1, c1 in c.packed.items():
+            for e2, c2 in p.packed.items():
+                e = e1 + e2
                 s = out.get(e, 0) - c1 * c2
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly._wrap(self.nvars, out)
+        r = _new(LaurentPoly)
+        r.nvars = self.nvars
+        r.packed = out
+        return r
 
     def __pow__(self, n):
         if n < 0:
@@ -132,36 +200,46 @@ class LaurentPoly:
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly)
-                and self.nvars == other.nvars and self.terms == other.terms)
+                and self.nvars == other.nvars and self.packed == other.packed)
 
     # -- structure ---------------------------------------------------------
 
     def min_exponents(self):
         """Per-variable minimum exponent over the support (zero poly -> zeros)."""
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
+        n = self.nvars
+        if not self.packed:
+            return (0,) * n
+        if n == 1:
+            return (min(self.packed),)
+        return tuple(map(min, zip(*(_unpack(k, n) for k in self.packed))))
 
-    def shift(self, vec):
-        """Multiply by the monomial x^vec."""
-        if len(vec) != self.nvars:
-            raise ValueError("shift %r has length %d, expected %d"
-                             % (vec, len(vec), self.nvars))
+    def _lowest(self):
+        """The packed per-variable minimum exponent."""
+        if self.nvars == 1:
+            return min(self.packed, default=0)
+        return _pack(self.min_exponents())
+
+    def shift(self, key):
+        """Multiply by the monomial whose packed exponent is key."""
         return LaurentPoly._wrap(self.nvars,
-                                 {tuple(map(add, e, vec)): c
-                                  for e, c in self.terms.items()})
+                                 {e + key: c for e, c in self.packed.items()})
 
-    def leading_term(self):
-        """(exponent, coefficient) of the graded-lex greatest term."""
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+    def _grlex_max(self):
+        """The key of the graded-lex greatest term."""
+        n = self.nvars
+        if n <= 1:
+            return max(self.packed)
+        return max(self.packed, key=lambda k: (sum(_unpack(k, n)), k))
 
     def sorted_terms(self):
-        """Terms in ascending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
+        """(exponent tuple, coefficient) pairs in ascending graded-lex
+        order."""
+        n = self.nvars
+        return sorted(((_unpack(k, n), c) for k, c in self.packed.items()),
+                      key=lambda t: (sum(t[0]), t[0]))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.packed:
             return "LaurentPoly(0)"
         bits = []
         for exp, coef in reversed(self.sorted_terms()):
@@ -171,10 +249,6 @@ class LaurentPoly:
             else:
                 bits.append("%+d" % coef)
         return "LaurentPoly(%s)" % " ".join(bits)
-
-
-def _grlex_key(exp):
-    return (sum(exp), exp)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +262,13 @@ def normalize_unit(p):
     that the graded-lex greatest term has a positive coefficient.  Zero maps
     to zero.
     """
-    return _sign_norm(p.shift(tuple(-m for m in p.min_exponents())))
+    return _sign_norm(p.shift(-p._lowest()))
+
+
+def _sign_norm(p):
+    if p.is_zero():
+        return p
+    return -p if p.packed[p._grlex_max()] < 0 else p
 
 
 # ---------------------------------------------------------------------------
@@ -206,35 +286,34 @@ def exact_div(p, q):
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return LaurentPoly.zero(p.nvars)
-    a = p.min_exponents()
-    b = q.min_exponents()
-    ph = p.shift(tuple(-m for m in a))
-    qh = q.shift(tuple(-m for m in b))
-    s = _poly_exact_div(ph, qh)
+    a = p._lowest()
+    b = q._lowest()
+    s = _poly_exact_div(p.shift(-a), q.shift(-b))
     if s is None:
         return None
-    return s.shift(tuple(x - y for x, y in zip(a, b)))
+    return s.shift(a - b)
 
 
 def _poly_exact_div(p, q):
     """Exact division in Z[x_1..x_r] (no negative exponents allowed in the
-    quotient).  Leading-term division in graded-lex order: if q | p the
-    leading term of the quotient is forced at every step, so failure proves
-    indivisibility."""
+    quotient).  Leading-term division in lex order, the order of the keys:
+    if q | p the leading term of the quotient is forced at every step, so
+    failure proves indivisibility."""
     nvars = p.nvars
     rem = p
     out = {}
-    qexp, qcoef = q.leading_term()
-    while not rem.is_zero():
-        rexp, rcoef = rem.leading_term()
-        c, r = divmod(rcoef, qcoef)
+    qkey = max(q.packed)
+    qcoef = q.packed[qkey]
+    while rem.packed:
+        rkey = max(rem.packed)
+        c, r = divmod(rem.packed[rkey], qcoef)
         if r:
             return None
-        exp = tuple(a - b for a, b in zip(rexp, qexp))
-        if any(e < 0 for e in exp):
+        key = rkey - qkey
+        if min(_unpack(key, nvars), default=0) < 0:
             return None
-        out[exp] = c
-        rem = rem.sub_mul(LaurentPoly._wrap(nvars, {exp: c}), q)
+        out[key] = c
+        rem = rem.sub_mul(LaurentPoly._wrap(nvars, {key: c}), q)
     return LaurentPoly._wrap(nvars, out)
 
 
@@ -247,20 +326,37 @@ def gcd(p, q):
     """A gcd of p and q in the Laurent ring, unit-normalized.
 
     gcd(0, 0) = 0.  Monomial factors are units here, so they never appear in
-    the result.
+    the result.  The recursion runs on the last variable, so with two or
+    more variables they are reordered by degree span over both operands,
+    widest last, and put back before the normalisation.
     """
     if p.is_zero() or q.is_zero():
         return normalize_unit(p if q.is_zero() else q)
-    ph = p.shift(tuple(-m for m in p.min_exponents()))
-    qh = q.shift(tuple(-m for m in q.min_exponents()))
-    return normalize_unit(_poly_gcd(ph, qh))
+    ph = p.shift(-p._lowest())
+    qh = q.shift(-q._lowest())
+    n = p.nvars
+    if n <= 1:
+        return normalize_unit(_poly_gcd(ph, qh))
+    span = list(map(max, _max_exponents(ph), _max_exponents(qh)))
+    order = sorted(range(n), key=span.__getitem__)
+    back = sorted(range(n), key=order.__getitem__)
+    g = _poly_gcd(_permuted(ph, order), _permuted(qh, order))
+    return normalize_unit(_permuted(g, back))
 
 
-def _sign_norm(p):
-    if p.is_zero():
-        return p
-    _, lead = p.leading_term()
-    return -p if lead < 0 else p
+def _max_exponents(p):
+    """Per-variable maximum exponent of a nonzero polynomial."""
+    return map(max, zip(*(_unpack(k, p.nvars) for k in p.packed)))
+
+
+def _permuted(p, order):
+    """p with variable order[j] as its j-th variable."""
+    n = p.nvars
+    out = {}
+    for k, c in p.packed.items():
+        exp = _unpack(k, n)
+        out[_pack([exp[i] for i in order])] = c
+    return LaurentPoly._wrap(n, out)
 
 
 def _poly_gcd(p, q):
@@ -269,9 +365,7 @@ def _poly_gcd(p, q):
     if p.is_zero():
         return _sign_norm(q)
     if p.nvars == 0:
-        a = p.terms.get((), 0)
-        b = q.terms.get((), 0)
-        return LaurentPoly(0, {(): math.gcd(a, b)})
+        return LaurentPoly._wrap(0, {0: math.gcd(p.packed[0], q.packed[0])})
     pc, pp = _content_pp(_split_last(p))
     qc, qp = _content_pp(_split_last(q))
     d = _poly_gcd(pc, qc)
@@ -281,13 +375,14 @@ def _poly_gcd(p, q):
 
 
 def _split_last(p):
-    """View p in Z[x_1..x_{r-1}][y] (y = last variable): degree -> coefficient,
-    with coefficients as (r-1)-variable polynomials.  Each term of p is
-    one (head, degree) pair with a nonzero coefficient, so every bucket
-    is clean and nonempty."""
+    """View p in Z[x_1..x_{r-1}][y] (y = last variable, the lowest digit):
+    degree -> coefficient, with coefficients as (r-1)-variable
+    polynomials.  Each term of p is one (head, degree) pair with a nonzero
+    coefficient, so every bucket is clean and nonempty."""
     out = {}
-    for exp, coef in p.terms.items():
-        out.setdefault(exp[-1], {})[exp[:-1]] = coef
+    for key, coef in p.packed.items():
+        d = _low_digit(key)
+        out.setdefault(d, {})[(key - d) >> _BITS] = coef
     return {d: LaurentPoly._wrap(p.nvars - 1, t) for d, t in out.items()}
 
 
@@ -296,8 +391,8 @@ def _join_last(coeffs, nvars):
     distinct (degree, head) pairs give distinct exponents."""
     terms = {}
     for d, poly in coeffs.items():
-        for exp, coef in poly.terms.items():
-            terms[exp + (d,)] = coef
+        for head, coef in poly.packed.items():
+            terms[(head << _BITS) + d] = coef
     return LaurentPoly._wrap(nvars, terms)
 
 
@@ -411,10 +506,10 @@ def determinant(mat):
         return LaurentPoly.one(mat.nvars)
     zero = LaurentPoly.zero(mat.nvars)
     first, *rest = mat.entries
-    minors = {1 << j: p for j, p in enumerate(first) if p.terms}
+    minors = {1 << j: p for j, p in enumerate(first) if p.packed}
     for row in rest:
         # sub_mul by -entry adds entry * minor, by entry subtracts it
-        cells = [(j, p, -p) for j, p in enumerate(row) if p.terms]
+        cells = [(j, p, -p) for j, p in enumerate(row) if p.packed]
         grown = {}
         for mask, minor in minors.items():
             for j, p, neg in cells:
@@ -423,7 +518,7 @@ def determinant(mat):
                     key = mask | 1 << j
                     grown[key] = grown.get(key, zero).sub_mul(
                         p if above.bit_count() & 1 else neg, minor)
-        minors = {k: m for k, m in grown.items() if m.terms}
+        minors = {k: m for k, m in grown.items() if m.packed}
     return minors.get((1 << mat.rows) - 1, zero)
 
 
@@ -477,7 +572,8 @@ def specialize(p, exp_map, sign_source=None):
         raise ValueError("sign source %r has length %d, expected %d"
                          % (sign_source, len(sign_source), r))
     out = {}
-    for exp, coef in p.terms.items():
+    for key, coef in p.packed.items():
+        exp = _unpack(key, r)
         img = tuple(sum(a * e for a, e in zip(row, exp)) for row in rows)
         c = coef
         if sign_source is not None:

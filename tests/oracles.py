@@ -12,7 +12,9 @@ divides with the package's ``exact_div``.  The term loops of +, * and
 the binary ** ladder that ``LaurentPoly`` ran before every product went
 through ``sub_mul`` (``reference_add``, ``reference_mul``,
 ``reference_pow``) are the operator references, and cofactor expansion
-multiplies and sums with them.  The
+multiplies and sums with them.  The graded-lex division on exponent
+tuples that ``exact_div`` ran before exponents were packed
+(``reference_exact_div``) is its reference.  The
 earlier two-pass signature decoder, gluing-table builder, corner walk,
 face walks of the two presentation matrices, dense face cocycle, dense
 chain complex and dense ``H1Data`` are kept here too, and so are the
@@ -47,7 +49,7 @@ from veerpoly.homology import (AbelianQuotient, H1Data, int_matmul,
                                smith_normal_form)
 from veerpoly.invariants import (Analysis, _presentation_matrix,
                                  build_alexander_matrix, fitting_gcd)
-from veerpoly.laurent import (LaurentMatrix, LaurentPoly, _require,
+from veerpoly.laurent import (LaurentMatrix, LaurentPoly, _require, _unpack,
                               exact_div, gcd, normalize_unit, sign_twist,
                               specialize)
 from veerpoly.taut import (Coorientation, derive_colouring,
@@ -93,6 +95,41 @@ def reference_pow(a, n):
         a = reference_mul(a, a)
         n >>= 1
     return out
+
+
+def reference_exact_div(p, q):
+    """p / q in the Laurent ring, or None when q does not divide p:
+    both moved to polynomial position on exponent tuples, then
+    leading-term division in graded-lex order."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return LaurentPoly.zero(p.nvars)
+    a, b = p.min_exponents(), q.min_exponents()
+    rem = {tuple(map(sub, e, a)): c for e, c in p.terms.items()}
+    den = {tuple(map(sub, e, b)): c for e, c in q.terms.items()}
+
+    def grlex(e):
+        return (sum(e), e)
+
+    qexp = max(den, key=grlex)
+    out = {}
+    while rem:
+        rexp = max(rem, key=grlex)
+        c, r = divmod(rem[rexp], den[qexp])
+        exp = tuple(map(sub, rexp, qexp))
+        if r or min(exp) < 0:
+            return None
+        out[exp] = c
+        for e, d in den.items():
+            k = tuple(x + y for x, y in zip(e, exp))
+            s = rem.get(k, 0) - c * d
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return LaurentPoly(p.nvars, {tuple(x + y - z for x, y, z in zip(e, a, b)):
+                                 c for e, c in out.items()})
 
 
 def cofactor_determinant(entries):
@@ -203,13 +240,15 @@ _TRAVERSAL = (((0, 1), 1), ((1, 2), 1), ((0, 2), -1))
 
 def _summed_matrix(analysis, incidences):
     """Edges x faces matrix, each cell the LaurentPoly sum of its
-    face's signed monomials at that edge."""
+    face's signed monomials at that edge, each packed corner exponent
+    unpacked to its tuple."""
     table = analysis.ts.table
     r = analysis.h1.rank
     rows = [[LaurentPoly.zero(r)] * len(table.faces) for _ in table.edges]
     for idx, entries in enumerate(incidences):
         for e, exp, coef in entries:
-            rows[e][idx] = rows[e][idx] + LaurentPoly(r, {exp: coef})
+            rows[e][idx] = rows[e][idx] + LaurentPoly(r, {_unpack(exp, r):
+                                                          coef})
     return rows
 
 
@@ -1060,7 +1099,8 @@ def veering_polynomial(analysis, sides="uv xu yv"):
         bottom_of[e] = t
         for a, b in sides.split():
             s = _slot(at[a], at[b])
-            exp = tuple(map(sub, exponents[(t, s)], exponents[(t, xy)]))
+            exp = tuple(map(sub, _unpack(exponents[(t, s)], r),
+                            _unpack(exponents[(t, xy)], r)))
             f = edge_index[(t, s)]
             rows[e][f] = rows[e][f] - LaurentPoly(r, {exp: 1})
     assert None not in bottom_of, "edge is the bottom of no tetrahedron"

@@ -420,9 +420,10 @@ def test_rank_four_cover_filling_structure():
     # the edge-orientation double cover of the 14-tet entry has four
     # cusps and b_1 = 4; filling one cusp leaves s = 3, the only
     # in-census route to a rank >= 2 target.  (Its taut polynomial is
-    # left out to keep this test short: a whole ``veerpoly fill`` on the
-    # cover's signature takes about 16 s.  The identity algebra for
-    # these cases is covered by the synthetic solver tests below.)
+    # left out here: the cover's ``fill`` and ``batch --verify`` records
+    # are replayed byte for byte in test_pipeline.py, each well under a
+    # second now that gcd orders the variables.  The identity algebra
+    # for these cases is covered by the synthetic solver tests below.)
     a, _ = analyse(FOURTEEN)
     cover, connected = build_double_cover(a.ts, a.coor, a.eo.beta)
     assert connected

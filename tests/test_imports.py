@@ -192,19 +192,20 @@ def test_attributes_are_stored_only_inside_class_bodies():
 
 def terms_loop_operand(loop):
     """The source of X when loop (a for statement or a comprehension
-    clause) runs over ``X.terms.items()``, else None."""
+    clause) runs over ``X.packed.items()`` (the packed terms the kernel
+    reads) or ``X.terms.items()``, else None."""
     it = loop.iter
     if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute) \
             and it.func.attr == "items" \
             and isinstance(it.func.value, ast.Attribute) \
-            and it.func.value.attr == "terms":
+            and it.func.value.attr in ("packed", "terms"):
         return ast.unparse(it.func.value.value)
     return None
 
 
 def pair_of_terms_loops(tree):
     """The qualified name of every function that nests a loop over one
-    polynomial's ``.terms.items()`` inside a loop over another's."""
+    polynomial's terms inside a loop over another's."""
     found = set()
 
     def visit(node, name):

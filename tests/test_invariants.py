@@ -16,7 +16,8 @@ from veerpoly.invariants import (Analysis, _presentation_matrix,
                                  verify_identities)
 from veerpoly.laurent import (LaurentMatrix, LaurentPoly, determinant,
                               exact_div, maximal_minor_gcd_bruteforce,
-                              normalize_unit, specialize)
+                              normalize_unit, pack_exponent, poly_from_json,
+                              specialize)
 from veerpoly.taut import build_double_cover
 from bundles import (bundle_filled_trace, bundle_homology, bundle_sig,
                      both_letter_words)
@@ -599,7 +600,7 @@ def test_theta_is_the_omega_twisted_alexander_polynomial():
     for analysis in analyses:
         twisted = omega_twisted_incidences(analysis)
         signs = [(1, 1 if b else -1) for b in analysis.eo.beta]
-        ends, cocycle = analysis.h1.face_ends, analysis.cocycle
+        ends, cocycle = analysis.h1.face_ends, analysis.packed_cocycle
         assert _tetrahedron_relations_hold(ends, cocycle, twisted, signs), \
             analysis.ts.sig
         if not _tetrahedron_relations_hold(ends, cocycle, twisted,
@@ -743,7 +744,8 @@ def coboundary_variant(ts):
                for c, (b, a) in zip(var.cocycle, var.h1.face_ends)]
     assert cocycle != var.cocycle
     var.cocycle = cocycle
-    var.exponents = corner_exponents(var.cycles, cocycle, r)
+    var.packed_cocycle = [pack_exponent(c) for c in cocycle]
+    var.exponents = corner_exponents(var.cycles, var.packed_cocycle)
     return var
 
 
@@ -801,6 +803,17 @@ TALL = LaurentMatrix(1, [[ONE] * 2] * 3)
     (lambda: specialize(LaurentPoly.variable(1, 0), [[1, 0]]), ValueError,
      "wrong shape"),
     (lambda: LaurentPoly(2, {(1,): 1}), ValueError, "expected 2"),
+    (lambda: LaurentPoly(1, {(1.5,): 1}), ValueError,
+     "exponent 1.5 is not an int"),
+    (lambda: LaurentPoly(1, {(0,): 2.0}), ValueError,
+     "coefficient 2.0 is not an int"),
+    (lambda: poly_from_json({"vars": 1, "terms": [{"exp": [True],
+                                                   "coef": 1}]}),
+     ValueError, "exponent True is not an int"),
+    (lambda: poly_from_json({"vars": 1, "terms": [{"exp": [0],
+                                                   "coef": True}]}),
+     ValueError, "coefficient True is not an int"),
+    (lambda: LaurentPoly(1, {(2 ** 31,): 1}), ValueError, "out of range"),
     (lambda: ONE ** -1, ValueError, "negative powers"),
     (lambda: ONE + LaurentPoly.one(2), ValueError, "different Laurent rings"),
     (lambda: ONE + 1, ValueError, "different Laurent rings"),
@@ -808,7 +821,9 @@ TALL = LaurentMatrix(1, [[ONE] * 2] * 3)
     (lambda: Analysis(two_disjoint_copies("cPcbbbdxm_10")), CensusError,
      "triangulation is disconnected"),
 ], ids=["fitting_gcd", "minor_gcd", "determinant", "specialize",
-        "exponent_length", "negative_power", "mixed_rings", "int_summand",
+        "exponent_length", "float_exponent", "float_coefficient",
+        "bool_exponent", "bool_coefficient", "exponent_range",
+        "negative_power", "mixed_rings", "int_summand",
         "slope", "disconnected"])
 def test_input_and_shape_errors(call, error, message):
     with pytest.raises(error, match=message):

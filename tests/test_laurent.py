@@ -1,6 +1,6 @@
 import os
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +13,11 @@ from veerpoly.invariants import (Analysis, build_alexander_matrix,
 from veerpoly.laurent import (LaurentMatrix, LaurentPoly, determinant,
                               exact_div, gcd,
                               maximal_minor_gcd_bruteforce, normalize_unit,
-                              poly_from_json, poly_to_json, sign_twist,
-                              specialize)
+                              pack_exponent, poly_from_json, poly_to_json,
+                              sign_twist, specialize)
 from oracles import (bareiss_determinant, cofactor_determinant,
-                     exhaustive_fitting_gcd, reference_add, reference_mul,
-                     reference_pow)
+                     exhaustive_fitting_gcd, reference_add,
+                     reference_exact_div, reference_mul, reference_pow)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_census.txt")
 EXTRA = os.path.join(os.path.dirname(__file__), "data", "extra_census.txt")
@@ -50,6 +50,66 @@ def to_sympy(p, symbols):
     return expr
 
 
+# -- packed exponents --------------------------------------------------------
+
+LIMIT = 2 ** 31 - 1
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_packed_exponents_round_trip_at_the_digit_limits(nvars):
+    # every vector of digits in {-(2^31 - 1), -1, 0, 1, 2^31 - 1} packs
+    # to one key and back, through the constructor and the terms view
+    for exp in product((-LIMIT, -1, 0, 1, LIMIT), repeat=nvars):
+        key = laurent.pack_exponent(exp)
+        assert laurent._unpack(key, nvars) == exp
+        p = LaurentPoly(nvars, {exp: 5})
+        assert p.packed == {key: 5}
+        assert p.terms == {exp: 5}
+        assert p.min_exponents() == exp
+
+
+def test_key_order_is_lex_order_and_keys_add():
+    rng = random.Random(59)
+    for nvars in range(1, 5):
+        vecs = [tuple(rng.choice((rng.randint(-3, 3),
+                                  rng.randint(-LIMIT, LIMIT)))
+                      for _ in range(nvars)) for _ in range(300)]
+        assert sorted(vecs, key=laurent.pack_exponent) == sorted(vecs)
+        for a, b in zip(vecs, vecs[1:]):
+            total = laurent.pack_exponent(a) + laurent.pack_exponent(b)
+            assert laurent._unpack(total, nvars) == \
+                tuple(x + y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("exp", [(2 ** 31,), (-2 ** 31,), (0, 2 ** 31),
+                                 (2 ** 31, 0, 0)])
+def test_exponents_out_of_the_digit_range_raise(exp):
+    with pytest.raises(ValueError, match="out of range"):
+        laurent.pack_exponent(exp)
+    with pytest.raises(ValueError, match="out of range"):
+        LaurentPoly(len(exp), {exp: 1})
+
+
+def test_exact_div_matches_the_tuple_keyed_reference():
+    # lex division on packed keys against graded-lex division on
+    # exponent tuples: the same quotient on products, and None on the
+    # same pairs when a random remainder is added
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(400):
+        nv = rng.randint(1, 4)
+        a, b, r = (random_poly(rng, nv) for _ in range(3))
+        if b.is_zero():
+            continue
+        p = reference_mul(a, b)
+        assert exact_div(p, b) == reference_exact_div(p, b) == a
+        q = reference_add(p, r)
+        got = exact_div(q, b)
+        assert got == reference_exact_div(q, b)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 # -- arithmetic --------------------------------------------------------------
 
 def test_arithmetic_results_are_clean():
@@ -73,13 +133,13 @@ def test_arithmetic_results_are_clean():
         assert powers == [reference_pow(a, n) for n in range(6)]
         assert (a - a).terms == {}
         for r in [a + b, a - b, b - a, -a, a * b, b * a, a * 3, -2 * a,
-                  a * 0, a.shift(vec), a - a] + powers:
+                  a * 0, a.shift(pack_exponent(vec)), a - a] + powers:
             assert r.nvars == nv
             assert 0 not in r.terms.values()
             assert all(type(e) is tuple and len(e) == nv for e in r.terms)
             assert LaurentPoly(r.nvars, r.terms) == r
         with pytest.raises(ValueError):
-            a.shift(vec + (0,))
+            a.shift(pack_exponent(vec[:-1] + (1 << 31,)))
     x = LaurentPoly.variable(1, 0)
     one = LaurentPoly.one(1)
     assert ((x + one) * (x - one)).terms == {(2,): 1, (0,): -1}
@@ -239,6 +299,35 @@ def test_gcd_common_factor_with_coprime_cofactors():
         g = P(2, ((rng.randint(1, 3), 0), rng.choice([1, -1])), ((0, 0), 1))
         h = P(2, ((0, rng.randint(1, 3)), rng.choice([1, -1])), ((0, 0), 1))
         assert gcd(f * g, f * h) == normalize_unit(f)
+
+
+def permuted(p, perm):
+    """p with variable perm[j] renamed to variable j."""
+    return LaurentPoly(p.nvars, {tuple(e[i] for i in perm): c
+                                 for e, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_gcd_is_the_same_in_every_variable_order(nvars):
+    # the recursion runs on the last variable, and gcd chooses the
+    # order: in each of the r! orders the recursion gives the same
+    # normalised gcd, and gcd commutes with renaming the variables
+    rng = random.Random(67 + nvars)
+    for _ in range(3):
+        f, a, b = (random_poly(rng, nvars, max_terms=3, exp_range=2,
+                               laurent=False) for _ in range(3))
+        if a.is_zero() or b.is_zero():
+            continue
+        p, q = f * a, f * b
+        want = gcd(p, q)
+        assert exact_div(p, want) is not None
+        assert exact_div(q, want) is not None
+        for perm in permutations(range(nvars)):
+            back = sorted(range(nvars), key=perm.__getitem__)
+            g = laurent._poly_gcd(permuted(p, perm), permuted(q, perm))
+            assert normalize_unit(permuted(g, back)) == want, perm
+            assert gcd(permuted(p, perm), permuted(q, perm)) == \
+                normalize_unit(permuted(want, perm)), perm
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """One Analysis per entry: records replayed against the benchmark's
 reference outputs, with and without the __debug__ checks, and against
-the 14-tet entry's and the extra census's references, counts of the
+the 14-tet entry's, the extra census's and the covers' references, the
+benchmark's record checker on its own references, counts of the
 expensive stages an entry runs, the shape of every matrix the Fitting
 gcd sees, and a check that every function the benchmark traces is still
 called."""
@@ -29,6 +30,10 @@ COVER_RECORD = os.path.join(os.path.dirname(__file__), "data",
                             "sigmaless_cover_verify.jsonl")
 RANK_THREE_RECORDS = os.path.join(os.path.dirname(__file__), "data",
                                   "rank_three_covers_verify.jsonl")
+RANK_FOUR_RECORD = os.path.join(os.path.dirname(__file__), "data",
+                                "rank_four_cover_verify.jsonl")
+RANK_FOUR_FILL = os.path.join(os.path.dirname(__file__), "data",
+                              "rank_four_cover_fill.jsonl")
 FOURTEEN_FILLS = os.path.join(os.path.dirname(__file__), "data",
                               "fourteen_tet_fill.jsonl")
 EXTRA_CENSUS = os.path.join(os.path.dirname(__file__), "data",
@@ -110,6 +115,20 @@ def test_rank_three_cover_records_replay_byte_for_byte(tmp_path):
     replay_verify_record(tmp_path, RANK_THREE_RECORDS)
 
 
+def test_rank_four_cover_record_replays_byte_for_byte(tmp_path):
+    # the 14-tet entry's edge-orientation double cover: b1 = 4, torsion
+    # [2] and sigma, theta and delta of 72 terms each; the only record
+    # whose minor gcds recurse through four variables, and one whose
+    # cost hung on the H1 basis order until gcd reordered its variables
+    replay_verify_record(tmp_path, RANK_FOUR_RECORD)
+
+
+def test_rank_four_cover_fill_replays_byte_for_byte(capsys):
+    # the same cover with cusp 0 filled at 1/0: case I(a) with s = 3,
+    # i_theta of 42 terms and delta_N of 22
+    assert replay_fills(RANK_FOUR_FILL, capsys) == 1
+
+
 def test_fill_records_match_reference(capsys):
     lines = reference_lines("fill_bundles")
     assert lines
@@ -183,22 +202,23 @@ def compute_outcome(line):
 
 
 # Prints the records of the census_scan and census_verify references and
-# of the 14-tet entry's, the extra census's, the sigma-less cover's and
-# the b1 = 3 covers' --verify references, as batch and batch
-# --verify write them, then those of the fill_bundles, extra census fill
-# and fill case references, as fill writes them, and then the outcome of
-# compute on each rejected line, from an interpreter whose __debug__ is
-# off.
+# of the 14-tet entry's, the extra census's, the sigma-less cover's, the
+# b1 = 3 covers' and the b1 = 4 cover's --verify references, as batch
+# and batch --verify write them, then those of the fill_bundles, extra
+# census fill, fill case and b1 = 4 cover fill references, as fill
+# writes them, and then the outcome of compute on each rejected line,
+# from an interpreter whose __debug__ is off.
 OPTIMIZED_REPLAY = """
 import contextlib, io, json, sys
 from veerpoly.cli import entry_record, main
 if __debug__:
     sys.exit("expected python -O")
-(scan, verify, fourteen, extra, cover, rank_three, fill, extra_fill,
- fill_cases, rejected) = sys.argv[1:]
+(scan, verify, fourteen, extra, cover, rank_three, rank_four, fill,
+ extra_fill, fill_cases, rank_four_fill, rejected) = sys.argv[1:]
 for path, with_polynomials in ((scan, False), (verify, True),
                                (fourteen, True), (extra, True),
-                               (cover, True), (rank_three, True)):
+                               (cover, True), (rank_three, True),
+                               (rank_four, True)):
     with open(path) as fh:
         for line in fh:
             rec = entry_record(json.loads(line)["sig"],
@@ -209,7 +229,7 @@ with open(fill) as fh:
         rec = json.loads(line)
         slopes = ",".join("%s:%s" % kv for kv in sorted(rec["slopes"].items()))
         main(["fill", rec["sig"], "--slopes", slopes])
-for path in (extra_fill, fill_cases):
+for path in (extra_fill, fill_cases, rank_four_fill):
     with open(path) as fh:
         for line in fh:
             rec = json.loads(line)
@@ -235,9 +255,9 @@ def test_records_are_the_same_under_python_O():
         [sys.executable, "-O", "-c", OPTIMIZED_REPLAY,
          os.path.join(REFERENCE, "census_scan.jsonl"),
          os.path.join(REFERENCE, "census_verify.jsonl"), FOURTEEN_RECORD,
-         EXTRA_RECORDS, COVER_RECORD, RANK_THREE_RECORDS,
+         EXTRA_RECORDS, COVER_RECORD, RANK_THREE_RECORDS, RANK_FOUR_RECORD,
          os.path.join(REFERENCE, "fill_bundles.jsonl"),
-         EXTRA_FILLS, FILL_CASES, json.dumps(REJECTED)],
+         EXTRA_FILLS, FILL_CASES, RANK_FOUR_FILL, json.dumps(REJECTED)],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     with open(FOURTEEN_RECORD) as fh:
         fourteen = fh.read().splitlines()
@@ -247,14 +267,16 @@ def test_records_are_the_same_under_python_O():
         cover = fh.read().splitlines()
     with open(RANK_THREE_RECORDS) as fh:
         rank_three = fh.read().splitlines()
+    with open(RANK_FOUR_RECORD) as fh:
+        rank_four = fh.read().splitlines()
     fills = []
-    for path in (EXTRA_FILLS, FILL_CASES):
+    for path in (EXTRA_FILLS, FILL_CASES, RANK_FOUR_FILL):
         with open(path) as fh:
             for line in fh:
                 fills += json.loads(line)["stdout"].splitlines()
     want = reference_lines("census_scan") + \
         reference_lines("census_verify") + fourteen + extra + cover + \
-        rank_three + reference_lines("fill_bundles") + fills + \
+        rank_three + rank_four + reference_lines("fill_bundles") + fills + \
         [json.dumps(compute_outcome(line)) for line in REJECTED]
     assert out.stdout.splitlines() == want
 
@@ -409,3 +431,24 @@ def test_every_traced_function_is_called(monkeypatch, tmp_path, capsys):
                 if workload in workloads}
         assert sorted(want - called) == [], workload
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["census_scan", "census_verify",
+                                  "fill_bundles"])
+def test_benchmark_checker_accepts_its_references(monkeypatch, tmp_path,
+                                                  name):
+    # the benchmark checks each record it gets with check_record, which
+    # reads the package's API (poly_from_json, LaurentPoly's tuple-keyed
+    # terms, normalize_unit): every reference record of the workload at
+    # its reference seed must pass it, so a change of that API fails
+    # here, not in a benchmark run
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+    reference = {json.loads(line)["sig"]: line
+                 for line in reference_lines(name)}
+    entries = workloads.build(name, 0, os.path.join(PERFBENCH, os.pardir),
+                              str(tmp_path)).entries
+    assert sorted(e.sig for e in entries) == sorted(reference)
+    for entry in entries:
+        assert workloads.check_record(name, entry, reference[entry.sig],
+                                      reference) is None, entry.sig
