@@ -204,20 +204,12 @@ class LaurentPoly:
 
     # -- structure ---------------------------------------------------------
 
-    def min_exponents(self):
-        """Per-variable minimum exponent over the support (zero poly -> zeros)."""
-        n = self.nvars
-        if not self.packed:
-            return (0,) * n
-        if n == 1:
-            return (min(self.packed),)
-        return tuple(map(min, zip(*(_unpack(k, n) for k in self.packed))))
-
     def _lowest(self):
-        """The packed per-variable minimum exponent."""
-        if self.nvars == 1:
+        """The packed per-variable minimum exponent; 0 for zero."""
+        n = self.nvars
+        if n == 1:
             return min(self.packed, default=0)
-        return _pack(self.min_exponents())
+        return _pack(map(min, zip(*(_unpack(k, n) for k in self.packed))))
 
     def shift(self, key):
         """Multiply by the monomial whose packed exponent is key."""
@@ -325,10 +317,13 @@ def _poly_exact_div(p, q):
 def gcd(p, q):
     """A gcd of p and q in the Laurent ring, unit-normalized.
 
-    gcd(0, 0) = 0.  Monomial factors are units here, so they never appear in
-    the result.  The recursion runs on the last variable, so with two or
+    gcd(0, 0) = 0; with one operand zero, the other, normalised.  Else
+    both are shifted to honest polynomials, and as each has a term free
+    of any one variable, so has their gcd: ``_poly_gcd``'s sign makes it
+    canonical.  The recursion runs on the last variable, so with two or
     more variables they are reordered by degree span over both operands,
-    widest last, and put back before the normalisation.
+    widest last, and put back, which keeps every minimum 0 but can move
+    the graded-lex greatest term: the sign is fixed after that.
     """
     if p.is_zero() or q.is_zero():
         return normalize_unit(p if q.is_zero() else q)
@@ -336,12 +331,12 @@ def gcd(p, q):
     qh = q.shift(-q._lowest())
     n = p.nvars
     if n <= 1:
-        return normalize_unit(_poly_gcd(ph, qh))
+        return _poly_gcd(ph, qh)
     span = list(map(max, _max_exponents(ph), _max_exponents(qh)))
     order = sorted(range(n), key=span.__getitem__)
     back = sorted(range(n), key=order.__getitem__)
     g = _poly_gcd(_permuted(ph, order), _permuted(qh, order))
-    return normalize_unit(_permuted(g, back))
+    return _sign_norm(_permuted(g, back))
 
 
 def _max_exponents(p):
@@ -526,8 +521,8 @@ def maximal_minor_gcd_bruteforce(mat):
     """gcd over all row-size minors, by direct enumeration.
 
     Exponential in the column count; the terminal stage of the
-    Fitting-invariant pipeline once matrices are small (tree-reduced
-    residuals are r x (r + 1), so r + 1 minors).  Column sets come in the
+    Fitting-invariant pipeline once matrices are small (unit-pivot
+    residuals are k x (k + 1), so k + 1 minors).  Column sets come in the
     order of ``combinations``.  A zero minor, or one that the gcd so far
     divides, leaves the gcd as it is, so ``gcd`` runs only on the others.
     The walk stops once the gcd is 1.  Each minor is its own
@@ -574,7 +569,8 @@ def specialize(p, exp_map, sign_source=None):
     out = {}
     for key, coef in p.packed.items():
         exp = _unpack(key, r)
-        img = tuple(sum(a * e for a, e in zip(row, exp)) for row in rows)
+        img = pack_exponent([sum(a * e for a, e in zip(row, exp))
+                             for row in rows])
         c = coef
         if sign_source is not None:
             for chi, e in zip(sign_source, exp):
@@ -585,7 +581,7 @@ def specialize(p, exp_map, sign_source=None):
             out[img] = val
         else:
             del out[img]
-    return LaurentPoly(s, out)
+    return LaurentPoly._wrap(s, out)
 
 
 def sign_twist(p, sigma):

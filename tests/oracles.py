@@ -105,7 +105,7 @@ def reference_exact_div(p, q):
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return LaurentPoly.zero(p.nvars)
-    a, b = p.min_exponents(), q.min_exponents()
+    a, b = (tuple(map(min, zip(*x.terms))) for x in (p, q))
     rem = {tuple(map(sub, e, a)): c for e, c in p.terms.items()}
     den = {tuple(map(sub, e, b)): c for e, c in q.terms.items()}
 

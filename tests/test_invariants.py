@@ -802,6 +802,10 @@ TALL = LaurentMatrix(1, [[ONE] * 2] * 3)
      "non-square"),
     (lambda: specialize(LaurentPoly.variable(1, 0), [[1, 0]]), ValueError,
      "wrong shape"),
+    (lambda: specialize(LaurentPoly.variable(1, 0), [[1.5]]), ValueError,
+     "exponent 1.5 is not an int"),
+    (lambda: specialize(LaurentPoly.variable(1, 0), [[2 ** 31]]), ValueError,
+     "out of range"),
     (lambda: LaurentPoly(2, {(1,): 1}), ValueError, "expected 2"),
     (lambda: LaurentPoly(1, {(1.5,): 1}), ValueError,
      "exponent 1.5 is not an int"),
@@ -821,6 +825,7 @@ TALL = LaurentMatrix(1, [[ONE] * 2] * 3)
     (lambda: Analysis(two_disjoint_copies("cPcbbbdxm_10")), CensusError,
      "triangulation is disconnected"),
 ], ids=["fitting_gcd", "minor_gcd", "determinant", "specialize",
+        "specialize_float_image", "specialize_image_range",
         "exponent_length", "float_exponent", "float_coefficient",
         "bool_exponent", "bool_coefficient", "exponent_range",
         "negative_power", "mixed_rings", "int_summand",

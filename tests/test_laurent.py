@@ -65,7 +65,7 @@ def test_packed_exponents_round_trip_at_the_digit_limits(nvars):
         p = LaurentPoly(nvars, {exp: 5})
         assert p.packed == {key: 5}
         assert p.terms == {exp: 5}
-        assert p.min_exponents() == exp
+        assert p._lowest() == key
 
 
 def test_key_order_is_lex_order_and_keys_add():
@@ -266,12 +266,21 @@ def test_gcd_with_zero():
     p = P(2, ((1, 2), 4), ((0, 0), -6))
     assert gcd(p, LaurentPoly.zero(2)) == normalize_unit(p)
     assert gcd(LaurentPoly.zero(2), LaurentPoly.zero(2)).is_zero()
+    q = P(1, ((-2,), -3), ((1,), 6))
+    assert gcd(LaurentPoly.zero(1), q) == P(1, ((0,), -3), ((3,), 6))
 
 
 def test_gcd_textbook():
     a = P(1, ((2,), 1), ((0,), -1))            # x^2 - 1
     b = P(1, ((2,), 1), ((1,), -2), ((0,), 1))  # (x-1)^2
     assert gcd(a, b) == P(1, ((1,), 1), ((0,), -1))
+    # x0 has the wider span, so the recursion runs with the variables
+    # swapped, where x1 - x0 has the positive graded-lex leading term:
+    # the sign is fixed after the variables are put back
+    f = P(2, ((1, 0), 1), ((0, 1), -1))          # x0 - x1
+    a = P(2, ((3, 0), 1), ((0, 0), 1))           # x0^3 + 1
+    b = P(2, ((3, 0), 1), ((0, 0), -1))          # x0^3 - 1
+    assert gcd(f * a, f * b) == f
 
 
 def test_gcd_divides_both_inputs():
@@ -286,6 +295,8 @@ def test_gcd_divides_both_inputs():
             continue
         assert exact_div(p, g) is not None
         assert exact_div(q, g) is not None
+        # canonical as made: gcd normalises only a zero operand
+        assert normalize_unit(g) == g
 
 
 def test_gcd_common_factor_with_coprime_cofactors():

@@ -102,9 +102,12 @@ def test_fourteen_tet_record_replays_byte_for_byte(tmp_path):
 
 
 def test_sigmaless_cover_record_replays_byte_for_byte(tmp_path):
-    # a Z/2 cover of the 14-tet entry without sigma: b1 = 2, torsion
-    # [2, 8], and theta, delta and delta_hat of 35, 33 and 95 terms, so
-    # its minor gcds are the largest a record pins
+    # the sigma-less Z/2 covers of the 14-tet entry and of the
+    # non-layered extra entry gLLAQbecdfffhhnkqnc_120012.  The first has
+    # b1 = 2, torsion [2, 8], and theta, delta and delta_hat of 35, 33
+    # and 95 terms, so its minor gcds are the largest a record pins; the
+    # second (12 tets, b1 = 1, torsion [2, 16]) pins a delta_hat of 6
+    # terms from outside the layered family
     replay_verify_record(tmp_path, COVER_RECORD)
 
 
@@ -202,7 +205,7 @@ def compute_outcome(line):
 
 
 # Prints the records of the census_scan and census_verify references and
-# of the 14-tet entry's, the extra census's, the sigma-less cover's, the
+# of the 14-tet entry's, the extra census's, the sigma-less covers', the
 # b1 = 3 covers' and the b1 = 4 cover's --verify references, as batch
 # and batch --verify write them, then those of the fill_bundles, extra
 # census fill, fill case and b1 = 4 cover fill references, as fill
